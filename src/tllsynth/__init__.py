@@ -8,50 +8,19 @@ closed-loop guarantees (error budgets, Lipschitz bounds, invariance,
 trajectory deviation, approximate simulation) at desk scale.
 """
 
-from . import errors, probes
-from .errors import (
-    BoundViolated,
-    BudgetExceeded,
-    ConfigError,
-    CoverageInfeasible,
-    DimensionMismatch,
-    DimensionTooLarge,
-    DiscontinuityDetected,
-    EmptySelector,
-    InvariantViolation,
-    NonFiniteState,
-    NonPositiveBudget,
-    NonPositiveEta,
-    OracleFailure,
-    OrphanCorner,
-    OutsideDomain,
-    SchemaError,
-    SingularSystem,
-    StepInvalid,
-    TllSynthError,
-)
 from .cpwa import (
-    AffinePiece,
     CpwaInterpolant,
-    LipschitzReport,
     affine_piece,
     build_interpolant,
     continuity_audit,
-    eval_cpwa,
     extend_extra_corners,
     lipschitz_audit,
-    piece_key,
     region_count,
     sample_controller,
 )
 from .dynamics import (
     ControlSystemModel,
-    DeviationReport,
     FiniteTransitionSystem,
-    InvarianceReport,
-    SimulationRelation,
-    SimulationVerdict,
-    Trajectory,
     boundary_margin,
     builtin_models,
     check_ads,
@@ -67,33 +36,40 @@ from .dynamics import (
     sysid_deviation_audit,
     van_der_pol,
 )
+from .errors import (
+    BoundViolated,
+    BudgetExceeded,
+    DimensionMismatch,
+    DimensionTooLarge,
+    DiscontinuityDetected,
+    EmptySelector,
+    InvariantViolation,
+    NonFiniteState,
+    NonPositiveBudget,
+    NonPositiveEta,
+    OracleFailure,
+    OutsideDomain,
+    SchemaError,
+    SingularSystem,
+    StepInvalid,
+)
 from .geometry import (
-    DEFAULT_DIMENSION_CAP,
     Box,
     EtaGrid,
-    ExtraCornerSet,
-    Hypercube,
     SimplexId,
     braid_face_dissection,
     braid_simplices,
     build_eta_grid,
-    extent,
     extra_corners,
-    hypercube_cells,
     interpolation_hypercubes,
     locate_batch,
-    locate_cell,
-    locate_simplex,
     permutation_rank,
     permutation_rank_batch,
-    simplex_contains,
     simplex_vertices,
     simplex_world_vertices,
 )
-from .probes import ProbeSet, build_probes, lattice_probes, random_probes
-from .serialize import dump_json, float_to_hex, hex_to_float, load_json, to_json_text
+from .serialize import to_json_text
 from .sizing import (
-    SizingResult,
     SpecBudget,
     compute_sizing,
     controller_size,
@@ -106,14 +82,11 @@ from .sizing import (
     sysid_size,
 )
 from .tll import (
-    ArchDescriptor,
-    ReluNetwork,
     ScalarLattice,
     TllNetwork,
     arch_descriptor,
     compile_scalar_tll,
     compile_tll,
-    eval_tll,
     expand_relu_layers,
     export_network,
     import_network,
@@ -121,113 +94,3 @@ from .tll import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffinePiece",
-    "ArchDescriptor",
-    "BoundViolated",
-    "Box",
-    "BudgetExceeded",
-    "ConfigError",
-    "ControlSystemModel",
-    "CoverageInfeasible",
-    "CpwaInterpolant",
-    "DEFAULT_DIMENSION_CAP",
-    "DeviationReport",
-    "DimensionMismatch",
-    "DimensionTooLarge",
-    "DiscontinuityDetected",
-    "EmptySelector",
-    "EtaGrid",
-    "ExtraCornerSet",
-    "FiniteTransitionSystem",
-    "Hypercube",
-    "InvarianceReport",
-    "InvariantViolation",
-    "LipschitzReport",
-    "NonFiniteState",
-    "NonPositiveBudget",
-    "NonPositiveEta",
-    "OracleFailure",
-    "OrphanCorner",
-    "OutsideDomain",
-    "ProbeSet",
-    "ReluNetwork",
-    "ScalarLattice",
-    "SchemaError",
-    "SimplexId",
-    "SimulationRelation",
-    "SimulationVerdict",
-    "SingularSystem",
-    "SizingResult",
-    "SpecBudget",
-    "StepInvalid",
-    "TllNetwork",
-    "TllSynthError",
-    "Trajectory",
-    "affine_piece",
-    "arch_descriptor",
-    "boundary_margin",
-    "braid_face_dissection",
-    "braid_simplices",
-    "build_eta_grid",
-    "build_interpolant",
-    "build_probes",
-    "builtin_models",
-    "check_ads",
-    "check_delta_tau_invariance",
-    "check_simulation",
-    "compile_scalar_tll",
-    "compile_tll",
-    "compute_sizing",
-    "continuity_audit",
-    "controller_size",
-    "deviation_audit",
-    "dump_json",
-    "embed_tau_sampled",
-    "errors",
-    "eta_max",
-    "eval_cpwa",
-    "eval_tll",
-    "expand_relu_layers",
-    "export_network",
-    "extend_extra_corners",
-    "extent",
-    "extra_corners",
-    "float_to_hex",
-    "gronwall_bound",
-    "hex_to_float",
-    "hypercube_cells",
-    "hypercube_count_bound",
-    "import_network",
-    "integrate_closed_loop",
-    "interpolation_hypercubes",
-    "lattice_probes",
-    "linear_1d",
-    "lipschitz_audit",
-    "load_json",
-    "locate_batch",
-    "locate_cell",
-    "locate_simplex",
-    "mu_max",
-    "parallel_compose",
-    "pendulum",
-    "permutation_rank",
-    "permutation_rank_batch",
-    "perturb",
-    "piece_key",
-    "probes",
-    "random_probes",
-    "region_count",
-    "rk4_closed_loop",
-    "sample_controller",
-    "simplex_contains",
-    "simplex_vertices",
-    "simplex_world_vertices",
-    "sweep_tau",
-    "sysid_budget",
-    "sysid_deviation_audit",
-    "sysid_size",
-    "to_json_text",
-    "van_der_pol",
-]

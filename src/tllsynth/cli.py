@@ -57,7 +57,6 @@ from .errors import (
     NonPositiveBudget,
     NonPositiveEta,
     OracleFailure,
-    OrphanCorner,
     OutsideDomain,
     SchemaError,
     SingularSystem,
@@ -98,7 +97,6 @@ _CONFIG_ERRORS = (
     StepInvalid,
     InvariantViolation,
     EmptySelector,
-    OrphanCorner,
     CoverageInfeasible,
     FileNotFoundError,
     IsADirectoryError,
@@ -323,7 +321,6 @@ def _emit(args, command: str, results: dict, passed: bool,
         "version": __version__,
         "pass": bool(passed),
         "seed": args.seed,
-        "workers": args.workers,
         "config": config_echo,
         "results": results,
         "timing": {"seconds": round(time.monotonic() - started, 6)},
@@ -370,7 +367,6 @@ def cmd_grid(args) -> int:
     domain = _box_from(cfg, "domain")
     eta = _resolve_eta(cfg, domain)
     grid = build_eta_grid(domain, eta)
-    grid.validate()
     cubes = interpolation_hypercubes(grid)
     extras = extra_corners(grid)
     bound = hypercube_count_bound(grid.dimension, domain.extent(), eta)
@@ -393,7 +389,13 @@ def cmd_build(args) -> int:
     domain = _box_from(cfg, "domain")
     eta = _resolve_eta(cfg, domain)
     m = int(cfg.get("m", 1))
-    k_cont = float(cfg["budget"]["k_cont"]) if "budget" in cfg else cfg.get("k_cont")
+    if "budget" in cfg:
+        budget = cfg["budget"]
+        if not isinstance(budget, dict) or budget.get("k_cont") is None:
+            raise ConfigError("config 'budget' must be an object with a 'k_cont'")
+        k_cont = budget["k_cont"]
+    else:
+        k_cont = cfg.get("k_cont")
     if k_cont is not None:
         k_cont = float(k_cont)
     grid = build_eta_grid(domain, eta)
@@ -720,8 +722,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON configuration file")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the probe seed from the config")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker count for probe evaluation (recorded in reports)")
     sub.add_argument("--out", default=".", help="output directory for artifacts/reports")
 
 

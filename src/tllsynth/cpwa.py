@@ -9,6 +9,7 @@ the hypercube union whose pieces, sizes, and Lipschitz data are auditable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,11 @@ from .errors import (
 )
 from .geometry import (
     EtaGrid,
-    ExtraCornerSet,
     SimplexId,
     braid_simplices,
     extra_corners,
-    hypercube_cells,
+    interpolation_hypercubes,
     locate_batch,
-    locate_cell,
     permutation_rank,
     simplex_vertices,
     simplex_world_vertices,
@@ -64,14 +63,24 @@ def sample_controller(oracle, grid: EtaGrid, m: int) -> np.ndarray:
     return values.T.copy()
 
 
-def extend_extra_corners(omega: np.ndarray, extras: ExtraCornerSet) -> dict[tuple[int, ...], np.ndarray]:
+def extend_extra_corners(omega: np.ndarray, grid: EtaGrid) -> dict[tuple[int, ...], np.ndarray]:
     """Values for non-grid corners: per-output minimum over the corner's
-    eta-ball grid neighbors (independently for each output row)."""
+    eta-ball grid neighbors (independently for each output row).
+
+    The grid values are padded with +inf by two steps per side, and the
+    minimum is taken over the 3^n unit shifts of that array at once.
+    """
     omega = np.asarray(omega, dtype=float)
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for corner, nbrs in extras.items():
-        out[corner] = omega[:, nbrs].min(axis=1)
-    return out
+    counts, m = grid.axis_counts, omega.shape[0]
+    padded = np.full(tuple(c + 4 for c in counts) + (m,), np.inf)
+    padded[tuple(slice(2, c + 2) for c in counts)] = omega.T.reshape(counts + (m,))
+    mins = np.full(tuple(c + 2 for c in counts) + (m,), np.inf)
+    for shift in itertools.product(range(3), repeat=grid.dimension):
+        np.minimum(mins, padded[tuple(slice(s, s + c + 2) for s, c in zip(shift, counts))],
+                   out=mins)
+    corners = extra_corners(grid)
+    values = mins[tuple((corners + 1).T)]
+    return {tuple(c): v for c, v in zip(corners.tolist(), values)}
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,7 @@ class CpwaInterpolant:
     def _build_pieces(self) -> None:
         grid = self.grid
         n, m = grid.dimension, self.omega.shape[0]
-        cells = np.array(hypercube_cells(grid), dtype=np.int64)
+        cells = interpolation_hypercubes(grid)
         self.cells = cells
         self.cell_dims = tuple(c + 1 for c in grid.axis_counts)
         table = self._corner_table()
@@ -213,19 +222,7 @@ class CpwaInterpolant:
         shifted = np.asarray(cells) + 1
         return np.ravel_multi_index(tuple(shifted[..., i] for i in range(self.n)), self.cell_dims)
 
-    def piece(self, simplex: SimplexId, output: int = 0) -> AffinePiece:
-        lin = int(self._cell_lin(np.asarray(simplex.cell)))
-        rank = permutation_rank(simplex.sigma)
-        return AffinePiece(self.W[lin, rank, output].copy(), float(self.B[lin, rank, output]))
-
     # -- evaluation --------------------------------------------------------
-
-    def eval(self, x) -> np.ndarray:
-        """Value at one point of the hypercube union, shape (m,)."""
-        cell, t = locate_cell(np.asarray(x, dtype=float), self.grid)
-        rank = permutation_rank(tuple(int(i) for i in np.argsort(t, kind="stable")))
-        lin = int(self._cell_lin(np.asarray(cell)))
-        return self.W[lin, rank] @ np.asarray(x, dtype=float) + self.B[lin, rank]
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Values at many points, shape (P, m)."""
@@ -238,9 +235,7 @@ class CpwaInterpolant:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.eval(x)
-        return self.eval_batch(x)
+        return self.eval_batch(x[None])[0] if x.ndim == 1 else self.eval_batch(x)
 
     # -- serialization ------------------------------------------------------
 
@@ -283,37 +278,40 @@ def build_interpolant(grid: EtaGrid, omega: np.ndarray, k_cont: float | None = N
     feed affine-consistent corner data in tests.
     """
     if extra_values is None:
-        extras = extra_corners(grid)
-        extra_values = extend_extra_corners(omega, extras)
+        extra_values = extend_extra_corners(omega, grid)
         min_rule = True
     else:
         min_rule = False
     return CpwaInterpolant(grid, omega, extra_values, k_cont, min_rule)
 
 
-def eval_cpwa(interp: CpwaInterpolant, x) -> np.ndarray:
-    """Interpolant value at ``x``; see ``CpwaInterpolant.eval``."""
-    return interp.eval(x)
+def piece_bank(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct affine pieces of one output, in first-occurrence order.
 
-
-def piece_key(w: np.ndarray, b: float) -> tuple:
-    """Deduplication key: exact equality after rounding to 1e-12."""
-    wr = np.round(np.asarray(w, dtype=float), _DEDUP_DECIMALS)
-    wr += 0.0  # normalize -0.0
-    return tuple(wr.tolist()) + (round(float(b), _DEDUP_DECIMALS) + 0.0,)
+    Returns the bank ``W`` (N, n) and ``b`` (N,), taken from each piece's
+    first simplex, and the bank index of every simplex's piece (C * n!,),
+    simplexes in (cell, permutation) order.  Two pieces are the same when
+    ``np.round(w, 12)`` and Python's correctly rounded ``round(b, 12)``
+    agree exactly, with -0 folded into +0.
+    """
+    w = interp.W[:, :, output].reshape(-1, interp.n)
+    b = interp.B[:, :, output].reshape(-1)
+    key = np.empty((b.size, interp.n + 1))
+    key[:, :-1] = np.round(w, _DEDUP_DECIMALS)
+    key[:, -1] = [round(v, _DEDUP_DECIMALS) for v in b.tolist()]
+    key += 0.0  # fold -0.0 into +0.0, so equal keys have equal bytes
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    keep = first[order]
+    return w[keep], b[keep], rank[inverse]
 
 
 def region_count(interp: CpwaInterpolant) -> list[int]:
-    """Number of distinct affine pieces per output (1e-12 rounding)."""
-    counts = []
-    C, F = interp.W.shape[0], interp.W.shape[1]
-    for j in range(interp.m):
-        keys = {
-            piece_key(interp.W[c, f, j], interp.B[c, f, j])
-            for c in range(C) for f in range(F)
-        }
-        counts.append(len(keys))
-    return counts
+    """Number of distinct affine pieces per output (the ``piece_bank`` sizes)."""
+    return [len(piece_bank(interp, j)[1]) for j in range(interp.m)]
 
 
 @dataclass

@@ -1,51 +1,17 @@
 """Closed-loop dynamics: plants, integration, embeddings, and audits."""
 
 from .audits import (
-    DeviationReport,
-    InvarianceReport,
     boundary_margin,
     check_delta_tau_invariance,
     deviation_audit,
     sysid_deviation_audit,
 )
-from .integrate import Trajectory, integrate_closed_loop, rk4_closed_loop
-from .models import (
-    ControlSystemModel,
-    builtin_models,
-    linear_1d,
-    pendulum,
-    van_der_pol,
-)
+from .integrate import integrate_closed_loop, rk4_closed_loop
+from .models import ControlSystemModel, builtin_models, linear_1d, pendulum, van_der_pol
 from .transition import (
     FiniteTransitionSystem,
-    SimulationRelation,
-    SimulationVerdict,
     check_ads,
     check_simulation,
     embed_tau_sampled,
     perturb,
 )
-
-__all__ = [
-    "ControlSystemModel",
-    "DeviationReport",
-    "FiniteTransitionSystem",
-    "InvarianceReport",
-    "SimulationRelation",
-    "SimulationVerdict",
-    "Trajectory",
-    "boundary_margin",
-    "builtin_models",
-    "check_ads",
-    "check_delta_tau_invariance",
-    "check_simulation",
-    "deviation_audit",
-    "embed_tau_sampled",
-    "integrate_closed_loop",
-    "linear_1d",
-    "pendulum",
-    "perturb",
-    "rk4_closed_loop",
-    "sysid_deviation_audit",
-    "van_der_pol",
-]

@@ -17,10 +17,6 @@ class CoverageInfeasible(TllSynthError):
     """
 
 
-class OrphanCorner(TllSynthError):
-    """A hypercube corner has no grid point within one spacing."""
-
-
 class DimensionTooLarge(TllSynthError, ValueError):
     """Requested dimension exceeds the factorial-growth safety cap."""
 

@@ -12,19 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    NonPositiveEta,
-    OrphanCorner,
-    OutsideDomain,
-    SchemaError,
-)
+from .errors import DimensionTooLarge, NonPositiveEta, OutsideDomain, SchemaError
 from .serialize import float_to_hex, hex_to_float, hex_to_vec, require_keys
 
 #: factorial growth guard: n! hypercube dissections above this are refused
@@ -95,9 +88,10 @@ class Box:
         return Box(hex_to_vec(obj["lower"]), hex_to_vec(obj["upper"]))
 
 
-def extent(box: Box) -> float:
-    """Largest side length of ``box``."""
-    return box.extent()
+def _lattice(dims: tuple[int, ...]) -> np.ndarray:
+    """Integer vectors with ``0 <= v[i] < dims[i]`` in lexicographic order,
+    shape (prod(dims), n)."""
+    return np.indices(dims, dtype=np.int64).reshape(len(dims), -1).T.copy()
 
 
 class EtaGrid:
@@ -127,11 +121,8 @@ class EtaGrid:
         self.anchor = anchor
         self.axis_counts = tuple(int(c) for c in axis_counts)
         self.domain = domain
-        self._offsets = np.array(
-            list(itertools.product(*(range(c) for c in self.axis_counts))), dtype=np.int64
-        )
+        self._offsets = _lattice(self.axis_counts)
         self._points = self.anchor + self.eta * self._offsets
-        self._index = {tuple(o): i for i, o in enumerate(self._offsets.tolist())}
         self.validate()
 
     @property
@@ -151,15 +142,6 @@ class EtaGrid:
     def points(self) -> np.ndarray:
         """Real coordinates, shape (num_points, n)."""
         return self._points
-
-    def point_index(self, offset: tuple[int, ...]) -> int:
-        return self._index[tuple(offset)]
-
-    def is_grid_offset(self, offset: tuple[int, ...]) -> bool:
-        return all(0 <= o < c for o, c in zip(offset, self.axis_counts))
-
-    def offset_coords(self, offset) -> np.ndarray:
-        return self.anchor + self.eta * np.asarray(offset, dtype=float)
 
     def validate(self) -> None:
         """Check the covering and containment invariants exactly per axis.
@@ -224,111 +206,28 @@ def build_eta_grid(domain: Box, eta: float) -> EtaGrid:
     return EtaGrid(eta, anchor, tuple(counts), domain)
 
 
-@dataclass(frozen=True)
-class Hypercube:
-    """Interpolation hypercube of edge eta, identified by its minimal corner.
+def interpolation_hypercubes(grid: EtaGrid) -> np.ndarray:
+    """Minimal corners of all interpolation hypercubes, shape (C, n).
 
-    ``cell`` is the minimal corner in lattice offsets; ``base_offset`` and
-    ``rho`` record one generating (grid point, sign vector) pair, so corners
-    are ``base + eta * sum_{i in Z} rho_i e_i`` over subsets Z.  Two
-    generating pairs describing the same cube compare equal through ``cell``.
+    Every (grid point, sign vector) pair spans a cube of edge eta; for a
+    full box lattice the distinct minimal corners are exactly the offsets
+    -1 .. count-1 per axis, so C = prod(count_i + 1).  Rows are sorted
+    lexicographically.
     """
-
-    cell: tuple[int, ...]
-    base_offset: tuple[int, ...]
-    rho: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(r not in (-1, 1) for r in self.rho):
-            raise ValueError("rho entries must be -1 or +1")
-        derived = tuple(b if r > 0 else b - 1 for b, r in zip(self.base_offset, self.rho))
-        if derived != self.cell:
-            raise ValueError("cell is not the minimal corner of (base, rho)")
-
-    def __eq__(self, other):
-        return isinstance(other, Hypercube) and self.cell == other.cell
-
-    def __hash__(self):
-        return hash(self.cell)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.cell)
-
-    def corner_offsets(self) -> np.ndarray:
-        """All 2^n corner offsets, shape (2^n, n), in lexicographic order."""
-        n = self.dimension
-        zerone = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
-        return np.asarray(self.cell, dtype=np.int64) + zerone
-
-    def min_corner(self, grid: EtaGrid) -> np.ndarray:
-        return grid.offset_coords(self.cell)
+    return _lattice(tuple(c + 1 for c in grid.axis_counts)) - 1
 
 
-def interpolation_hypercubes(grid: EtaGrid) -> list[Hypercube]:
-    """All distinct interpolation hypercubes of a grid.
+def extra_corners(grid: EtaGrid) -> np.ndarray:
+    """Offsets of the hypercube corners that are not grid points, shape (E, n).
 
-    Enumerates every (grid point, sign vector) pair and deduplicates by the
-    minimal corner.  For a full box lattice the distinct minimal corners are
-    exactly the product of offsets -1 .. count-1 per axis, so the result has
-    prod(count_i + 1) cubes; the enumeration is still performed pairwise so
-    the deduplication invariant is the one being exercised.
+    Corners run over -1 .. count per axis; the extra ones have some
+    coordinate at -1 or count.  Each lies within one step of a grid point,
+    since every axis holds at least one point.  Rows are sorted
+    lexicographically.
     """
-    seen: dict[tuple[int, ...], Hypercube] = {}
-    signs = list(itertools.product((-1, 1), repeat=grid.dimension))
-    for offset in grid.offsets.tolist():
-        for rho in signs:
-            cell = tuple(o if r > 0 else o - 1 for o, r in zip(offset, rho))
-            if cell not in seen:
-                seen[cell] = Hypercube(cell, tuple(offset), rho)
-    return [seen[c] for c in sorted(seen)]
-
-
-def hypercube_cells(grid: EtaGrid) -> list[tuple[int, ...]]:
-    """Minimal-corner cells of all hypercubes, lexicographically sorted."""
-    return [tuple(c) for c in itertools.product(*(range(-1, m) for m in grid.axis_counts))]
-
-
-@dataclass
-class ExtraCornerSet:
-    """Hypercube corners that are not grid points, with their grid neighbors.
-
-    ``neighbors[corner_offset]`` lists indices of grid points within the
-    closed eta-ball of the corner (computed exactly in lattice coordinates:
-    every offset component differs by at most 1).  Every corner of every
-    hypercube of a box grid has at least one such neighbor; an empty list
-    would make the corner-value rule ill-posed and raises ``OrphanCorner``.
-    """
-
-    grid: EtaGrid
-    neighbors: dict[tuple[int, ...], list[int]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-    def corner_coords(self, offset: tuple[int, ...]) -> np.ndarray:
-        return self.grid.offset_coords(offset)
-
-    def items(self):
-        return self.neighbors.items()
-
-
-def extra_corners(grid: EtaGrid) -> ExtraCornerSet:
-    """Corners of the hypercube union that are not grid points."""
-    neighbors: dict[tuple[int, ...], list[int]] = {}
-    ranges = [range(-1, m + 1) for m in grid.axis_counts]
-    for corner in itertools.product(*ranges):
-        if grid.is_grid_offset(corner):
-            continue
-        cands = []
-        for delta in itertools.product((-1, 0, 1), repeat=grid.dimension):
-            cand = tuple(c + d for c, d in zip(corner, delta))
-            if grid.is_grid_offset(cand):
-                cands.append(grid.point_index(cand))
-        if not cands:
-            raise OrphanCorner(f"corner {corner} has no grid point within eta")
-        neighbors[corner] = sorted(cands)
-    return ExtraCornerSet(grid, neighbors)
+    counts = np.asarray(grid.axis_counts)
+    corners = _lattice(tuple(c + 2 for c in grid.axis_counts)) - 1
+    return corners[((corners < 0) | (corners >= counts)).any(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -380,56 +279,6 @@ def simplex_world_vertices(simplex: SimplexId, grid: EtaGrid) -> np.ndarray:
     return grid.anchor + grid.eta * (cell + unit)
 
 
-def locate_cell(x: np.ndarray, grid: EtaGrid, slack: float = 1e-9) -> tuple[tuple[int, ...], np.ndarray]:
-    """Hypercube cell containing ``x`` plus normalized in-cube coordinates.
-
-    Points on a shared face go to the cell with the lexicographically
-    smaller minimal corner (exact-integer lattice coordinates step down),
-    clamped into the union.  ``slack`` (in lattice units) absorbs float dust
-    at the outer boundary; beyond it the point is outside the union.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (grid.dimension,):
-        raise OutsideDomain(f"point of shape {x.shape} in a {grid.dimension}-D grid")
-    c = (x - grid.anchor) / grid.eta
-    cell = []
-    for i in range(grid.dimension):
-        ci = c[i]
-        if ci < -1.0 - slack or ci > grid.axis_counts[i] + slack:
-            raise OutsideDomain(
-                f"coordinate {i} of point {x.tolist()} leaves the hypercube union"
-            )
-        k = math.floor(ci)
-        if ci == k:  # on a face: take the lower cell
-            k -= 1
-        k = min(max(k, -1), grid.axis_counts[i] - 1)
-        cell.append(k)
-    t = c - np.asarray(cell, dtype=float)
-    return tuple(cell), t
-
-
-def locate_simplex(x: np.ndarray, grid: EtaGrid) -> SimplexId:
-    """Containing hypercube and sorting permutation for a point.
-
-    The permutation is the ascending stable argsort of the normalized
-    coordinates, so equal coordinates break ties by ascending index.
-    """
-    cell, t = locate_cell(x, grid)
-    sigma = tuple(int(i) for i in np.argsort(t, kind="stable"))
-    return SimplexId(cell, sigma)
-
-
-def simplex_contains(simplex: SimplexId, grid: EtaGrid, x: np.ndarray, tol: float = 1e-12) -> bool:
-    """Membership of ``x`` in a located simplex, with tolerance ``tol``."""
-    cell = np.asarray(simplex.cell, dtype=float)
-    t = (np.asarray(x, dtype=float) - grid.anchor) / grid.eta - cell
-    lo, hi = -tol, 1.0 + tol
-    if (t < lo).any() or (t > hi).any():
-        return False
-    order = np.asarray(t)[list(simplex.sigma)]
-    return bool((np.diff(order) >= -tol).all())
-
-
 def braid_face_dissection(n: int, axis: int, side: int) -> set[frozenset[tuple[int, ...]]]:
     """Restriction of the braid dissection to one cube face, axis dropped.
 
@@ -475,9 +324,12 @@ def locate_batch(X: np.ndarray, grid: EtaGrid, slack: float = 1e-9) -> tuple[np.
     """Vectorized location of many points.
 
     Returns (cells, perm_ranks, t): integer cells (P, n), lexicographic
-    permutation ranks (P,), and normalized coordinates (P, n).  Applies the
-    same face tie-break (lower cell, exact integers only) and boundary slack
-    as the scalar ``locate_cell``.
+    permutation ranks (P,), and normalized coordinates (P, n).  Points on a
+    shared face go to the cell with the smaller minimal corner (exact
+    integer lattice coordinates step down), clamped into the union; ranks
+    come from the ascending stable argsort, so ties break by ascending
+    index.  ``slack`` (in lattice units) absorbs float dust at the outer
+    boundary; beyond it the point is outside the union.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != grid.dimension:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpwa import CpwaInterpolant, piece_key
+from .cpwa import CpwaInterpolant, piece_bank
 from .errors import (
     BoundViolated,
     DimensionMismatch,
@@ -78,14 +78,6 @@ class TllNetwork:
     def m(self) -> int:
         return len(self.outputs)
 
-    def eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty(self.m)
-        for j, lat in enumerate(self.outputs):
-            vals = lat.W @ x + lat.b
-            out[j] = max(min(vals[i] for i in sel) for sel in self._unique_sets[j])
-        return out
-
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         res = np.empty((X.shape[0], self.m))
@@ -99,9 +91,7 @@ class TllNetwork:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.eval(x)
-        return self.eval_batch(x)
+        return self.eval_batch(x[None])[0] if x.ndim == 1 else self.eval_batch(x)
 
     def max_dual_norm(self) -> float:
         """Largest bank gradient dual norm: a global Lipschitz constant of
@@ -113,7 +103,7 @@ def compile_scalar_tll(interp: CpwaInterpolant, output: int = 0,
                        bound_n: int | None = None) -> TllNetwork:
     """Compile one interpolant output into a scalar max-min lattice.
 
-    Bank: distinct pieces (1e-12 rounding).  Selector sets: one per simplex,
+    Bank: distinct pieces (``piece_bank``).  Selector sets: one per simplex,
     holding every bank function that is >= the simplex's active piece at its
     n+1 vertices, with a 1e-9 slack absorbing solve noise (inclusion errs
     toward the max, which is sound).  The active piece always belongs to its
@@ -124,21 +114,8 @@ def compile_scalar_tll(interp: CpwaInterpolant, output: int = 0,
     grid = interp.grid
     n = grid.dimension
     C, F = interp.W.shape[0], interp.W.shape[1]
-    bank_index: dict[tuple, int] = {}
-    bank_w, bank_b = [], []
-    act = np.empty((C, F), dtype=np.int64)
-    for c in range(C):
-        for f in range(F):
-            key = piece_key(interp.W[c, f, output], interp.B[c, f, output])
-            idx = bank_index.get(key)
-            if idx is None:
-                idx = len(bank_w)
-                bank_index[key] = idx
-                bank_w.append(interp.W[c, f, output].copy())
-                bank_b.append(float(interp.B[c, f, output]))
-            act[c, f] = idx
-    W = np.array(bank_w)
-    b = np.array(bank_b)
+    W, b, act = piece_bank(interp, output)
+    act = act.reshape(C, F)
     if not np.isfinite(W).all() or not np.isfinite(b).all():
         raise EmptySelector("bank holds non-finite coefficients")
     N = W.shape[0]
@@ -205,11 +182,6 @@ def parallel_compose(nets: list[TllNetwork]) -> TllNetwork:
     provs = [net.provenance for net in nets]
     provenance = provs[0] if all(p == provs[0] for p in provs) else {"composed": provs}
     return TllNetwork(n, outputs, provenance)
-
-
-def eval_tll(net: TllNetwork, x) -> np.ndarray:
-    """Network value at ``x``; total on R^n."""
-    return net(x)
 
 
 @dataclass
@@ -492,6 +464,10 @@ def _hex_or_none(v):
     return None if v is None else float_to_hex(v)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def import_network(obj: dict) -> TllNetwork:
     """Parse and revalidate an exported network.
 
@@ -501,8 +477,10 @@ def import_network(obj: dict) -> TllNetwork:
     """
     require_keys(obj, ("n", "m", "outputs", "provenance"), "network")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError("n must be a positive integer")
+    if not _is_int(obj["m"]):
+        raise SchemaError("m must be an integer")
     if not isinstance(obj["outputs"], list) or len(obj["outputs"]) != obj["m"]:
         raise SchemaError("outputs must be a list of length m")
     outputs = []
@@ -528,6 +506,8 @@ def import_network(obj: dict) -> TllNetwork:
         outputs.append(ScalarLattice(np.array(Ws), np.array(bs), [list(s) for s in sels]))
     prov_raw = obj["provenance"]
     require_keys(prov_raw, ("eta", "K_cont", "bound_N"), "provenance")
+    if prov_raw["bound_N"] is not None and not _is_int(prov_raw["bound_N"]):
+        raise SchemaError("provenance bound_N must be an integer or null")
     prov = {
         "eta": None if prov_raw["eta"] is None else hex_to_float(prov_raw["eta"]),
         "k_cont": None if prov_raw["K_cont"] is None else hex_to_float(prov_raw["K_cont"]),

@@ -8,6 +8,7 @@ max-of-min combinations of affine pieces whose gradients are controlled
 by construction.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -192,3 +193,52 @@ class MaxMinAffine:
             cols.append(np.stack(group_vals, axis=0).max(axis=0))
         out = np.stack(cols, axis=-1)
         return out[0] if squeeze else out
+
+
+# ---------------------------------------------------------------------------
+# per-corner min rule and dict-keyed piece dedup
+# ---------------------------------------------------------------------------
+
+def brute_force_extra_values(omega, grid):
+    """Min-rule values at the non-grid corners, one corner at a time.
+
+    Corners run over offsets -1 .. count per axis in lexicographic order.
+    A corner's neighbors are the grid points whose offsets differ from it
+    by at most one per coordinate (its closed eta-ball); its value is the
+    per-output minimum over them, taken in grid order.
+    """
+    offsets = grid.offsets
+    counts = np.asarray(grid.axis_counts)
+    out = {}
+    for corner in itertools.product(*(range(-1, c + 1) for c in grid.axis_counts)):
+        c = np.asarray(corner)
+        if ((c >= 0) & (c < counts)).all():
+            continue
+        near = np.flatnonzero((np.abs(offsets - c) <= 1).all(axis=1))
+        out[corner] = omega[:, near].min(axis=1)
+    return out
+
+
+def dict_piece_bank(interp, output):
+    """Bank dedup with a dict keyed on rounded coefficients.
+
+    The key is ``np.round(w, 12)`` with -0 folded to +0, plus Python's
+    ``round(b, 12)``; simplexes are visited cell by cell, permutation by
+    permutation, and each new key appends its first piece to the bank.
+    """
+    def key(w, b):
+        wr = np.round(np.asarray(w, dtype=float), 12)
+        wr += 0.0
+        return tuple(wr.tolist()) + (round(float(b), 12) + 0.0,)
+
+    index, bank_w, bank_b, active = {}, [], [], []
+    C, F = interp.W.shape[:2]
+    for c in range(C):
+        for f in range(F):
+            k = key(interp.W[c, f, output], interp.B[c, f, output])
+            if k not in index:
+                index[k] = len(bank_w)
+                bank_w.append(interp.W[c, f, output].copy())
+                bank_b.append(float(interp.B[c, f, output]))
+            active.append(index[k])
+    return np.array(bank_w), np.array(bank_b), np.array(active, dtype=np.int64)

@@ -59,7 +59,7 @@ def test_size_reference_chain(tmp_path):
     rep = _report(tmp_path, "size_report.json")
     assert rep["command"] == "size"
     assert rep["pass"] is True
-    assert set(rep) >= {"command", "version", "pass", "seed", "workers",
+    assert set(rep) == {"command", "version", "pass", "seed",
                         "config", "results", "timing"}
     assert "seconds" in rep["timing"]
     res = rep["results"]
@@ -146,6 +146,25 @@ def test_build_without_oracle_is_config_error(tmp_path):
     del cfg_obj["oracle"]
     cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
     assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_build_budget_without_k_cont_is_config_error(tmp_path):
+    for budget in ({"k_x": 1.0}, [1.0], {"k_cont": None}):
+        cfg_obj = _affine_build_cfg({"kind": "builtin", "name": "zero"})
+        cfg_obj["budget"] = budget
+        cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
+        assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "build_report.json").exists()
+
+
+def test_verify_regions_rejects_malformed_bound(tmp_path):
+    out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+    net = load_json(str(out / "network.json"))
+    net["provenance"]["bound_N"] = "x"
+    bad = tmp_path / "bad_network.json"
+    dump_json(net, str(bad))
+    assert main(["verify", str(out / "interpolant.json"), "--which", "regions",
+                 "--network", str(bad), "--out", str(out)]) == 2
 
 
 def test_affine_chain_and_verifications(tmp_path):

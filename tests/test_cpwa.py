@@ -1,14 +1,16 @@
 """Sampling, corner extension, and the piecewise-affine interpolant."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from _oracles import brute_force_extra_values, dict_piece_bank
 from tllsynth import (
     Box,
     BudgetExceeded,
     CpwaInterpolant,
     DiscontinuityDetected,
-    ExtraCornerSet,
     OracleFailure,
     SchemaError,
     SimplexId,
@@ -16,23 +18,24 @@ from tllsynth import (
     affine_piece,
     build_eta_grid,
     build_interpolant,
+    compile_tll,
     continuity_audit,
-    eval_cpwa,
     extend_extra_corners,
     extra_corners,
-    interpolation_hypercubes,
     lipschitz_audit,
+    locate_batch,
     region_count,
     sample_controller,
+    simplex_world_vertices,
 )
-from tllsynth.cpwa import _solve_pieces
+from tllsynth.cpwa import _solve_pieces, piece_bank
 
 
 def consistent_extras(grid, fn):
     """Values of ``fn`` at every non-grid corner, for affine-exact builds."""
     extras = extra_corners(grid)
-    return {corner: np.atleast_1d(fn(extras.corner_coords(corner)))
-            for corner in extras.neighbors}
+    coords = grid.anchor + grid.eta * extras
+    return {tuple(c): np.atleast_1d(fn(x)) for c, x in zip(extras.tolist(), coords)}
 
 
 def omega_of(grid, fn):
@@ -76,26 +79,27 @@ def test_sample_controller_failures():
 # ---------------------------------------------------------------------------
 
 def test_extension_takes_neighborhood_minimum():
-    grid = build_eta_grid(Box([0.0], [1.0]), 1.0 / 3.0)  # 3 points
-    extras = ExtraCornerSet(grid, {(-1,): [0, 1, 2]})
-    vals = extend_extra_corners(np.array([[1.0, 2.0, -4.0]]), extras)
-    assert vals[(-1,)] == pytest.approx([-4.0])
+    grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 1.0 / 3.0)  # 3 x 3 points
+    omega = np.array([[1.0, 2.0, -4.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0]])
+    vals = extend_extra_corners(omega, grid)
+    assert vals[(-1, 1)] == pytest.approx([-4.0])   # neighbors (0, 0..2)
+    assert vals[(-1, 0)] == pytest.approx([1.0])    # neighbors (0, 0..1)
+    assert vals[(-1, -1)] == pytest.approx([1.0])   # single neighbor (0, 0)
+    assert len(vals) == len(extra_corners(grid)) == 16
 
 
 def test_extension_singleton_and_per_output():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
-    extras = extra_corners(grid)
     omega = np.array([[3.0, 7.0], [5.0, -1.0]])
-    vals = extend_extra_corners(omega, extras)
+    vals = extend_extra_corners(omega, grid)
     assert vals[(-1,)] == pytest.approx([3.0, 5.0])   # single neighbor: point 0
     assert vals[(2,)] == pytest.approx([7.0, -1.0])   # single neighbor: point 1
 
 
 def test_extension_all_equal_values():
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.5)
-    extras = extra_corners(grid)
     omega = np.full((1, grid.num_points), 4.25)
-    vals = extend_extra_corners(omega, extras)
+    vals = extend_extra_corners(omega, grid)
     assert all(v == pytest.approx([4.25]) for v in vals.values())
 
 
@@ -122,7 +126,6 @@ def test_affine_piece_recovers_plane():
 def test_affine_piece_reproduces_vertices():
     rng = np.random.default_rng(31)
     grid = build_eta_grid(Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 0.5)
-    from tllsynth import simplex_world_vertices
     for _ in range(20):
         sigma = tuple(rng.permutation(3).tolist())
         cell = tuple(int(v) for v in rng.integers(-1, 2, size=3))
@@ -155,7 +158,7 @@ def test_interpolant_matches_samples_at_grid_points():
 def test_interpolant_midpoint_average_1d():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
     interp = build_interpolant(grid, np.array([[0.0, 1.0]]))
-    assert eval_cpwa(interp, np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
+    assert interp(np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_affine_function_reproduced_exactly():
@@ -179,24 +182,14 @@ def test_min_rule_interpolant_is_sandwiched_by_corner_values():
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.3)
     omega = rng.normal(size=(1, grid.num_points))
     interp = build_interpolant(grid, omega)
-    extras = extra_corners(grid)
-    extra_vals = extend_extra_corners(omega, extras)
+    corner_value = {tuple(c): v[0] for c, v in extend_extra_corners(omega, grid).items()}
+    corner_value.update((tuple(o), omega[0, i]) for i, o in enumerate(grid.offsets.tolist()))
+    unit = np.array(list(itertools.product((0, 1), repeat=2)))
     pts = rng.uniform(0, 1, size=(400, 2))
-    from tllsynth import locate_batch
     cells, _, _ = locate_batch(pts, grid)
-    for k, cell in enumerate(map(tuple, cells.tolist())):
-        corner_vals = []
-        for cube in interpolation_hypercubes(grid):
-            if cube.cell != cell:
-                continue
-            for corner in map(tuple, cube.corner_offsets().tolist()):
-                if grid.is_grid_offset(corner):
-                    corner_vals.append(omega[0, grid.point_index(corner)])
-                else:
-                    corner_vals.append(extra_vals[corner][0])
-        lo, hi = min(corner_vals), max(corner_vals)
-        v = interp.eval_batch(pts[k:k + 1])[0, 0]
-        assert lo - 1e-9 <= v <= hi + 1e-9
+    for cell, v in zip(cells, interp.eval_batch(pts)[:, 0]):
+        corner_vals = [corner_value[tuple(c)] for c in (cell + unit).tolist()]
+        assert min(corner_vals) - 1e-9 <= v <= max(corner_vals) + 1e-9
 
 
 def test_eval_scalar_and_batch_agree():
@@ -207,7 +200,7 @@ def test_eval_scalar_and_batch_agree():
     pts = rng.uniform([-1, 0], [1, 2], size=(50, 2))
     batch = interp.eval_batch(pts)
     for k in range(50):
-        assert np.allclose(interp.eval(pts[k]), batch[k], atol=1e-12)
+        assert np.allclose(interp(pts[k]), batch[k], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +229,73 @@ def test_region_count_bounded_by_simplex_count():
     counts = region_count(interp)
     assert counts[0] <= interp.num_simplexes
     assert counts[0] > 1
+
+
+def _same_bank(got, want):
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want))
+
+
+def test_piece_bank_matches_dict_dedup():
+    rng = np.random.default_rng(79)
+    for n, eta in ((1, 0.15), (2, 0.3), (3, 0.45)):
+        grid = build_eta_grid(Box(np.zeros(n), np.ones(n)), eta)
+        omega = rng.normal(size=(3, grid.num_points))
+        omega[1] = np.round(omega[1])   # integer samples: many pieces coincide
+        omega[2] = 0.5                  # one piece
+        interp = build_interpolant(grid, omega)
+        for j in range(3):
+            bank = piece_bank(interp, j)
+            assert _same_bank(bank, dict_piece_bank(interp, j))
+            assert bank[2].shape == (interp.num_simplexes,)
+
+
+def test_piece_bank_rounds_offsets_like_python():
+    # np.round scales by 1e12 and rounds the product; round() is correctly
+    # rounded.  They disagree here, and the bank must follow round().
+    b = 2.2053876672105
+    assert np.round(b, 12) != round(b, 12)
+    grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
+    interp = build_interpolant(grid, np.zeros((1, grid.num_points)))
+    interp.W[...] = 0.0
+    interp.W[1, 0, 0, 0] = -0.0         # -0 is folded into +0
+    interp.B[...] = round(b, 12)
+    interp.B[0, 0, 0] = b
+    W, bias, active = piece_bank(interp, 0)
+    assert bias.tolist() == [b] and active.tolist() == [0, 0, 0]
+    assert _same_bank((W, bias, active), dict_piece_bank(interp, 0))
+    assert region_count(interp) == [1]
+
+
+def test_region_count_equals_compiled_bank_sizes():
+    rng = np.random.default_rng(83)
+    for n, eta in ((1, 0.2), (2, 0.35), (3, 0.5)):
+        grid = build_eta_grid(Box(np.zeros(n), np.ones(n)), eta)
+        omega = np.round(rng.normal(size=(2, grid.num_points)), 1)
+        interp = build_interpolant(grid, omega)
+        net = compile_tll(interp)
+        assert region_count(interp) == [lat.size for lat in net.outputs]
+
+
+def test_min_rule_matches_per_corner_neighbor_minimum():
+    rng = np.random.default_rng(89)
+    cases = [
+        (Box([0.0], [1.0]), 0.3),
+        (Box([0.0], [1.0]), 1.0),                             # single point
+        (Box([0.0, 0.0], [1.0, 0.35]), 0.2),                  # counts (5, 2)
+        (Box([0.0, 0.0, 0.0], [0.6, 0.2, 0.9]), 0.2),         # counts (3, 1, 4)
+        (Box([0.0, 0.0, 0.0, 0.0], [0.6, 0.2, 0.9, 0.4]), 0.2),  # (3, 1, 4, 2)
+    ]
+    for box, eta in cases:
+        grid = build_eta_grid(box, eta)
+        for omega in (rng.normal(size=(2, grid.num_points)),
+                      rng.choice([0.0, -0.0, 1.0], size=(2, grid.num_points))):
+            got = extend_extra_corners(omega, grid)
+            want = brute_force_extra_values(omega, grid)
+            assert list(got) == list(want)
+            for corner, vals in want.items():
+                assert got[corner].tobytes() == vals.tobytes()
+                assert np.isfinite(got[corner]).all()
 
 
 def test_lipschitz_audit_constant_and_affine():

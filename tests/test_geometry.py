@@ -11,21 +11,17 @@ from tllsynth import (
     DimensionTooLarge,
     EtaGrid,
     NonPositiveEta,
-    OrphanCorner,
     OutsideDomain,
     SchemaError,
+    SimplexId,
     braid_face_dissection,
     braid_simplices,
     build_eta_grid,
-    extent,
     extra_corners,
     interpolation_hypercubes,
     locate_batch,
-    locate_cell,
-    locate_simplex,
     permutation_rank,
     permutation_rank_batch,
-    simplex_contains,
     simplex_vertices,
     simplex_world_vertices,
 )
@@ -36,9 +32,9 @@ from tllsynth import (
 # ---------------------------------------------------------------------------
 
 def test_extent_examples():
-    assert extent(Box([0, 0], [1, 1])) == 1.0
-    assert extent(Box([0, 0], [2, 1])) == 2.0
-    assert extent(Box([-1, -1, -1], [1, 1, 1])) == 2.0
+    assert Box([0, 0], [1, 1]).extent() == 1.0
+    assert Box([0, 0], [2, 1]).extent() == 2.0
+    assert Box([-1, -1, -1], [1, 1, 1]).extent() == 2.0
 
 
 def test_box_validation_and_roundtrip():
@@ -154,8 +150,8 @@ def test_grid_json_rejects_tampering():
 def test_hypercubes_unit_interval():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
     cubes = interpolation_hypercubes(grid)
-    assert [c.cell for c in cubes] == [(-1,), (0,), (1,)]
-    mins = [float(c.min_corner(grid)[0]) for c in cubes]
+    assert cubes.tolist() == [[-1], [0], [1]]
+    mins = (grid.anchor + grid.eta * cubes).ravel()
     assert mins == pytest.approx([-0.25, 0.25, 0.75], abs=1e-15)
     # count bound: n=1, ext=1, eta=0.5 -> ceil(1/0.5 + 2)^1 = 4
     assert len(cubes) <= 4
@@ -174,22 +170,19 @@ def test_hypercube_count_within_formula_bound():
 def test_single_point_grid_has_two_intervals():
     grid = build_eta_grid(Box([0.0], [1.0]), 1.0)
     cubes = interpolation_hypercubes(grid)
-    assert [c.cell for c in cubes] == [(-1,), (0,)]
+    assert cubes.tolist() == [[-1], [0]]
 
 
 def test_hypercube_corners_match_sign_generation():
-    grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.5)
-    for cube in interpolation_hypercubes(grid):
-        corners = cube.corner_offsets()
-        expect = np.asarray(cube.cell) + np.array(
-            list(itertools.product((0, 1), repeat=2)))
-        assert np.array_equal(corners, expect)
-        # generating (base, rho) pair reproduces the same corner set
-        base = np.asarray(cube.base_offset)
-        rho = np.asarray(cube.rho)
-        gen = {tuple(base + rho * z)
-               for z in map(np.asarray, itertools.product((0, 1), repeat=2))}
-        assert gen == {tuple(c) for c in corners.tolist()}
+    # every (grid point, sign vector) pair spans a cube; its minimal corner
+    # steps down on the negative axes, and the distinct ones are the cubes
+    for box, eta in ((Box([0.0, 0.0], [1.0, 1.0]), 0.5),
+                     (Box([0.0, 0.0, 0.0], [1.0, 0.4, 2.0]), 0.45)):
+        grid = build_eta_grid(box, eta)
+        signs = list(itertools.product((-1, 1), repeat=grid.dimension))
+        cells = {tuple(o if r > 0 else o - 1 for o, r in zip(offset, rho))
+                 for offset in grid.offsets.tolist() for rho in signs}
+        assert interpolation_hypercubes(grid).tolist() == sorted(map(list, cells))
 
 
 def test_hypercubes_cover_domain():
@@ -209,34 +202,23 @@ def test_hypercubes_cover_domain():
 def test_extra_corners_unit_interval():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
     extras = extra_corners(grid)
-    assert set(extras.neighbors) == {(-1,), (2,)}
-    assert extras.neighbors[(-1,)] == [grid.point_index((0,))]
-    assert extras.neighbors[(2,)] == [grid.point_index((1,))]
-    assert extras.corner_coords((-1,))[0] == pytest.approx(-0.25, abs=1e-15)
-    assert extras.corner_coords((2,))[0] == pytest.approx(1.25, abs=1e-15)
+    assert extras.tolist() == [[-1], [2]]
+    coords = (grid.anchor + grid.eta * extras).ravel()
+    assert coords == pytest.approx([-0.25, 1.25], abs=1e-15)
 
 
 def test_extra_corners_are_exactly_the_non_grid_corners():
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.4)
     extras = extra_corners(grid)
-    all_corners = set()
-    for cube in interpolation_hypercubes(grid):
-        all_corners.update(map(tuple, cube.corner_offsets().tolist()))
-    expect = {c for c in all_corners if not grid.is_grid_offset(c)}
-    assert set(extras.neighbors) == expect
-    # each neighbor is within the closed eta-ball of the corner
-    for corner, idxs in extras.items():
-        assert idxs, "every extra corner keeps at least one neighbor"
-        cc = extras.corner_coords(corner)
-        for i in idxs:
-            assert np.max(np.abs(grid.points[i] - cc)) <= grid.eta + 1e-12
-
-
-def test_orphan_corner_raised_when_grid_invariant_broken():
-    grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
-    grid.is_grid_offset = lambda offset: False  # simulate a corrupted lattice
-    with pytest.raises(OrphanCorner):
-        extra_corners(grid)
+    unit = np.array(list(itertools.product((0, 1), repeat=2)))
+    all_corners = {tuple(c) for cell in interpolation_hypercubes(grid)
+                   for c in (cell + unit).tolist()}
+    expect = all_corners - {tuple(o) for o in grid.offsets.tolist()}
+    assert extras.tolist() == sorted(map(list, expect))
+    # each extra corner has a grid point within its closed eta-ball
+    coords = grid.anchor + grid.eta * extras
+    gaps = np.abs(coords[:, None, :] - grid.points[None, :, :]).max(axis=2)
+    assert (gaps.min(axis=1) <= grid.eta + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +305,45 @@ def _unit_cell_grid():
 
 def test_locate_simplex_interior_point():
     grid = _unit_cell_grid()
-    s = locate_simplex(np.array([0.3, 0.8]), grid)
-    assert s.cell == (0, 0)
-    assert s.sigma == (0, 1)
-    assert simplex_contains(s, grid, np.array([0.3, 0.8]))
+    cells, ranks, t = locate_batch(np.array([[0.3, 0.8]]), grid)
+    assert cells.tolist() == [[0, 0]]
+    assert braid_simplices(2)[ranks[0]] == (0, 1)
+    assert np.allclose(t, [[0.3, 0.8]], atol=1e-15)
 
 
 def test_locate_simplex_tie_is_lexicographic():
     grid = _unit_cell_grid()
-    s = locate_simplex(np.array([0.5, 0.5]), grid)
-    assert s.sigma == (0, 1)
+    _, ranks, _ = locate_batch(np.array([[0.5, 0.5]]), grid)
+    assert braid_simplices(2)[ranks[0]] == (0, 1)
 
 
 def test_locate_cell_face_points_take_lower_cell():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
-    cell, t = locate_cell(np.array([0.25]), grid)  # exactly the first point
-    assert cell == (-1,)
-    assert t[0] == pytest.approx(1.0, abs=0)
-    cell, t = locate_cell(np.array([0.75]), grid)
-    assert cell == (0,)
+    cells, _, t = locate_batch(np.array([[0.25], [0.75]]), grid)  # the grid points
+    assert cells.tolist() == [[-1], [0]]
+    assert t[0, 0] == pytest.approx(1.0, abs=0)
 
 
 def test_locate_outside_union_raises():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
     with pytest.raises(OutsideDomain):
-        locate_cell(np.array([3.0]), grid)
+        locate_batch(np.array([[3.0]]), grid)
     with pytest.raises(OutsideDomain):
-        locate_simplex(np.array([-2.0]), grid)
+        locate_batch(np.array([[0.5], [-2.0]]), grid)
 
 
 def test_located_simplex_contains_its_point():
     rng = np.random.default_rng(17)
     grid = build_eta_grid(Box([-1.0, -1.0, 0.0], [1.0, 0.5, 2.0]), 0.45)
     pts = rng.uniform([-1, -1, 0], [1, 0.5, 2], size=(300, 3))
-    for x in pts:
-        s = locate_simplex(x, grid)
-        assert simplex_contains(s, grid, x, tol=1e-12)
-        verts = simplex_world_vertices(s, grid)
+    cells, ranks, t = locate_batch(pts, grid)
+    perms = braid_simplices(3)
+    for x, cell, rank, tk in zip(pts, cells, ranks, t):
+        sigma = perms[rank]
+        # normalized coordinates lie in the unit cube, sorted by sigma
+        assert (tk >= -1e-12).all() and (tk <= 1 + 1e-12).all()
+        assert (np.diff(tk[list(sigma)]) >= -1e-12).all()
+        verts = simplex_world_vertices(SimplexId(tuple(cell.tolist()), sigma), grid)
         assert verts.shape == (4, 3)
         # point is a convex combination of the vertices: barycentric solve
         A = np.vstack([verts.T, np.ones(4)])
@@ -373,11 +357,13 @@ def test_locate_batch_matches_scalar():
     pts = rng.uniform([-1, 0], [1, 1], size=(400, 2))
     cells, ranks, t = locate_batch(pts, grid)
     for k in range(pts.shape[0]):
-        cell, tk = locate_cell(pts[k], grid)
-        assert tuple(cells[k]) == cell
-        assert np.allclose(tk, t[k], atol=1e-12)
-        sigma = tuple(np.argsort(tk, kind="stable"))
-        assert ranks[k] == permutation_rank(sigma)
+        cell, rank, tk = locate_batch(pts[k:k + 1], grid)
+        assert np.array_equal(cell[0], cells[k])
+        assert np.array_equal(tk[0], t[k])
+        assert rank[0] == ranks[k]
+        assert ranks[k] == permutation_rank(tuple(np.argsort(t[k], kind="stable")))
+    # normalized coordinates reconstruct the points
+    assert np.allclose(grid.anchor + grid.eta * (cells + t), pts, atol=1e-12)
 
 
 def test_permutation_rank_batch_is_lexicographic():

@@ -18,7 +18,6 @@ from tllsynth import (
     compile_scalar_tll,
     compile_tll,
     controller_size,
-    eval_tll,
     expand_relu_layers,
     export_network,
     import_network,
@@ -228,7 +227,7 @@ def test_expansion_matches_lattice_on_probes():
         relu = expand_relu_layers(net)
         pts = rng.uniform(-0.5, 1.5, size=(500, n))
         for x in pts:
-            assert np.allclose(relu.eval(x), net.eval(x), atol=1e-9)
+            assert np.allclose(relu.eval(x), net(x), atol=1e-9)
 
 
 def test_expansion_shapes_follow_descriptor_for_single_output():
@@ -246,7 +245,7 @@ def test_expansion_handles_multiple_outputs():
     relu = expand_relu_layers(net)
     pts = rng.uniform(0, 1, size=(100, 2))
     for x in pts:
-        assert np.allclose(relu.eval(x), net.eval(x), atol=1e-9)
+        assert np.allclose(relu.eval(x), net(x), atol=1e-9)
     shapes = relu.shapes()
     assert shapes[0][0] == 2 and shapes[-1][1] == 2
 
@@ -303,6 +302,14 @@ def test_import_rejects_truncated_documents():
     bad = {**obj, "outputs": [{"bank": []}]}
     with pytest.raises(SchemaError):
         import_network(bad)
+    for bound in ("x", 2.5, True):
+        bad = {**obj, "provenance": {**obj["provenance"], "bound_N": bound}}
+        with pytest.raises(SchemaError):
+            import_network(bad)
+    assert import_network({**obj, "provenance": {**obj["provenance"], "bound_N": None}})
+    for m in ("1", 1.0):
+        with pytest.raises(SchemaError):
+            import_network({**obj, "m": m})
 
 
 def test_import_rejects_tampered_selectors():
@@ -319,8 +326,9 @@ def test_import_rejects_tampered_selectors():
         import_network(bad)
 
 
-def test_eval_tll_helper():
+def test_network_call_on_one_point_is_a_batch_row():
     rng = np.random.default_rng(173)
     net = compile_tll(_random_interpolant(rng, n=1, eta=0.4))
     x = np.array([0.4])
-    assert np.array_equal(eval_tll(net, x), net(x))
+    assert net(x).shape == (1,)
+    assert np.array_equal(net(x), net.eval_batch(x[None])[0])
