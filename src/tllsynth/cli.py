@@ -16,6 +16,7 @@ the ``timing`` block.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -47,7 +48,6 @@ from .errors import (
     BoundViolated,
     BudgetExceeded,
     ConfigError,
-    CoverageInfeasible,
     DimensionMismatch,
     DimensionTooLarge,
     DiscontinuityDetected,
@@ -97,7 +97,6 @@ _CONFIG_ERRORS = (
     StepInvalid,
     InvariantViolation,
     EmptySelector,
-    CoverageInfeasible,
     FileNotFoundError,
     IsADirectoryError,
     json.JSONDecodeError,
@@ -224,6 +223,10 @@ class _CsvOracle:
         return np.stack([self(row) for row in x])
 
 
+# seconds a subprocess oracle gets to exit after its input closes
+_ORACLE_EXIT_WAIT_S = 10.0
+
+
 class _SubprocessOracle:
     """Child process evaluated per batch over line-delimited JSON.
 
@@ -270,9 +273,18 @@ class _SubprocessOracle:
         return controls[0] if single else controls
 
     def close(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
+        """End the child and its pipes; one that outstays the wait after EOF
+        is killed."""
+        if self.proc is None:
+            return
+        with contextlib.suppress(BrokenPipeError):  # a child that died unread
             self.proc.stdin.close()
-            self.proc.wait(timeout=10)
+        try:
+            self.proc.wait(timeout=_ORACLE_EXIT_WAIT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
 
 
 def _builtin_oracle(name: str, params: dict, n: int, m: int):
@@ -290,6 +302,16 @@ def _builtin_oracle(name: str, params: dict, n: int, m: int):
         return lambda x: np.asarray(x, dtype=float) @ np.array([[-0.5], [-0.5]]) \
             + np.zeros(1)
     raise ConfigError(f"unknown builtin oracle '{name}'")
+
+
+@contextlib.contextmanager
+def _closing(oracle):
+    """Yield a resolved controller; a subprocess oracle is closed on exit."""
+    try:
+        yield oracle
+    finally:
+        if isinstance(oracle, _SubprocessOracle):
+            oracle.close()
 
 
 def _resolve_oracle(cfg: dict, n: int, m: int):
@@ -389,6 +411,8 @@ def cmd_build(args) -> int:
     domain = _box_from(cfg, "domain")
     eta = _resolve_eta(cfg, domain)
     m = int(cfg.get("m", 1))
+    if m < 1:
+        raise ConfigError(f"m must be a positive output count, got {m}")
     if "budget" in cfg:
         budget = cfg["budget"]
         if not isinstance(budget, dict) or budget.get("k_cont") is None:
@@ -399,12 +423,8 @@ def cmd_build(args) -> int:
     if k_cont is not None:
         k_cont = float(k_cont)
     grid = build_eta_grid(domain, eta)
-    oracle = _resolve_oracle(cfg, grid.dimension, m)
-    try:
+    with _closing(_resolve_oracle(cfg, grid.dimension, m)) as oracle:
         omega = sample_controller(oracle, grid, m)
-    finally:
-        if isinstance(oracle, _SubprocessOracle):
-            oracle.close()
     interp = build_interpolant(grid, omega, k_cont)
     path = _write_artifact(args, "interpolant.json", interp.to_json())
     results = {
@@ -458,13 +478,10 @@ def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
     oracle = _resolve_oracle(cfg, interp.n, interp.m)
     per_axis, random_count, seed = _probe_settings(cfg, args)
     probes = build_probes(interp.grid.domain, per_axis, random_count, seed)
-    try:
+    with _closing(oracle):
         want = np.atleast_2d(np.asarray(oracle(probes.points), dtype=float))
-        if want.shape != (len(probes), interp.m):
-            want = want.reshape(len(probes), interp.m)
-    finally:
-        if isinstance(oracle, _SubprocessOracle):
-            oracle.close()
+    if want.shape != (len(probes), interp.m):
+        want = want.reshape(len(probes), interp.m)
     got = interp.eval_batch(probes.points)
     value = float(np.abs(got - want).max())
     passed = value <= mu
@@ -558,14 +575,10 @@ def cmd_audit(args) -> int:
     per_axis, random_count, seed = _probe_settings(cfg, args)
     step = float(cfg.get("step", budget.tau / 100.0))
     if args.which == "invariance":
-        controller = _controller_from_args(args, cfg, model)
-        try:
+        with _closing(_controller_from_args(args, cfg, model)) as controller:
             report = check_delta_tau_invariance(
                 model, controller, budget.delta, budget.tau, per_axis, step
             )
-        finally:
-            if isinstance(controller, _SubprocessOracle):
-                controller.close()
         return _emit(args, "audit", {"which": "invariance", **report.to_json()},
                      report.holds, cfg, t0, filename="audit_invariance_report")
     if args.which == "gronwall":
@@ -576,14 +589,11 @@ def cmd_audit(args) -> int:
         k_upsilon = float(cfg.get("k_upsilon", 3.0 * budget.k_cont))
         box = _box_from(cfg, "domain") if "domain" in cfg else model.x_box
         probes = build_probes(box, per_axis, random_count, seed)
-        try:
+        with _closing(psi):
             report = deviation_audit(
                 model, psi, upsilon, budget.tau, step, probes.points,
                 k_upsilon=k_upsilon, delta=budget.delta, probe_spec=probes.spec,
             )
-        finally:
-            if isinstance(psi, _SubprocessOracle):
-                psi.close()
         return _emit(args, "audit", {"which": "gronwall", **report.to_json()},
                      report.holds, cfg, t0, filename="audit_gronwall_report")
     if args.which == "sysid":
@@ -610,15 +620,12 @@ def cmd_audit(args) -> int:
         probes = build_probes(box, per_axis, random_count, seed)
         mu_pts = build_probes(model.x_box.product(model.u_box), per_axis,
                               random_count, seed)
-        try:
+        with _closing(psi):
             report = sysid_deviation_audit(
                 model, surrogate, psi, budget.tau, step, probes.points,
                 k_psi=k_psi, mu_probes=mu_pts.points, delta=budget.delta,
                 probe_spec=probes.spec,
             )
-        finally:
-            if isinstance(psi, _SubprocessOracle):
-                psi.close()
         return _emit(args, "audit", {"which": "sysid", **report.to_json()},
                      report.holds, cfg, t0, filename="audit_sysid_report")
     raise ConfigError(f"unknown audit '{args.which}'")  # pragma: no cover

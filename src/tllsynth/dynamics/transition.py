@@ -79,17 +79,24 @@ class FiniteTransitionSystem:
         states = obj["states"]
         if not isinstance(states, list) or not states:
             raise SchemaError("states must be a nonempty list")
-        coords = np.empty((len(states), len(states[0]["coords"])))
+        rows = []
         for k, st in enumerate(states):
             require_keys(st, ("id", "coords"), "state")
             if st["id"] != k:
                 raise SchemaError("state ids must be 0..K-1 in order")
-            coords[k] = hex_to_vec(st["coords"])
+            rows.append(hex_to_vec(st["coords"]))
+        if len({r.shape for r in rows}) != 1:
+            raise SchemaError("state coords must all have one length")
+        if not isinstance(obj["transitions"], list):
+            raise SchemaError("transitions must be a list")
         trans = set()
         for tr in obj["transitions"]:
             require_keys(tr, ("src", "label", "dst"), "transition")
-            trans.add((int(tr["src"]), str(tr["label"]), int(tr["dst"])))
-        return FiniteTransitionSystem(coords, trans)
+            try:
+                trans.add((int(tr["src"]), str(tr["label"]), int(tr["dst"])))
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"transition endpoints must be integers: {exc}") from exc
+        return FiniteTransitionSystem(np.array(rows), trans)
 
 
 def _segment_label(controls: np.ndarray) -> str:

@@ -9,14 +9,6 @@ class NonPositiveEta(TllSynthError, ValueError):
     """Grid spacing must be strictly positive."""
 
 
-class CoverageInfeasible(TllSynthError):
-    """No lattice of the requested spacing covers the domain.
-
-    Unreachable for axis-aligned boxes (the constructor always succeeds);
-    kept for the membership-predicate extension point.
-    """
-
-
 class DimensionTooLarge(TllSynthError, ValueError):
     """Requested dimension exceeds the factorial-growth safety cap."""
 

@@ -102,11 +102,6 @@ class EtaGrid:
     any two points differ by integer multiples of eta per coordinate.
     Closed eta-balls around the points cover the domain and all points lie
     inside it.  Offsets run from 0 to ``axis_counts[i] - 1`` per axis.
-
-    Membership-predicate domains are a documented extension point: the
-    constructor would then have to search for a covering sub-lattice and
-    raise ``CoverageInfeasible`` when none exists.  For boxes the centered
-    construction always succeeds.
     """
 
     def __init__(self, eta: float, anchor: np.ndarray, axis_counts: tuple[int, ...], domain: Box):
@@ -243,7 +238,7 @@ class SimplexId:
     sigma: tuple[int, ...]
 
 
-def braid_simplices(n: int, max_dim: int = DEFAULT_DIMENSION_CAP) -> list[tuple[int, ...]]:
+def braid_simplices(n: int) -> list[tuple[int, ...]]:
     """Sorting permutations indexing the n! braid simplexes of the unit cube.
 
     Returned in lexicographic order; entry sigma describes the region where
@@ -251,8 +246,9 @@ def braid_simplices(n: int, max_dim: int = DEFAULT_DIMENSION_CAP) -> list[tuple[
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if n > max_dim:
-        raise DimensionTooLarge(f"braid dissection in dimension {n} exceeds cap {max_dim}")
+    if n > DEFAULT_DIMENSION_CAP:
+        raise DimensionTooLarge(
+            f"braid dissection in dimension {n} exceeds cap {DEFAULT_DIMENSION_CAP}")
     return list(itertools.permutations(range(n)))
 
 

@@ -11,6 +11,7 @@ networks stack scalar lattices side by side.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,11 @@ class ScalarLattice:
         return int(self.b.shape[0])
 
 
+def _members(selectors) -> np.ndarray:
+    """Every selector member, set after set, as one index array."""
+    return np.fromiter(itertools.chain.from_iterable(selectors), dtype=np.intp)
+
+
 class TllNetwork:
     """Max-of-mins network over affine banks, one lattice per output.
 
@@ -60,19 +66,17 @@ class TllNetwork:
                 raise InvariantViolation("bank shapes are inconsistent")
             if out.size < 1 or not out.selectors:
                 raise InvariantViolation("bank and selector list must be nonempty")
-            for sel in out.selectors:
-                if len(sel) == 0:
-                    raise EmptySelector("selector set is empty")
-                if any(not (0 <= i < out.size) for i in sel):
-                    raise InvariantViolation("selector index out of bank range")
+            if not all(map(len, out.selectors)):
+                raise EmptySelector("selector set is empty")
+            try:
+                members = _members(out.selectors)
+            except OverflowError as exc:
+                raise InvariantViolation("selector index out of bank range") from exc
+            if members.min() < 0 or members.max() >= out.size:
+                raise InvariantViolation("selector index out of bank range")
         self.n = n
         self.outputs = outputs
         self.provenance = dict(provenance or {})
-        # identical selector sets produce identical terms; evaluate each once
-        self._unique_sets = [
-            sorted({tuple(sorted(set(sel))) for sel in out.selectors})
-            for out in outputs
-        ]
 
     @property
     def m(self) -> int:
@@ -83,9 +87,7 @@ class TllNetwork:
         res = np.empty((X.shape[0], self.m))
         for j, lat in enumerate(self.outputs):
             vals = X @ lat.W.T + lat.b
-            terms = np.stack(
-                [vals[:, list(sel)].min(axis=1) for sel in self._unique_sets[j]], axis=1
-            )
+            terms = np.stack([vals[:, sel].min(axis=1) for sel in lat.selectors], axis=1)
             res[:, j] = terms.max(axis=1)
         return res
 
@@ -99,9 +101,8 @@ class TllNetwork:
         return max(float(np.abs(lat.W).sum(axis=1).max()) for lat in self.outputs)
 
 
-def compile_scalar_tll(interp: CpwaInterpolant, output: int = 0,
-                       bound_n: int | None = None) -> TllNetwork:
-    """Compile one interpolant output into a scalar max-min lattice.
+def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
+    """Bank and selector sets of one interpolant output.
 
     Bank: distinct pieces (``piece_bank``).  Selector sets: one per simplex,
     holding every bank function that is >= the simplex's active piece at its
@@ -109,16 +110,12 @@ def compile_scalar_tll(interp: CpwaInterpolant, output: int = 0,
     toward the max, which is sound).  The active piece always belongs to its
     own set, so sets are nonempty; duplicate sets are stored once.
     """
-    if not (0 <= output < interp.m):
-        raise InvariantViolation(f"output {output} out of range for m={interp.m}")
     grid = interp.grid
-    n = grid.dimension
     C, F = interp.W.shape[0], interp.W.shape[1]
     W, b, act = piece_bank(interp, output)
     act = act.reshape(C, F)
     if not np.isfinite(W).all() or not np.isfinite(b).all():
         raise EmptySelector("bank holds non-finite coefficients")
-    N = W.shape[0]
 
     # one selector set per simplex: bank functions dominating the simplex's
     # active piece at its n+1 vertices (exact for affine functions on the
@@ -143,21 +140,34 @@ def compile_scalar_tll(interp: CpwaInterpolant, output: int = 0,
             if sel not in seen:
                 seen.add(sel)
                 selectors.append(list(sel))
+    return ScalarLattice(W, b, selectors)
 
+
+def _compile(interp: CpwaInterpolant, outputs, bound_n: int | None) -> TllNetwork:
+    """One network over the lattices of the listed outputs."""
+    grid = interp.grid
+    lattices = [_scalar_lattice(interp, j) for j in outputs]
     if bound_n is None:
-        bound_n = controller_size(n, grid.domain.extent(), grid.eta)
+        bound_n = controller_size(grid.dimension, grid.domain.extent(), grid.eta)
     provenance = {
         "eta": grid.eta,
         "k_cont": interp.k_cont,
         "bound_n": int(bound_n),
     }
-    return TllNetwork(n, [ScalarLattice(W, b, selectors)], provenance)
+    return TllNetwork(grid.dimension, lattices, provenance)
+
+
+def compile_scalar_tll(interp: CpwaInterpolant, output: int = 0,
+                       bound_n: int | None = None) -> TllNetwork:
+    """Compile one interpolant output into a scalar max-min lattice."""
+    if not (0 <= output < interp.m):
+        raise InvariantViolation(f"output {output} out of range for m={interp.m}")
+    return _compile(interp, [output], bound_n)
 
 
 def compile_tll(interp: CpwaInterpolant, bound_n: int | None = None) -> TllNetwork:
-    """Compile every output and stack them side by side."""
-    nets = [compile_scalar_tll(interp, j, bound_n) for j in range(interp.m)]
-    return parallel_compose(nets)
+    """Compile every output into one lattice each, stacked side by side."""
+    return _compile(interp, range(interp.m), bound_n)
 
 
 def parallel_compose(nets: list[TllNetwork]) -> TllNetwork:
@@ -207,34 +217,23 @@ class ArchDescriptor:
         }
 
 
-def _schedule_widths(set_sizes: list[int]) -> list[int]:
-    """ReLU layer widths of the pairwise tree for one output.
+def _tree_plan(set_sizes) -> list[tuple[np.ndarray, str]]:
+    """ReLU levels of the pairwise tree for one output: (group sizes, mode).
 
-    Min stage: every selector set reduces pairwise (3 neurons per pair, 2
-    per carried wire) until each holds one wire; max stage reduces the
-    per-set wires the same way.  Returns the width list, possibly empty.
+    Min levels reduce every selector set pairwise until each holds one
+    wire; max levels then reduce the per-set wires as one group.  A level
+    spends 3 neurons per pair and 2 per carried odd wire.
     """
-    widths = []
-    sizes = list(set_sizes)
-    while any(s > 1 for s in sizes):
-        width = 0
-        nxt = []
-        for s in sizes:
-            if s == 1:
-                width += 2
-                nxt.append(1)
-            else:
-                pairs, odd = divmod(s, 2)
-                width += 3 * pairs + 2 * odd
-                nxt.append(pairs + odd)
-        widths.append(width)
-        sizes = nxt
-    m = len(sizes)
-    while m > 1:
-        pairs, odd = divmod(m, 2)
-        widths.append(3 * pairs + 2 * odd)
-        m = pairs + odd
-    return widths
+    plan = []
+    sizes = np.asarray(set_sizes, dtype=np.int64)
+    while (sizes > 1).any():
+        plan.append((sizes, "min"))
+        sizes = (sizes + 1) // 2
+    sizes = np.array([sizes.size])
+    while sizes[0] > 1:
+        plan.append((sizes, "max"))
+        sizes = (sizes + 1) // 2
+    return plan
 
 
 def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> ArchDescriptor:
@@ -249,7 +248,8 @@ def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> ArchDescript
             raise BoundViolated(
                 f"output {j}: bank size {lat.size} exceeds constructive bound {bound_n}"
             )
-        widths = _schedule_widths([len(s) for s in lat.selectors])
+        widths = [int((3 * (sizes // 2) + 2 * (sizes % 2)).sum())
+                  for sizes, _ in _tree_plan([len(s) for s in lat.selectors])]
         dims = [net.n] + widths + [1]
         layers = [[dims[i], dims[i + 1]] for i in range(len(dims) - 1)]
         per_output.append({
@@ -277,14 +277,11 @@ class ReluNetwork:
     out_w: np.ndarray
     out_b: np.ndarray
 
-    def eval(self, x) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         z = np.asarray(x, dtype=float)
         for W, c in self.layers:
             z = np.maximum(z @ W.T + c, 0.0)
         return z @ self.out_w.T + self.out_b
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def shapes(self) -> list[list[int]]:
         dims = [self.layers[0][0].shape[1]] if self.layers else [self.out_w.shape[1]]
@@ -294,141 +291,73 @@ class ReluNetwork:
         return [[dims[i], dims[i + 1]] for i in range(len(dims) - 1)]
 
 
-class _WireBuilder:
-    """Tracks wires as affine functionals of the current layer output."""
+def _tree_level(A: np.ndarray, beta: np.ndarray, sizes: np.ndarray, mode: str):
+    """One ReLU layer of the tree over wires ``A z + beta``.
 
-    def __init__(self, width: int):
-        self.width = width          # current layer output size
-        self.rows: list[np.ndarray] = []
-        self.biases: list[float] = []
+    Wires are grouped consecutively by ``sizes``.  Each pair (a, b) takes
+    the rows a-b (min) or b-a (max), a and -a; an odd last wire a takes a
+    and -a.  min(a, b) = a - relu(a-b), max(a, b) = a + relu(b-a), and
+    a = relu(a) - relu(-a) give the next wires over the layer output.
+    Returns the layer (W, c) and the next wires (A, beta).
+    """
+    units = (sizes + 1) // 2
+    local = np.arange(units.sum()) - np.repeat(np.cumsum(units) - units, units)
+    a = np.repeat(np.cumsum(sizes) - sizes, units) + 2 * local
+    pair = local < np.repeat(sizes // 2, units)
+    end = np.cumsum(2 + pair)
+    p, q, r = end - 2, end - 1, end[pair] - 3
+    lo, hi = (a[pair], a[pair] + 1) if mode == "min" else (a[pair] + 1, a[pair])
+    W = np.empty((int(end[-1]), A.shape[1]))
+    c = np.empty(int(end[-1]))
+    W[p], W[q], W[r] = A[a], -A[a], A[lo] - A[hi]
+    c[p], c[q], c[r] = beta[a], -beta[a], beta[lo] - beta[hi]
+    k = np.arange(a.size)
+    nxt = np.zeros((a.size, W.shape[0]))
+    nxt[k, p], nxt[k, q] = 1.0, -1.0
+    nxt[k[pair], r] = -1.0 if mode == "min" else 1.0
+    return (W, c), nxt, np.zeros(a.size)
 
-    def neuron(self, vec: np.ndarray, bias: float) -> int:
-        self.rows.append(vec)
-        self.biases.append(bias)
-        return len(self.rows) - 1
 
-    def layer(self) -> tuple[np.ndarray, np.ndarray]:
-        W = np.array(self.rows)
-        c = np.array(self.biases)
-        return W, c
-
-
-def _expand_scalar(lat: ScalarLattice, n: int, pad_to: int | None = None):
-    """Layers plus readout functional for one output; optionally pad depth."""
-    # wires: (vec over current z, bias); start over z = x
-    groups: list[list[tuple[np.ndarray, float]]] = [
-        [(lat.W[i].astype(float), float(lat.b[i])) for i in sel] for sel in lat.selectors
-    ]
-    layers: list[tuple[np.ndarray, np.ndarray]] = []
-    width = n
-
-    def reduce_level(groups, mode):
-        # min(a,b) = a - relu(a-b); max(a,b) = a + relu(b-a)
-        nonlocal width
-        builder = _WireBuilder(width)
-        new_groups = []
-        for g in groups:
-            new_g = []
-            k = 0
-            while k + 1 < len(g):
-                (wa, ba), (wb, bb) = g[k], g[k + 1]
-                if mode == "min":
-                    r = builder.neuron(wa - wb, ba - bb)
-                else:
-                    r = builder.neuron(wb - wa, bb - ba)
-                p = builder.neuron(wa, ba)
-                q = builder.neuron(-wa, -ba)
-                new_g.append(("pair", p, q, r))
-                k += 2
-            if k < len(g):
-                wa, ba = g[k]
-                p = builder.neuron(wa, ba)
-                q = builder.neuron(-wa, -ba)
-                new_g.append(("carry", p, q, None))
-            new_groups.append(new_g)
-        W, c = builder.layer()
-        layers.append((W, c))
-        width = W.shape[0]
-        resolved = []
-        for g in new_groups:
-            rg = []
-            for kind, p, q, r in g:
-                vec = np.zeros(width)
-                vec[p] = 1.0
-                vec[q] = -1.0
-                if kind == "pair":
-                    vec[r] = -1.0 if mode == "min" else 1.0
-                rg.append((vec, 0.0))
-            resolved.append(rg)
-        return resolved
-
-    while any(len(g) > 1 for g in groups):
-        groups = reduce_level(groups, "min")
-    wires = [g[0] for g in groups]
-    while len(wires) > 1:
-        groups = reduce_level([wires], "max")
-        wires = groups[0]
-    out_vec, out_bias = wires[0]
-    depth = len(layers)
-    if pad_to is not None:
-        while depth < pad_to:
-            builder = _WireBuilder(width)
-            p = builder.neuron(out_vec, out_bias)
-            q = builder.neuron(-out_vec, -out_bias)
-            W, c = builder.layer()
-            layers.append((W, c))
-            width = W.shape[0]
-            out_vec = np.zeros(width)
-            out_vec[p], out_vec[q] = 1.0, -1.0
-            out_bias = 0.0
-            depth += 1
-    return layers, out_vec, out_bias
+def _stack(blocks: list[np.ndarray], shared_input: bool) -> np.ndarray:
+    """Rows of every output over one shared input, or block-diagonal."""
+    if shared_input:
+        return np.concatenate(blocks)
+    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)))
+    r = c = 0
+    for B in blocks:
+        out[r:r + B.shape[0], c:c + B.shape[1]] = B
+        r, c = r + B.shape[0], c + B.shape[1]
+    return out
 
 
 def expand_relu_layers(net: TllNetwork) -> ReluNetwork:
     """Materialize dense ReLU layers for the whole network.
 
-    Scalar outputs are expanded independently, padded to a common depth with
-    identity-carry layers, and stacked block-diagonally (the parallel
-    composition of the scalar realizations).  Intended for inspection and
-    export of small networks; sizes grow with sum of selector set sizes.
+    Scalar outputs are expanded independently along their tree plans,
+    padded to a common depth with carry levels (one group of size 1), and
+    stacked block-diagonally (the parallel composition of the scalar
+    realizations).  Intended for inspection and export of small networks;
+    sizes grow with sum of selector set sizes.
     """
+    plans = [_tree_plan([len(s) for s in lat.selectors]) for lat in net.outputs]
+    depth = max(len(plan) for plan in plans)
+    pad = (np.ones(1, dtype=np.int64), "max")
     per_out = []
-    for lat in net.outputs:
-        sizes = [len(s) for s in lat.selectors]
-        depth = len(_schedule_widths(sizes))
-        per_out.append(depth)
-    depth = max(per_out)
-    expanded = [_expand_scalar(lat, net.n, pad_to=depth) for lat in net.outputs]
-    if depth == 0:
-        out_w = np.array([vec for _, vec, _ in expanded])
-        out_b = np.array([bias for _, _, bias in expanded])
-        return ReluNetwork([], out_w, out_b)
-    layers: list[tuple[np.ndarray, np.ndarray]] = []
-    for level in range(depth):
-        blocks = [exp[0][level] for exp in expanded]
-        in_dims = [W.shape[1] for W, _ in blocks]
-        out_dims = [W.shape[0] for W, _ in blocks]
-        if level == 0:
-            W = np.concatenate([Wb for Wb, _ in blocks], axis=0)
-        else:
-            W = np.zeros((sum(out_dims), sum(in_dims)))
-            r0, c0 = 0, 0
-            for (Wb, _), ro, co in zip(blocks, out_dims, in_dims):
-                W[r0:r0 + ro, c0:c0 + co] = Wb
-                r0 += ro
-                c0 += co
-        c = np.concatenate([cb for _, cb in blocks])
-        layers.append((W, c))
-    last_dims = [exp[0][-1][0].shape[0] for exp in expanded]
-    total = sum(last_dims)
-    out_w = np.zeros((net.m, total))
-    out_b = np.empty(net.m)
-    col = 0
-    for j, (lyrs, vec, bias) in enumerate(expanded):
-        out_w[j, col:col + last_dims[j]] = vec
-        out_b[j] = bias
-        col += last_dims[j]
+    for lat, plan in zip(net.outputs, plans):
+        members = _members(lat.selectors)
+        A, beta = lat.W[members].astype(float), lat.b[members].astype(float)
+        layers = []
+        for sizes, mode in plan + [pad] * (depth - len(plan)):
+            layer, A, beta = _tree_level(A, beta, sizes, mode)
+            layers.append(layer)
+        per_out.append((layers, A, beta))
+    layers = [
+        (_stack([lyr[k][0] for lyr, _, _ in per_out], k == 0),
+         np.concatenate([lyr[k][1] for lyr, _, _ in per_out]))
+        for k in range(depth)
+    ]
+    out_w = _stack([A for _, A, _ in per_out], depth == 0)
+    out_b = np.concatenate([beta for _, _, beta in per_out])
     return ReluNetwork(layers, out_w, out_b)
 
 
@@ -500,9 +429,8 @@ def import_network(obj: dict) -> TllNetwork:
         sels = block["selectors"]
         if not isinstance(sels, list) or any(not isinstance(s, list) for s in sels):
             raise SchemaError("selectors must be a list of index lists")
-        for s in sels:
-            if any(not isinstance(i, int) for i in s):
-                raise SchemaError("selector indices must be integers")
+        if not set(map(type, itertools.chain.from_iterable(sels))) <= {int, bool}:
+            raise SchemaError("selector indices must be integers")
         outputs.append(ScalarLattice(np.array(Ws), np.array(bs), [list(s) for s in sels]))
     prov_raw = obj["provenance"]
     require_keys(prov_raw, ("eta", "K_cont", "bound_N"), "provenance")

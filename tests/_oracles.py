@@ -5,7 +5,9 @@ than the library's algorithms: simulation relations are found by checking
 every subset of candidate pairs, sizes are recomputed with exact rational
 arithmetic, and synthetic Lipschitz functions are built as explicit
 max-of-min combinations of affine pieces whose gradients are controlled
-by construction.
+by construction.  The pairwise tree expansion below builds ReLU layers one
+neuron at a time, as the library once did; it is the bitwise reference for
+the library's array-built layers.
 """
 
 import itertools
@@ -242,3 +244,156 @@ def dict_piece_bank(interp, output):
                 bank_b.append(float(interp.B[c, f, output]))
             active.append(index[k])
     return np.array(bank_w), np.array(bank_b), np.array(active, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# neuron-by-neuron pairwise tree expansion of a lattice
+# ---------------------------------------------------------------------------
+
+def schedule_widths(set_sizes):
+    """ReLU layer widths of the pairwise min-then-max tree, group by group.
+
+    Min stage: every selector set reduces pairwise (3 neurons per pair, 2
+    per carried wire) until each holds one wire; max stage reduces the
+    per-set wires the same way.
+    """
+    widths = []
+    sizes = list(set_sizes)
+    while any(s > 1 for s in sizes):
+        width = 0
+        nxt = []
+        for s in sizes:
+            if s == 1:
+                width += 2
+                nxt.append(1)
+            else:
+                pairs, odd = divmod(s, 2)
+                width += 3 * pairs + 2 * odd
+                nxt.append(pairs + odd)
+        widths.append(width)
+        sizes = nxt
+    m = len(sizes)
+    while m > 1:
+        pairs, odd = divmod(m, 2)
+        widths.append(3 * pairs + 2 * odd)
+        m = pairs + odd
+    return widths
+
+
+class _WireBuilder:
+    """Collects one layer's neurons as rows over the previous layer."""
+
+    def __init__(self):
+        self.rows, self.biases = [], []
+
+    def neuron(self, vec, bias):
+        self.rows.append(vec)
+        self.biases.append(bias)
+        return len(self.rows) - 1
+
+    def layer(self):
+        return np.array(self.rows), np.array(self.biases)
+
+
+def expand_scalar(W, b, selectors, n, pad_to=None):
+    """Layers plus readout (vector, bias) for one output, one neuron at a time.
+
+    Wires are (vector over the current layer, bias) pairs; min(a, b) is
+    a - relu(a - b) and max(a, b) is a + relu(b - a), with a carried through
+    as relu(a) - relu(-a).  Depth padding carries the output wire.
+    """
+    groups = [[(W[i].astype(float), float(b[i])) for i in sel] for sel in selectors]
+    layers = []
+
+    def reduce_level(groups, mode):
+        builder = _WireBuilder()
+        new_groups = []
+        for g in groups:
+            new_g = []
+            k = 0
+            while k + 1 < len(g):
+                (wa, ba), (wb, bb) = g[k], g[k + 1]
+                if mode == "min":
+                    r = builder.neuron(wa - wb, ba - bb)
+                else:
+                    r = builder.neuron(wb - wa, bb - ba)
+                p = builder.neuron(wa, ba)
+                q = builder.neuron(-wa, -ba)
+                new_g.append(("pair", p, q, r))
+                k += 2
+            if k < len(g):
+                wa, ba = g[k]
+                p = builder.neuron(wa, ba)
+                q = builder.neuron(-wa, -ba)
+                new_g.append(("carry", p, q, None))
+            new_groups.append(new_g)
+        Wl, cl = builder.layer()
+        layers.append((Wl, cl))
+        width = Wl.shape[0]
+        resolved = []
+        for g in new_groups:
+            rg = []
+            for kind, p, q, r in g:
+                vec = np.zeros(width)
+                vec[p] = 1.0
+                vec[q] = -1.0
+                if kind == "pair":
+                    vec[r] = -1.0 if mode == "min" else 1.0
+                rg.append((vec, 0.0))
+            resolved.append(rg)
+        return resolved
+
+    while any(len(g) > 1 for g in groups):
+        groups = reduce_level(groups, "min")
+    wires = [g[0] for g in groups]
+    while len(wires) > 1:
+        groups = reduce_level([wires], "max")
+        wires = groups[0]
+    out_vec, out_bias = wires[0]
+    while pad_to is not None and len(layers) < pad_to:
+        builder = _WireBuilder()
+        p = builder.neuron(out_vec, out_bias)
+        q = builder.neuron(-out_vec, -out_bias)
+        Wl, cl = builder.layer()
+        layers.append((Wl, cl))
+        out_vec = np.zeros(Wl.shape[0])
+        out_vec[p], out_vec[q] = 1.0, -1.0
+        out_bias = 0.0
+    return layers, out_vec, out_bias
+
+
+def expand_network(n, lattices):
+    """Dense layers and readout for (W, b, selectors) lattices on one input.
+
+    Each output is expanded on its own and padded to the common depth; the
+    first layer stacks their rows over the shared input and later layers
+    (and the readout) are block-diagonal.  Returns (layers, out_w, out_b).
+    """
+    depth = max(len(schedule_widths([len(s) for s in sels])) for _, _, sels in lattices)
+    expanded = [expand_scalar(W, b, sels, n, pad_to=depth) for W, b, sels in lattices]
+    if depth == 0:
+        return ([], np.array([vec for _, vec, _ in expanded]),
+                np.array([bias for _, _, bias in expanded]))
+    layers = []
+    for level in range(depth):
+        blocks = [exp[0][level] for exp in expanded]
+        if level == 0:
+            Wl = np.concatenate([Wb for Wb, _ in blocks], axis=0)
+        else:
+            Wl = np.zeros((sum(Wb.shape[0] for Wb, _ in blocks),
+                           sum(Wb.shape[1] for Wb, _ in blocks)))
+            r0 = c0 = 0
+            for Wb, _ in blocks:
+                Wl[r0:r0 + Wb.shape[0], c0:c0 + Wb.shape[1]] = Wb
+                r0 += Wb.shape[0]
+                c0 += Wb.shape[1]
+        layers.append((Wl, np.concatenate([cb for _, cb in blocks])))
+    last = [exp[0][-1][0].shape[0] for exp in expanded]
+    out_w = np.zeros((len(expanded), sum(last)))
+    out_b = np.empty(len(expanded))
+    col = 0
+    for j, (_, vec, bias) in enumerate(expanded):
+        out_w[j, col:col + last[j]] = vec
+        out_b[j] = bias
+        col += last[j]
+    return layers, out_w, out_b

@@ -2,6 +2,7 @@
 report determinism, and exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from tllsynth import cli
 from tllsynth.cli import main
 from tllsynth.dynamics import FiniteTransitionSystem
 from tllsynth.geometry import EtaGrid
@@ -152,6 +154,15 @@ def test_build_budget_without_k_cont_is_config_error(tmp_path):
     for budget in ({"k_x": 1.0}, [1.0], {"k_cont": None}):
         cfg_obj = _affine_build_cfg({"kind": "builtin", "name": "zero"})
         cfg_obj["budget"] = budget
+        cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
+        assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "build_report.json").exists()
+
+
+def test_build_nonpositive_m_is_config_error(tmp_path):
+    for m in (0, -1):
+        cfg_obj = _affine_build_cfg({"kind": "builtin", "name": "zero"})
+        cfg_obj["m"] = m
         cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
         assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "build_report.json").exists()
@@ -323,6 +334,33 @@ def test_subprocess_oracle_matches_builtin(tmp_path):
     assert main(["build", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "interpolant.json").read_bytes() == \
         (ref / "interpolant.json").read_bytes()
+
+
+def test_subprocess_oracle_lingering_after_eof_is_killed(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_ORACLE_EXIT_WAIT_S", 0.2)
+    ref = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
+    pid_file = tmp_path / "oracle.pid"
+    script = tmp_path / "oracle.py"
+    script.write_text(
+        "import os, sys, json, time\n"
+        "import numpy as np\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        f"W = np.array({AFFINE_W!r}); b = np.array({AFFINE_B!r})\n"
+        "for line in sys.stdin:\n"
+        "    pts = np.asarray(json.loads(line)['points'], dtype=float)\n"
+        "    sys.stdout.write(json.dumps({'controls': (pts @ W.T + b).tolist()}) + '\\n')\n"
+        "    sys.stdout.flush()\n"
+        "time.sleep(60)\n"
+    )
+    out = tmp_path / "sub_out"
+    cfg = _write_cfg(tmp_path / "sub_cfg.json", _affine_build_cfg(
+        {"kind": "subprocess", "argv": [sys.executable, str(script)]}))
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "interpolant.json").read_bytes() == \
+        (ref / "interpolant.json").read_bytes()
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
 
 
 # -- determinism -------------------------------------------------------------------
@@ -525,6 +563,10 @@ def test_ads_check_pass_fail_and_validation(tmp_path):
     assert main(["ads-check", a, a, "--delta", "-1.0", "--out", str(tmp_path)]) == 2
     assert main(["ads-check", a, str(tmp_path / "missing.json"),
                  "--delta", "0.0", "--out", str(tmp_path)]) == 2
+    malformed = tmp_path / "malformed.json"
+    dump_json({"states": [{"id": 0}], "transitions": []}, str(malformed))
+    assert main(["ads-check", a, str(malformed), "--delta", "0.0",
+                 "--out", str(tmp_path)]) == 2
 
 
 # -- process-level entry points ---------------------------------------------------------

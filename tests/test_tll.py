@@ -1,5 +1,7 @@
 """Max-min lattice compilation, composition, and ReLU expansion."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from tllsynth import (
     to_json_text,
 )
 
+from _oracles import expand_network, schedule_widths
 from test_cpwa import consistent_extras, omega_of
 
 
@@ -227,7 +230,7 @@ def test_expansion_matches_lattice_on_probes():
         relu = expand_relu_layers(net)
         pts = rng.uniform(-0.5, 1.5, size=(500, n))
         for x in pts:
-            assert np.allclose(relu.eval(x), net(x), atol=1e-9)
+            assert np.allclose(relu(x), net(x), atol=1e-9)
 
 
 def test_expansion_shapes_follow_descriptor_for_single_output():
@@ -245,7 +248,7 @@ def test_expansion_handles_multiple_outputs():
     relu = expand_relu_layers(net)
     pts = rng.uniform(0, 1, size=(100, 2))
     for x in pts:
-        assert np.allclose(relu.eval(x), net(x), atol=1e-9)
+        assert np.allclose(relu(x), net(x), atol=1e-9)
     shapes = relu.shapes()
     assert shapes[0][0] == 2 and shapes[-1][1] == 2
 
@@ -256,12 +259,77 @@ def test_expansion_of_single_piece_network():
     net = compile_tll(interp)
     relu = expand_relu_layers(net)
     for x in (-3.0, 0.2, 7.0):
-        assert relu.eval(np.array([x]))[0] == pytest.approx(1.5, abs=1e-12)
+        assert relu(np.array([x]))[0] == pytest.approx(1.5, abs=1e-12)
+
+
+def _random_lattice(rng, n, max_set=8, num_sets=None):
+    """Bank of 1..12 functions (one all-zero, for signed zeros) and selector
+    sets of 1..max_set members, repeats allowed."""
+    N = int(rng.integers(1, 13))
+    W, b = rng.normal(size=(N, n)), rng.normal(size=N)
+    W[0], b[0] = 0.0, -0.0
+    M = int(rng.integers(1, 7)) if num_sets is None else num_sets
+    sels = [rng.integers(N, size=int(rng.integers(1, max_set + 1))).tolist() for _ in range(M)]
+    return ScalarLattice(W, b, sels)
+
+
+def _random_networks(rng):
+    for _ in range(120):
+        n = int(rng.integers(1, 4))
+        yield TllNetwork(n, [_random_lattice(rng, n) for _ in range(int(rng.integers(1, 3)))])
+    for n in (1, 2, 3):
+        yield TllNetwork(n, [_random_lattice(rng, n, 1, 1)])          # depth 0
+        yield TllNetwork(n, [_random_lattice(rng, n, 1, 1) for _ in range(2)])
+        for _ in range(5):                                              # padding
+            yield TllNetwork(n, [_random_lattice(rng, n, 1, 1), _random_lattice(rng, n)])
+            yield TllNetwork(n, [_random_lattice(rng, n), _random_lattice(rng, n, 1, 1)])
+
+
+def test_descriptor_widths_match_reference_schedule():
+    rng = np.random.default_rng(179)
+    nets = list(_random_networks(rng))
+    nets.append(compile_tll(_random_interpolant(rng, n=2, eta=0.3, m=2)))
+    for net in nets:
+        desc = arch_descriptor(net, bound_n=12 if "bound_n" not in net.provenance else None)
+        for lat, out in zip(net.outputs, desc.per_output):
+            widths = schedule_widths([len(s) for s in lat.selectors])
+            assert out["layers"] == [[a, b] for a, b in zip([net.n] + widths, widths + [1])]
+            assert out["neurons"] == sum(widths)
+
+
+def test_expansion_matches_reference_bitwise():
+    def same(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    rng = np.random.default_rng(181)
+    nets = list(_random_networks(rng))
+    nets.append(compile_tll(_random_interpolant(rng, n=2, eta=0.3, m=2)))
+    for net in nets:
+        layers, out_w, out_b = expand_network(
+            net.n, [(lat.W, lat.b, lat.selectors) for lat in net.outputs])
+        relu = expand_relu_layers(net)
+        assert len(relu.layers) == len(layers)
+        for (W, c), (W_ref, c_ref) in zip(relu.layers, layers):
+            assert same(W, W_ref) and same(c, c_ref)
+        assert same(relu.out_w, out_w) and same(relu.out_b, out_b)
+    assert any(len(expand_relu_layers(net).layers) == 0 for net in nets)
 
 
 # ---------------------------------------------------------------------------
 # validation and serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("selectors, error", [
+    ([[0], []], EmptySelector),
+    ([[0], [-1]], InvariantViolation),
+    ([[0, 1], [2]], InvariantViolation),
+    ([[2 ** 70]], InvariantViolation),
+], ids=["empty-set", "index-minus-one", "index-N", "index-beyond-int64"])
+def test_constructor_rejects_bad_lattice(selectors, error):
+    W = np.array([[1.0], [0.5]])
+    with pytest.raises(error):
+        TllNetwork(1, [ScalarLattice(W, np.zeros(2), selectors)])
+
 
 def test_network_constructor_validation():
     W = np.array([[1.0], [0.5]])
@@ -324,6 +392,16 @@ def test_import_rejects_tampered_selectors():
     bad["outputs"][0]["selectors"][0] = []
     with pytest.raises(EmptySelector):
         import_network(bad)
+
+
+def test_import_rejects_non_integer_selector_members():
+    rng = np.random.default_rng(191)
+    obj = export_network(compile_tll(_random_interpolant(rng, n=1, eta=0.4)))
+    for member in (0.0, "0", None, [0]):
+        bad = copy.deepcopy(obj)
+        bad["outputs"][0]["selectors"][-1].append(member)
+        with pytest.raises(SchemaError):
+            import_network(bad)
 
 
 def test_network_call_on_one_point_is_a_batch_row():

@@ -72,6 +72,14 @@ def test_json_schema_violations():
     bad["states"] = list(reversed(obj["states"]))
     with pytest.raises(SchemaError):
         FiniteTransitionSystem.from_json(bad)
+    state = obj["states"][0]
+    for states in ([{"id": 0}], [5], [state, {"id": 1, "coords": ["0x1p+0", "0x1p+0"]}]):
+        with pytest.raises(SchemaError):
+            FiniteTransitionSystem.from_json({**obj, "states": states})
+    for transitions in (5, [5], [{"src": None, "label": "a", "dst": 1}],
+                        [{"src": "x", "label": "a", "dst": 1}]):
+        with pytest.raises(SchemaError):
+            FiniteTransitionSystem.from_json({**obj, "transitions": transitions})
 
 
 # ---------------------------------------------------------------------------
