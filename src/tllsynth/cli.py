@@ -124,18 +124,35 @@ def _load_config(args) -> dict:
     return obj
 
 
+def _number(obj: dict, key: str, default=None, kind=float):
+    """``obj[key]`` converted by ``kind``; ``default`` when the key is absent
+    or null.  A value that does not convert raises ``ConfigError``."""
+    val = obj.get(key)
+    if val is None:
+        return default
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{key}' must be a number, got {val!r}") from exc
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """An optional object of settings; absent means empty."""
+    sec = cfg.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    return sec
+
+
 def _budget_from(cfg: dict) -> SpecBudget:
     b = cfg.get("budget")
     if not isinstance(b, dict):
         raise ConfigError("config needs a 'budget' object")
-    for key in ("k_x", "k_u", "k_cont", "tau", "delta"):
-        if key not in b:
+    vals = {key: _number(b, key) for key in ("k_x", "k_u", "k_cont", "tau", "delta")}
+    for key, val in vals.items():
+        if val is None:
             raise ConfigError(f"budget is missing '{key}'")
-    return SpecBudget(
-        float(b["k_x"]), float(b["k_u"]), float(b["k_cont"]),
-        float(b["tau"]), float(b["delta"]),
-        int(b.get("exponent_multiplier", 3)),
-    )
+    return SpecBudget(**vals, exponent_multiplier=_number(b, "exponent_multiplier", 3, int))
 
 
 def _box_from(cfg: dict, key: str) -> Box:
@@ -143,6 +160,11 @@ def _box_from(cfg: dict, key: str) -> Box:
     if not isinstance(d, dict) or "lower" not in d or "upper" not in d:
         raise ConfigError(f"config needs a '{key}' box with 'lower' and 'upper'")
     return Box(d["lower"], d["upper"])
+
+
+def _optional_box(cfg: dict, key: str, default: Box | None) -> Box | None:
+    """The ``key`` box when the config has that key at all, else ``default``."""
+    return _box_from(cfg, key) if key in cfg else default
 
 
 def _model_from(cfg: dict) -> ControlSystemModel:
@@ -157,8 +179,8 @@ def _model_from(cfg: dict) -> ControlSystemModel:
 
 def _resolve_eta(cfg: dict, domain: Box) -> float:
     """Explicit 'eta' wins; otherwise derive it from the budget chain."""
-    if cfg.get("eta") is not None:
-        eta = float(cfg["eta"])
+    eta = _number(cfg, "eta")
+    if eta is not None:
         if not (eta > 0):
             raise ConfigError(f"eta must be strictly positive, got {eta}")
         return eta
@@ -168,20 +190,17 @@ def _resolve_eta(cfg: dict, domain: Box) -> float:
 
 
 def _probe_settings(cfg: dict, args) -> tuple[int, int, int]:
-    p = cfg.get("probes", {})
-    if not isinstance(p, dict):
-        raise ConfigError("'probes' must be an object")
-    per_axis = int(p.get("per_axis", 5))
-    random_count = int(p.get("random", 0))
-    seed = args.seed if args.seed is not None else int(p.get("seed", 0))
+    p = _section(cfg, "probes")
+    per_axis = _number(p, "per_axis", 5, int)
+    random_count = _number(p, "random", 0, int)
+    seed = args.seed if args.seed is not None else _number(p, "seed", 0, int)
     if per_axis < 1 or random_count < 0:
         raise ConfigError("probes need per_axis >= 1 and random >= 0")
     return per_axis, random_count, seed
 
 
 def _tolerance(cfg: dict, name: str, default: float) -> float:
-    tols = cfg.get("tolerances", {})
-    val = float(tols.get(name, default))
+    val = _number(_section(cfg, "tolerances"), name, default)
     if not (val > 0):
         raise ConfigError(f"tolerance '{name}' must be positive")
     return val
@@ -375,9 +394,8 @@ def cmd_size(args) -> int:
     cfg = _load_config(args)
     budget = _budget_from(cfg)
     domain = _box_from(cfg, "domain")
-    sysid_box = _box_from(cfg, "input_box") if "input_box" in cfg else None
-    eta_override = float(cfg["eta"]) if cfg.get("eta") is not None else None
-    sizing = compute_sizing(budget, domain, sysid_box, eta_override)
+    sizing = compute_sizing(budget, domain, _optional_box(cfg, "input_box", None),
+                            _number(cfg, "eta"))
     results = sizing.to_json()
     holds = all(entry.get("holds", True) for entry in sizing.audit)
     return _emit(args, "size", results, holds, cfg, t0)
@@ -410,18 +428,16 @@ def cmd_build(args) -> int:
     cfg = _load_config(args)
     domain = _box_from(cfg, "domain")
     eta = _resolve_eta(cfg, domain)
-    m = int(cfg.get("m", 1))
+    m = _number(cfg, "m", 1, int)
     if m < 1:
         raise ConfigError(f"m must be a positive output count, got {m}")
     if "budget" in cfg:
         budget = cfg["budget"]
         if not isinstance(budget, dict) or budget.get("k_cont") is None:
             raise ConfigError("config 'budget' must be an object with a 'k_cont'")
-        k_cont = budget["k_cont"]
+        k_cont = _number(budget, "k_cont")
     else:
-        k_cont = cfg.get("k_cont")
-    if k_cont is not None:
-        k_cont = float(k_cont)
+        k_cont = _number(cfg, "k_cont")
     grid = build_eta_grid(domain, eta)
     with _closing(_resolve_oracle(cfg, grid.dimension, m)) as oracle:
         omega = sample_controller(oracle, grid, m)
@@ -446,8 +462,7 @@ def cmd_compile(args) -> int:
     cfg = None
     if args.config:
         cfg = _load_config(args)
-        if cfg.get("bound_n") is not None:
-            bound_n = int(cfg["bound_n"])
+        bound_n = _number(cfg, "bound_n", kind=int)
     try:
         net = compile_tll(interp, bound_n)
         desc = arch_descriptor(net)
@@ -469,12 +484,11 @@ def cmd_compile(args) -> int:
 
 
 def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
-    mu = cfg.get("mu")
+    mu = _number(cfg, "mu")
     if mu is None:
         if "budget" not in cfg:
             raise ConfigError("approx verification needs 'mu' or a 'budget'")
         mu = compute_sizing(_budget_from(cfg), interp.grid.domain).mu
-    mu = float(mu)
     oracle = _resolve_oracle(cfg, interp.n, interp.m)
     per_axis, random_count, seed = _probe_settings(cfg, args)
     probes = build_probes(interp.grid.domain, per_axis, random_count, seed)
@@ -503,9 +517,8 @@ def cmd_verify(args) -> int:
     if which == "approx":
         results, passed = _verify_approx(args, cfg, interp)
     elif which == "lipschitz":
-        bound = cfg.get("lipschitz_bound")
         try:
-            rep = lipschitz_audit(interp, None if bound is None else float(bound))
+            rep = lipschitz_audit(interp, _number(cfg, "lipschitz_bound"))
             results = {"metric": "max piece gradient dual norm",
                        "value": rep.value, "bound": rep.bound, "pass": True}
             passed = True
@@ -567,68 +580,61 @@ def _controller_from_args(args, cfg, model):
     raise ConfigError("audit needs --network or an 'oracle' in the config")
 
 
+def _surrogate(model: ControlSystemModel, net) -> ControlSystemModel:
+    """The model with its field replaced by a network over (x, u)."""
+    if net.n != model.n + model.m or net.m != model.n:
+        raise ConfigError(
+            f"surrogate must map {model.n + model.m} -> {model.n}, "
+            f"got {net.n} -> {net.m}"
+        )
+
+    def f_hat(x, u):
+        z = np.concatenate([np.atleast_2d(x), np.atleast_2d(u)], axis=-1)
+        return net.eval_batch(z)
+
+    return ControlSystemModel(
+        model.name + "+surrogate", model.n, model.m, f_hat,
+        model.x_box, model.u_box, model.k_x, model.k_u,
+    )
+
+
 def cmd_audit(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
     model = _model_from(cfg)
     budget = _budget_from(cfg)
     per_axis, random_count, seed = _probe_settings(cfg, args)
-    step = float(cfg.get("step", budget.tau / 100.0))
+    step = _number(cfg, "step", budget.tau / 100.0)
     if args.which == "invariance":
         with _closing(_controller_from_args(args, cfg, model)) as controller:
             report = check_delta_tau_invariance(
                 model, controller, budget.delta, budget.tau, per_axis, step
             )
-        return _emit(args, "audit", {"which": "invariance", **report.to_json()},
-                     report.holds, cfg, t0, filename="audit_invariance_report")
-    if args.which == "gronwall":
+    else:
         if not args.network:
-            raise ConfigError("gronwall audit needs --network (the compiled controller)")
-        psi = _resolve_oracle(cfg, model.n, model.m)
-        upsilon = import_network(load_json(args.network))
-        k_upsilon = float(cfg.get("k_upsilon", 3.0 * budget.k_cont))
-        box = _box_from(cfg, "domain") if "domain" in cfg else model.x_box
-        probes = build_probes(box, per_axis, random_count, seed)
-        with _closing(psi):
-            report = deviation_audit(
-                model, psi, upsilon, budget.tau, step, probes.points,
-                k_upsilon=k_upsilon, delta=budget.delta, probe_spec=probes.spec,
-            )
-        return _emit(args, "audit", {"which": "gronwall", **report.to_json()},
-                     report.holds, cfg, t0, filename="audit_gronwall_report")
-    if args.which == "sysid":
-        if not args.network:
-            raise ConfigError("sysid audit needs --network (the field surrogate)")
+            raise ConfigError(f"{args.which} audit needs --network (the compiled "
+                              "controller for gronwall, the field surrogate for sysid)")
         net = import_network(load_json(args.network))
-        if net.n != model.n + model.m or net.m != model.n:
-            raise ConfigError(
-                f"surrogate must map {model.n + model.m} -> {model.n}, "
-                f"got {net.n} -> {net.m}"
-            )
-
-        def f_hat(x, u):
-            z = np.concatenate([np.atleast_2d(x), np.atleast_2d(u)], axis=-1)
-            return net.eval_batch(z)
-
-        surrogate = ControlSystemModel(
-            model.name + "+surrogate", model.n, model.m, f_hat,
-            model.x_box, model.u_box, model.k_x, model.k_u,
-        )
-        psi = _resolve_oracle(cfg, model.n, model.m)
-        k_psi = float(cfg.get("k_psi", budget.k_cont))
-        box = _box_from(cfg, "domain") if "domain" in cfg else model.x_box
-        probes = build_probes(box, per_axis, random_count, seed)
-        mu_pts = build_probes(model.x_box.product(model.u_box), per_axis,
+        surrogate = _surrogate(model, net) if args.which == "sysid" else None
+        probes = build_probes(_optional_box(cfg, "domain", model.x_box), per_axis,
                               random_count, seed)
-        with _closing(psi):
-            report = sysid_deviation_audit(
-                model, surrogate, psi, budget.tau, step, probes.points,
-                k_psi=k_psi, mu_probes=mu_pts.points, delta=budget.delta,
-                probe_spec=probes.spec,
-            )
-        return _emit(args, "audit", {"which": "sysid", **report.to_json()},
-                     report.holds, cfg, t0, filename="audit_sysid_report")
-    raise ConfigError(f"unknown audit '{args.which}'")  # pragma: no cover
+        with _closing(_resolve_oracle(cfg, model.n, model.m)) as psi:
+            if surrogate is None:
+                report = deviation_audit(
+                    model, psi, net, budget.tau, step, probes.points,
+                    k_upsilon=_number(cfg, "k_upsilon", 3.0 * budget.k_cont),
+                    delta=budget.delta, probe_spec=probes.spec,
+                )
+            else:
+                mu_pts = build_probes(model.x_box.product(model.u_box), per_axis,
+                                      random_count, seed)
+                report = sysid_deviation_audit(
+                    model, surrogate, psi, budget.tau, step, probes.points,
+                    k_psi=_number(cfg, "k_psi", budget.k_cont), mu_probes=mu_pts.points,
+                    delta=budget.delta, probe_spec=probes.spec,
+                )
+    return _emit(args, "audit", {"which": args.which, **report.to_json()},
+                 report.holds, cfg, t0, filename=f"audit_{args.which}_report")
 
 
 def cmd_ads_check(args) -> int:
@@ -647,12 +653,10 @@ def cmd_sysid(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
     model = _model_from(cfg)
-    domain = cfg.get("domain")
-    x_box = _box_from(cfg, "domain") if domain else model.x_box
-    u_box = _box_from(cfg, "input_box") if "input_box" in cfg else model.u_box
-    xu = x_box.product(u_box)
+    xu = _optional_box(cfg, "domain", model.x_box).product(
+        _optional_box(cfg, "input_box", model.u_box))
     eta = _resolve_eta(cfg, xu)
-    k_field = float(cfg.get("k_field", model.k_x + model.k_u))
+    k_field = _number(cfg, "k_field", model.k_x + model.k_u)
     grid = build_eta_grid(xu, eta)
     n, m = model.n, model.m
 

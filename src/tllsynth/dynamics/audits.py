@@ -12,13 +12,13 @@ Three empirical checks over probe lattices — explicitly audits, not proofs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..errors import DimensionMismatch, NonPositiveBudget
 from ..geometry import Box
-from ..sizing import gronwall_bound, sysid_budget
+from ..sizing import gronwall_bound
 from .integrate import _as_controls, rk4_closed_loop
 from .models import ControlSystemModel
 
@@ -50,20 +50,7 @@ class InvarianceReport:
     probe_spec: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "audit": "delta_tau_invariance",
-            "holds": self.holds,
-            "delta": self.delta,
-            "tau": self.tau,
-            "edge_consumed": self.edge_consumed,
-            "num_edge_starts": self.num_edge_starts,
-            "num_interior_starts": self.num_interior_starts,
-            "worst_edge_margin": self.worst_edge_margin,
-            "worst_interior_margin": self.worst_interior_margin,
-            "violations": self.violations,
-            "notes": self.notes,
-            "probe_spec": self.probe_spec,
-        }
+        return {"audit": "delta_tau_invariance", **asdict(self)}
 
 
 def _edge_aware_axes(box: Box, delta: float, per_axis: int) -> list[np.ndarray]:
@@ -192,22 +179,8 @@ class DeviationReport:
         return self.bound_pass and self.delta_pass is not False
 
     def to_json(self) -> dict:
-        return {
-            "audit": f"{self.kind}_deviation",
-            "holds": self.holds,
-            "max_deviation": self.max_deviation,
-            "worst_start": self.worst_start,
-            "mu": self.mu,
-            "mu_source": self.mu_source,
-            "bound": self.bound,
-            "bound_pass": self.bound_pass,
-            "delta": self.delta,
-            "delta_pass": self.delta_pass,
-            "tau": self.tau,
-            "num_probes": self.num_probes,
-            "notes": self.notes,
-            "probe_spec": self.probe_spec,
-        }
+        fields = asdict(self)
+        return {"audit": f"{fields.pop('kind')}_deviation", "holds": self.holds, **fields}
 
 
 def _eval_controller(controller, pts: np.ndarray, m: int) -> np.ndarray:
@@ -215,8 +188,31 @@ def _eval_controller(controller, pts: np.ndarray, m: int) -> np.ndarray:
     return _as_controls(controller(pts), pts.shape[:-1], m)
 
 
-def _endpoint_gap(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
-    return np.abs(states_a[-1] - states_b[-1]).max(axis=1)
+def _compare_loops(kind: str, model_a: ControlSystemModel, psi_a,
+                   model_b: ControlSystemModel, psi_b, tau: float, step: float,
+                   probes: np.ndarray, *, k_lip: float, mu: float, mu_source: str,
+                   delta: float | None, tol: float,
+                   probe_spec: str | None) -> DeviationReport:
+    """Integrate both closed loops from ``probes`` for one period and check
+    the worst endpoint gap against the Gronwall bound for ``mu`` (with the
+    first model's constants and ``k_lip``) and, when given, ``delta``."""
+    _, states_a, _ = rk4_closed_loop(model_a, psi_a, probes, tau, step)
+    _, states_b, _ = rk4_closed_loop(model_b, psi_b, probes, tau, step)
+    dev = np.abs(states_a[-1] - states_b[-1]).max(axis=1)
+    worst = int(np.argmax(dev))
+    bound = gronwall_bound(mu, model_a.k_x, model_a.k_u, k_lip, tau)
+    max_dev = float(dev[worst])
+    return DeviationReport(
+        kind=kind,
+        max_deviation=max_dev,
+        worst_start=probes[worst].tolist(),
+        mu=mu, mu_source=mu_source,
+        bound=bound, bound_pass=bool(max_dev <= bound + tol),
+        delta=delta,
+        delta_pass=None if delta is None else bool(max_dev <= delta + tol),
+        tau=float(tau), num_probes=int(probes.shape[0]),
+        probe_spec=probe_spec,
+    )
 
 
 def deviation_audit(model: ControlSystemModel, psi, upsilon, tau: float,
@@ -244,23 +240,9 @@ def deviation_audit(model: ControlSystemModel, psi, upsilon, tau: float,
         )
         mu = float(gap.max())
         mu_source = "measured"
-    _, states_a, _ = rk4_closed_loop(model, psi, probes, tau, step)
-    _, states_b, _ = rk4_closed_loop(model, upsilon, probes, tau, step)
-    dev = _endpoint_gap(states_a, states_b)
-    worst = int(np.argmax(dev))
-    bound = gronwall_bound(mu, model.k_x, model.k_u, k_upsilon, tau)
-    max_dev = float(dev[worst])
-    return DeviationReport(
-        kind="controller",
-        max_deviation=max_dev,
-        worst_start=probes[worst].tolist(),
-        mu=mu, mu_source=mu_source,
-        bound=bound, bound_pass=bool(max_dev <= bound + tol),
-        delta=delta,
-        delta_pass=None if delta is None else bool(max_dev <= delta + tol),
-        tau=float(tau), num_probes=int(probes.shape[0]),
-        probe_spec=probe_spec,
-    )
+    return _compare_loops("controller", model, psi, model, upsilon, tau, step, probes,
+                          k_lip=k_upsilon, mu=mu, mu_source=mu_source, delta=delta,
+                          tol=tol, probe_spec=probe_spec)
 
 
 def sysid_deviation_audit(model_true: ControlSystemModel,
@@ -301,20 +283,6 @@ def sysid_deviation_audit(model_true: ControlSystemModel,
         gap = np.abs(model_true.field(xs, us) - model_surrogate.field(xs, us))
         mu = float(gap.max())
         mu_source = "measured"
-    _, states_a, _ = rk4_closed_loop(model_true, psi, probes, tau, step)
-    _, states_b, _ = rk4_closed_loop(model_surrogate, psi, probes, tau, step)
-    dev = _endpoint_gap(states_a, states_b)
-    worst = int(np.argmax(dev))
-    bound = sysid_budget(mu, model_true.k_x, model_true.k_u, k_psi, tau)
-    max_dev = float(dev[worst])
-    return DeviationReport(
-        kind="field",
-        max_deviation=max_dev,
-        worst_start=probes[worst].tolist(),
-        mu=mu, mu_source=mu_source,
-        bound=bound, bound_pass=bool(max_dev <= bound + tol),
-        delta=delta,
-        delta_pass=None if delta is None else bool(max_dev <= delta + tol),
-        tau=float(tau), num_probes=int(probes.shape[0]),
-        probe_spec=probe_spec,
-    )
+    return _compare_loops("field", model_true, psi, model_surrogate, psi, tau, step, probes,
+                          k_lip=k_psi, mu=mu, mu_source=mu_source, delta=delta,
+                          tol=tol, probe_spec=probe_spec)

@@ -10,12 +10,13 @@ approximate) are computed by greatest-fixpoint refinement.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DimensionMismatch, SchemaError
-from ..serialize import float_to_hex, hex_to_vec, require_keys
+from ..serialize import float_to_hex, hex_to_vec, is_int, require_keys
 from .integrate import rk4_closed_loop
 from .models import ControlSystemModel
 
@@ -82,7 +83,7 @@ class FiniteTransitionSystem:
         rows = []
         for k, st in enumerate(states):
             require_keys(st, ("id", "coords"), "state")
-            if st["id"] != k:
+            if not is_int(st["id"]) or st["id"] != k:
                 raise SchemaError("state ids must be 0..K-1 in order")
             rows.append(hex_to_vec(st["coords"]))
         if len({r.shape for r in rows}) != 1:
@@ -92,11 +93,30 @@ class FiniteTransitionSystem:
         trans = set()
         for tr in obj["transitions"]:
             require_keys(tr, ("src", "label", "dst"), "transition")
-            try:
-                trans.add((int(tr["src"]), str(tr["label"]), int(tr["dst"])))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"transition endpoints must be integers: {exc}") from exc
+            if not (is_int(tr["src"]) and is_int(tr["dst"])):
+                raise SchemaError("transition endpoints must be integers")
+            if not isinstance(tr["label"], str):
+                raise SchemaError("transition labels must be strings")
+            trans.add((tr["src"], tr["label"], tr["dst"]))
         return FiniteTransitionSystem(np.array(rows), trans)
+
+
+def _near(coords: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the rows of ``coords`` within ``tol`` of ``x`` (infinity
+    norm), in row order."""
+    return np.flatnonzero(np.abs(coords - x).max(axis=1) <= tol)
+
+
+def _seed_pairs(ts_a: FiniteTransitionSystem, ts_b: FiniteTransitionSystem,
+                tol: float) -> set[tuple[int, int]]:
+    """Left-right state pairs within ``tol`` of each other (infinity norm)."""
+    if ts_a.coords.shape[1] != ts_b.coords.shape[1]:
+        raise DimensionMismatch("pair distances need matching coordinate dimensions")
+    return {
+        (x, y)
+        for x in range(ts_a.num_states)
+        for y in _near(ts_b.coords, ts_a.coords[x], tol).tolist()
+    }
 
 
 def _segment_label(controls: np.ndarray) -> str:
@@ -115,7 +135,7 @@ def embed_tau_sampled(model: ControlSystemModel, controller, samples: np.ndarray
     """Embed one closed loop as a tau-period transition system.
 
     Every sample becomes a state; each is integrated for one period and the
-    endpoint is snapped to the nearest listed state within ``snap_tol``
+    endpoint is snapped to the first listed state within ``snap_tol``
     (infinity norm) or appended as a new state.  The transition label hashes
     the control segment at the integration nodes.  ``extra_states`` are
     listed (and deduplicated) but not integrated, so a companion system can
@@ -124,33 +144,32 @@ def embed_tau_sampled(model: ControlSystemModel, controller, samples: np.ndarray
     if step is None:
         step = tau / 100.0
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    state_list: list[np.ndarray] = []
+    extras = (np.empty((0, samples.shape[1])) if extra_states is None
+              else np.atleast_2d(np.asarray(extra_states, dtype=float)))
+    if extras.shape[1] != samples.shape[1]:
+        raise DimensionMismatch("extra states need the samples' coordinate dimension")
+    # every sample, extra state and endpoint fits: at most 2P + E states
+    states = np.empty((2 * len(samples) + len(extras), samples.shape[1]))
+    count = 0
 
-    def lookup(x, tol) -> int | None:
-        for i, s in enumerate(state_list):
-            if np.abs(s - x).max() <= tol:
-                return i
-        return None
+    def intern(x) -> int:
+        nonlocal count
+        hit = _near(states[:count], x, snap_tol)
+        if hit.size:
+            return int(hit[0])
+        states[count] = x
+        count += 1
+        return count - 1
 
-    def intern(x, tol) -> int:
-        i = lookup(x, tol)
-        if i is None:
-            state_list.append(np.asarray(x, dtype=float).copy())
-            return len(state_list) - 1
-        return i
-
-    sources = [intern(x, snap_tol) for x in samples]
-    if extra_states is not None:
-        for x in np.atleast_2d(np.asarray(extra_states, dtype=float)):
-            intern(x, snap_tol)
-    origins = np.array([state_list[i] for i in sources])
-    _, states, controls = rk4_closed_loop(model, controller, origins, tau, step)
+    sources = [intern(x) for x in samples]
+    for x in extras:
+        intern(x)
+    _, traj, controls = rk4_closed_loop(model, controller, states[sources], tau, step)
     transitions = set()
     for col, src in enumerate(sources):
-        endpoint = states[-1, col]
         label = _segment_label(controls[:, col, :])
-        transitions.add((src, label, intern(endpoint, snap_tol)))
-    return FiniteTransitionSystem(np.array(state_list), transitions)
+        transitions.add((src, label, intern(traj[-1, col])))
+    return FiniteTransitionSystem(states[:count].copy(), transitions)
 
 
 def perturb(ts: FiniteTransitionSystem, delta: float) -> FiniteTransitionSystem:
@@ -161,8 +180,7 @@ def perturb(ts: FiniteTransitionSystem, delta: float) -> FiniteTransitionSystem:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     new = set(ts.transitions)
     for (s, u, t) in ts.transitions:
-        near = np.flatnonzero(np.abs(ts.coords - ts.coords[t]).max(axis=1) <= delta)
-        new.update((s, u, int(t2)) for t2 in near)
+        new.update((s, u, t2) for t2 in _near(ts.coords, ts.coords[t], delta).tolist())
     return FiniteTransitionSystem(ts.coords.copy(), new)
 
 
@@ -245,18 +263,10 @@ def check_simulation(ts_a: FiniteTransitionSystem, ts_b: FiniteTransitionSystem,
     verdict holds when every left state has a partner; otherwise the
     smallest uncovered left state index is the counterexample.
     """
-    seed = {
-        (x, y)
-        for x in range(ts_a.num_states)
-        for y in range(ts_b.num_states)
-    }
-    if max_pair_distance is not None:
-        if ts_a.coords.shape[1] != ts_b.coords.shape[1]:
-            raise DimensionMismatch("distance gate needs matching coordinate dimensions")
-        seed = {
-            (x, y) for (x, y) in seed
-            if np.abs(ts_a.coords[x] - ts_b.coords[y]).max() <= max_pair_distance
-        }
+    if max_pair_distance is None:
+        seed = set(itertools.product(range(ts_a.num_states), range(ts_b.num_states)))
+    else:
+        seed = _seed_pairs(ts_a, ts_b, max_pair_distance)
     rel = _greatest_relation(ts_a.transitions, ts_a.num_states,
                              ts_b.transitions, ts_b.num_states, seed, label_free=False)
     return _verdict(rel, ts_a.num_states, "ordinary", max_pair_distance)
@@ -272,17 +282,8 @@ def check_ads(ts_a: FiniteTransitionSystem, ts_b: FiniteTransitionSystem,
     delta = 0 and unified labels this coincides with ordinary simulation
     gated to coincident states.
     """
-    if ts_a.coords.shape[1] != ts_b.coords.shape[1]:
-        raise DimensionMismatch("approximate simulation needs matching coordinates")
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    seed = _seed_pairs(ts_a, ts_b, delta)
     perturbed = perturb(ts_a, delta)
-    seed = {
-        (x, y)
-        for x in range(ts_a.num_states)
-        for y in range(ts_b.num_states)
-        if np.abs(ts_a.coords[x] - ts_b.coords[y]).max() <= delta
-    }
     rel = _greatest_relation(perturbed.transitions, perturbed.num_states,
                              ts_b.transitions, ts_b.num_states, seed, label_free=True)
     return _verdict(rel, ts_a.num_states, "approximate", delta)

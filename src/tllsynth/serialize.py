@@ -57,6 +57,11 @@ def load_json(path: str) -> Any:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def is_int(v: Any) -> bool:
+    """A JSON integer: ``int`` but not ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def require_keys(obj: Any, keys: Iterable[str], what: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{what}: expected a JSON object")

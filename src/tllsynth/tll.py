@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
 )
 from .geometry import simplex_vertices
-from .serialize import float_to_hex, hex_to_float, hex_to_vec, require_keys
+from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
 from .sizing import controller_size
 
 _DOMINANCE_TOL = 1e-9
@@ -393,10 +393,6 @@ def _hex_or_none(v):
     return None if v is None else float_to_hex(v)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def import_network(obj: dict) -> TllNetwork:
     """Parse and revalidate an exported network.
 
@@ -406,9 +402,9 @@ def import_network(obj: dict) -> TllNetwork:
     """
     require_keys(obj, ("n", "m", "outputs", "provenance"), "network")
     n = obj["n"]
-    if not _is_int(n) or n < 1:
+    if not is_int(n) or n < 1:
         raise SchemaError("n must be a positive integer")
-    if not _is_int(obj["m"]):
+    if not is_int(obj["m"]):
         raise SchemaError("m must be an integer")
     if not isinstance(obj["outputs"], list) or len(obj["outputs"]) != obj["m"]:
         raise SchemaError("outputs must be a list of length m")
@@ -434,7 +430,7 @@ def import_network(obj: dict) -> TllNetwork:
         outputs.append(ScalarLattice(np.array(Ws), np.array(bs), [list(s) for s in sels]))
     prov_raw = obj["provenance"]
     require_keys(prov_raw, ("eta", "K_cont", "bound_N"), "provenance")
-    if prov_raw["bound_N"] is not None and not _is_int(prov_raw["bound_N"]):
+    if prov_raw["bound_N"] is not None and not is_int(prov_raw["bound_N"]):
         raise SchemaError("provenance bound_N must be an integer or null")
     prov = {
         "eta": None if prov_raw["eta"] is None else hex_to_float(prov_raw["eta"]),

@@ -5,9 +5,10 @@ than the library's algorithms: simulation relations are found by checking
 every subset of candidate pairs, sizes are recomputed with exact rational
 arithmetic, and synthetic Lipschitz functions are built as explicit
 max-of-min combinations of affine pieces whose gradients are controlled
-by construction.  The pairwise tree expansion below builds ReLU layers one
-neuron at a time, as the library once did; it is the bitwise reference for
-the library's array-built layers.
+by construction.  The linear-scan embedding interns states one list entry
+at a time and the pairwise tree expansion below builds ReLU layers one
+neuron at a time, as the library once did; they are the bitwise references
+for the library's array-based interning and array-built layers.
 """
 
 import itertools
@@ -132,6 +133,40 @@ def brute_force_ads(ts_a, ts_b, delta, perturbed_a):
                                label_free=True)
     total = all(any(p[0] == x for p in rel) for x in range(ts_a.num_states))
     return rel, total
+
+
+def linear_scan_embed(model, controller, samples, tau, step=None, snap_tol=1e-9,
+                      extra_states=None):
+    """tau-sampled embedding that interns states by scanning a Python list
+    one state at a time, as the library once did; the reference for the
+    library's array-based interning."""
+    from tllsynth import FiniteTransitionSystem
+    from tllsynth.dynamics.integrate import rk4_closed_loop
+    from tllsynth.dynamics.transition import _segment_label
+
+    if step is None:
+        step = tau / 100.0
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    state_list = []
+
+    def intern(x):
+        for i, s in enumerate(state_list):
+            if np.abs(s - x).max() <= snap_tol:
+                return i
+        state_list.append(np.asarray(x, dtype=float).copy())
+        return len(state_list) - 1
+
+    sources = [intern(x) for x in samples]
+    if extra_states is not None:
+        for x in np.atleast_2d(np.asarray(extra_states, dtype=float)):
+            intern(x)
+    origins = np.array([state_list[i] for i in sources])
+    _, states, controls = rk4_closed_loop(model, controller, origins, tau, step)
+    transitions = set()
+    for col, src in enumerate(sources):
+        label = _segment_label(controls[:, col, :])
+        transitions.add((src, label, intern(states[-1, col])))
+    return FiniteTransitionSystem(np.array(state_list), transitions)
 
 
 def random_transition_system(rng, max_states=4, max_labels=3, dim=2, span=3.0):

@@ -107,6 +107,31 @@ def test_missing_and_malformed_config(tmp_path):
     assert main(["size", "--config", str(broken), "--out", str(tmp_path)]) == 2
 
 
+_NULL_K_X = {"k_x": None, "k_u": 1.0, "k_cont": 1.0, "tau": 0.1, "delta": 0.05}
+
+
+@pytest.mark.parametrize("command, cfg_obj", [
+    ("size", _size_cfg(budget=_NULL_K_X)),
+    ("size", _size_cfg(eta=[0.25])),
+    ("grid", {"domain": {"lower": [0.0], "upper": [1.0]}, "eta": [0.25]}),
+    ("verify", {"tolerances": 5}),
+    ("verify", {"tolerances": {"continuity": [1e-9]}}),
+    ("verify", {"probes": {"per_axis": [3]}}),
+    ("compile", {"bound_n": {}}),
+], ids=["size-null-k_x", "size-list-eta", "grid-list-eta", "verify-scalar-tolerances",
+        "verify-list-tolerance", "verify-list-per_axis", "compile-object-bound_n"])
+def test_wrong_config_value_types_are_config_errors(tmp_path, command, cfg_obj):
+    cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    if command in ("verify", "compile"):
+        out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+        argv[1:1] = [str(out / "interpolant.json")]
+        if command == "verify":
+            argv[2:2] = ["--which", "continuity"]
+    assert main(argv) == 2
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 # -- grid ----------------------------------------------------------------------
 
 
@@ -519,6 +544,15 @@ def test_sysid_build_and_audit(tmp_path):
                  "--config", aud, "--out", str(tmp_path)]) == 0
     rep = _report(tmp_path, "audit_sysid_report.json")
     assert rep["pass"] is True
+
+
+@pytest.mark.parametrize("domain", [{}, None], ids=["empty", "null"])
+def test_sysid_malformed_domain_is_config_error(tmp_path, domain):
+    # the same rule as audit: a 'domain' key must hold a box
+    cfg = _write_cfg(tmp_path / "sid.json",
+                     {"model": "linear_1d", "eta": 0.5, "domain": domain})
+    assert main(["sysid", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "sysid_report.json").exists()
 
 
 def test_audit_sysid_shape_mismatch_is_config_error(tmp_path):

@@ -26,6 +26,14 @@ from tllsynth import (
 
 ZERO = lambda x: np.zeros(x.shape[:-1] + (1,))
 
+# report keys that downstream readers of the audit JSON rely on
+INVARIANCE_KEYS = {"audit", "holds", "delta", "tau", "edge_consumed", "num_edge_starts",
+                   "num_interior_starts", "worst_edge_margin", "worst_interior_margin",
+                   "violations", "notes", "probe_spec"}
+DEVIATION_KEYS = {"audit", "holds", "max_deviation", "worst_start", "mu", "mu_source",
+                  "bound", "bound_pass", "delta", "delta_pass", "tau", "num_probes",
+                  "notes", "probe_spec"}
+
 
 def _scalar_model(f, name="toy", k_x=1.0, k_u=1.0, x_span=5.0):
     return ControlSystemModel(name, 1, 1, f,
@@ -228,7 +236,8 @@ def test_invariance_report_serializes():
                                         per_axis=5, step=0.01)
     obj = report.to_json()
     assert obj["holds"] is True
-    assert "probe_spec" in obj and "violations" in obj
+    assert set(obj) == INVARIANCE_KEYS
+    assert obj["audit"] == "delta_tau_invariance"
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +253,9 @@ def test_deviation_zero_for_identical_controllers():
     assert report.max_deviation == 0.0
     assert report.holds
     assert report.mu_source == "supplied"
+    obj = report.to_json()
+    assert set(obj) == DEVIATION_KEYS
+    assert obj["audit"] == "controller_deviation" and obj["holds"] is True
 
 
 def test_deviation_linear_analytic():
@@ -293,6 +305,9 @@ def test_sysid_deviation_identical_models():
                                    probes=probes, k_psi=1.0, mu=0.05)
     assert report.max_deviation == 0.0
     assert report.holds
+    obj = report.to_json()
+    assert set(obj) == DEVIATION_KEYS
+    assert obj["audit"] == "field_deviation" and obj["holds"] is True
 
 
 def test_sysid_deviation_toy_linear_bound():

@@ -20,6 +20,7 @@ from tllsynth import (
 from _oracles import (
     brute_force_ads,
     brute_force_simulation,
+    linear_scan_embed,
     random_transition_system,
 )
 
@@ -73,11 +74,15 @@ def test_json_schema_violations():
     with pytest.raises(SchemaError):
         FiniteTransitionSystem.from_json(bad)
     state = obj["states"][0]
-    for states in ([{"id": 0}], [5], [state, {"id": 1, "coords": ["0x1p+0", "0x1p+0"]}]):
+    for states in ([{"id": 0}], [5], [state, {"id": 1, "coords": ["0x1p+0", "0x1p+0"]}],
+                   [state, {**obj["states"][1], "id": True}]):
         with pytest.raises(SchemaError):
             FiniteTransitionSystem.from_json({**obj, "states": states})
+    edge = obj["transitions"][0]
     for transitions in (5, [5], [{"src": None, "label": "a", "dst": 1}],
-                        [{"src": "x", "label": "a", "dst": 1}]):
+                        [{"src": "x", "label": "a", "dst": 1}],
+                        [{**edge, "src": 1.9}], [{**edge, "label": 7}],
+                        [{**edge, "dst": "0"}]):
         with pytest.raises(SchemaError):
             FiniteTransitionSystem.from_json({**obj, "transitions": transitions})
 
@@ -142,6 +147,31 @@ def test_embed_extra_states_are_interned_not_integrated():
                            extra_states=extra)
     assert ts.num_states == 2  # 0.0 deduplicated, 3.0 appended
     assert all(src == 0 for (src, _, _) in ts.transitions)
+    with pytest.raises(DimensionMismatch):
+        embed_tau_sampled(model, controller, samples, tau=1.0, step=0.1,
+                          extra_states=np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("with_extras", [False, True], ids=["samples", "extra-states"])
+def test_embed_matches_linear_scan_reference(with_extras):
+    # coarse snapping merges nearby samples, endpoints and extra states, so
+    # the first-match order of the interning decides the state numbering
+    from tllsynth import pendulum
+
+    model = pendulum()
+    controller = lambda x: -0.5 * (x[..., :1] + x[..., 1:])
+    rng = np.random.default_rng(359)
+    for _ in range(5):
+        samples = rng.uniform(-0.6, 0.6, size=(40, 2))
+        extra = None
+        if with_extras:
+            extra = np.vstack([rng.uniform(-0.8, 0.8, size=(20, 2)),
+                               samples[::4] + rng.uniform(-0.02, 0.02, size=(10, 2))])
+        kwargs = dict(tau=0.25, step=0.025, snap_tol=0.08, extra_states=extra)
+        ts = embed_tau_sampled(model, controller, samples, **kwargs)
+        ref = linear_scan_embed(model, controller, samples, **kwargs)
+        assert ts.to_json() == ref.to_json()
+        assert ts.num_states < 2 * len(samples) + (0 if extra is None else len(extra))
 
 
 def test_embed_snap_tolerance_controls_merging():
