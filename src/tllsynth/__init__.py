@@ -10,7 +10,6 @@ trajectory deviation, approximate simulation) at desk scale.
 
 from .cpwa import (
     CpwaInterpolant,
-    affine_piece,
     build_interpolant,
     continuity_audit,
     extend_extra_corners,
@@ -50,7 +49,6 @@ from .errors import (
     OracleFailure,
     OutsideDomain,
     SchemaError,
-    SingularSystem,
     StepInvalid,
 )
 from .geometry import (
@@ -63,7 +61,6 @@ from .geometry import (
     extra_corners,
     interpolation_hypercubes,
     locate_batch,
-    permutation_rank,
     permutation_rank_batch,
     simplex_vertices,
     simplex_world_vertices,

@@ -2,9 +2,13 @@
 
 Controller values are sampled on the grid, hypercube corners outside the
 grid receive the minimum over their eta-ball grid neighbors, and each braid
-simplex carries the unique affine function interpolating its n+1 corner
-values.  The result is a globally continuous piecewise-affine function on
-the hypercube union whose pieces, sizes, and Lipschitz data are auditable.
+(Kuhn) simplex carries the unique affine function interpolating its n+1
+corner values.  A Kuhn simplex walks from its cube's minimal corner to the
+opposite one, one axis per vertex, so each piece is read off in closed form
+from the value steps along that walk.  Adjacent simplexes share the corners
+of their common face, so continuity is certified exactly at the vertices.
+The result is a globally continuous piecewise-affine function on the
+hypercube union whose pieces, sizes, and Lipschitz data are auditable.
 """
 
 from __future__ import annotations
@@ -14,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DiscontinuityDetected,
-    OracleFailure,
-    SingularSystem,
-)
+from .errors import BudgetExceeded, DiscontinuityDetected, OracleFailure, SchemaError
 from .geometry import (
     EtaGrid,
     SimplexId,
@@ -27,13 +26,10 @@ from .geometry import (
     extra_corners,
     interpolation_hypercubes,
     locate_batch,
-    permutation_rank,
     simplex_vertices,
-    simplex_world_vertices,
 )
 from .serialize import float_to_hex, hex_to_float, hex_to_vec, require_keys
 
-_RESIDUAL_RTOL = 1e-9
 _DEDUP_DECIMALS = 12
 
 
@@ -83,64 +79,16 @@ def extend_extra_corners(omega: np.ndarray, grid: EtaGrid) -> dict[tuple[int, ..
     return {tuple(c): v for c, v in zip(corners.tolist(), values)}
 
 
-@dataclass(frozen=True)
-class AffinePiece:
-    """One affine function w.x + b."""
-
-    w: np.ndarray
-    b: float
-
-    def __call__(self, x) -> float | np.ndarray:
-        return np.asarray(x, dtype=float) @ self.w + self.b
-
-    @property
-    def dual_norm(self) -> float:
-        """sum_i |w_i|: the Lipschitz constant under the infinity norm."""
-        return float(np.abs(self.w).sum())
-
-
-def _solve_pieces(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve stacked (n+1)x(n+1) interpolation systems with residual check.
-
-    ``A`` has shape (..., n+1, n+1) (vertex rows with a trailing 1 column),
-    ``rhs`` shape (..., n+1, m).  LAPACK's LU with partial pivoting does the
-    elimination; solutions are rejected unless the relative residual is
-    within 1e-9.
-    """
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"degenerate simplex vertex matrix: {exc}") from exc
-    resid = np.abs(A @ sol - rhs).max()
-    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    if not np.isfinite(sol).all() or resid > _RESIDUAL_RTOL * scale:
-        raise SingularSystem(
-            f"interpolation solve residual {resid:.3e} exceeds {_RESIDUAL_RTOL:.1e} * {scale:.3e}"
-        )
-    return sol
-
-
-def affine_piece(simplex: SimplexId, grid: EtaGrid, corner_values) -> AffinePiece:
-    """Affine function interpolating the n+1 corner values of one simplex."""
-    vals = np.asarray(corner_values, dtype=float)
-    n = grid.dimension
-    if vals.shape != (n + 1,):
-        raise ValueError(f"need {n + 1} corner values, got shape {vals.shape}")
-    verts = simplex_world_vertices(simplex, grid)
-    A = np.concatenate([verts, np.ones((n + 1, 1))], axis=1)
-    sol = _solve_pieces(A, vals[:, None])[:, 0]
-    return AffinePiece(sol[:n].copy(), float(sol[n]))
-
-
 class CpwaInterpolant:
     """Piecewise-affine interpolant of grid samples on the hypercube union.
 
     Pieces are indexed by (hypercube cell, sorting permutation); evaluation
     locates the simplex and applies its affine function.  ``omega`` has one
-    row per output; ``extra_values`` maps non-grid corner offsets to their
-    value vectors.  ``min_rule_extras`` records whether those values came
-    from the eta-ball minimum rule (the guarantee-carrying construction) or
-    were supplied by the caller (e.g. affine-consistent test data).
+    row per output; ``extra_values`` maps each non-grid corner offset
+    (exactly those of ``extra_corners(grid)``) to its value vector.
+    ``min_rule_extras`` records whether those values came from the eta-ball
+    minimum rule (the guarantee-carrying construction) or were supplied by
+    the caller (e.g. affine-consistent test data).
     """
 
     def __init__(self, grid: EtaGrid, omega: np.ndarray,
@@ -157,52 +105,58 @@ class CpwaInterpolant:
         self.k_cont = None if k_cont is None else float(k_cont)
         self.min_rule_extras = bool(min_rule_extras)
         self.perms = braid_simplices(grid.dimension)
+        self.unit = np.stack([simplex_vertices(s) for s in self.perms])  # (n!, n+1, n)
         self._build_pieces()
 
     # -- construction -----------------------------------------------------
 
     def _corner_table(self) -> np.ndarray:
         """Values on the full corner lattice (offsets -1..count per axis),
-        shape (prod(count_i + 2), m); grid entries from omega, the rest from
-        extra_values."""
-        n, m = self.grid.dimension, self.omega.shape[0]
+        shape (prod(count_i + 2), m): grid entries from omega, the rest from
+        extra_values, whose offsets must be exactly ``extra_corners(grid)``."""
         dims = tuple(c + 2 for c in self.grid.axis_counts)
-        table = np.full((int(np.prod(dims)), m), np.nan)
-        lin_grid = np.ravel_multi_index((self.grid.offsets + 1).T, dims)
-        table[lin_grid] = self.omega.T
-        for corner, vals in self.extra_values.items():
-            if any(o < -1 or o > c for o, c in zip(corner, self.grid.axis_counts)):
-                raise ValueError(f"extra corner {corner} outside the corner lattice")
-            idx = np.ravel_multi_index(tuple(o + 1 for o in corner), dims)
-            if np.asarray(vals).shape != (m,):
-                raise ValueError(f"extra corner {corner} needs {m} values")
-            table[idx] = vals
+        extras = extra_corners(self.grid)
+        offsets = sorted(self.extra_values)
+        if not np.array_equal(np.array(offsets, dtype=np.int64), extras):
+            raise ValueError("extra corner offsets must be exactly the non-grid hypercube corners")
+        values = np.array([self.extra_values[k] for k in offsets])
+        if values.shape != (len(offsets), self.m):
+            raise ValueError(f"every extra corner needs {self.m} values")
+        table = np.empty((int(np.prod(dims)), self.m))
+        table[np.ravel_multi_index((self.grid.offsets + 1).T, dims)] = self.omega.T
+        table[np.ravel_multi_index((extras + 1).T, dims)] = values
         return table
 
+    def _vertex_values(self) -> np.ndarray:
+        """Corner values at every simplex vertex, shape (C, n!, n+1, m),
+        simplexes in (cell, permutation) order."""
+        dims = tuple(c + 2 for c in self.grid.axis_counts)
+        # a vertex's corner is cell + unit vertex, so their flat indices add
+        lin = (np.ravel_multi_index((self.cells + 1).T, dims)[:, None, None]
+               + np.ravel_multi_index(tuple(np.moveaxis(self.unit, -1, 0)), dims))
+        return self._corner_table()[lin]
+
     def _build_pieces(self) -> None:
+        """Closed form on Kuhn simplexes: vertex t adds axis sigma[n-t], so
+        that axis's slope is (v_t - v_{t-1}) / eta, and b = v_0 - w.x_0 at
+        the cube's minimal corner x_0."""
         grid = self.grid
-        n, m = grid.dimension, self.omega.shape[0]
-        cells = interpolation_hypercubes(grid)
-        self.cells = cells
+        self.cells = interpolation_hypercubes(grid)
         self.cell_dims = tuple(c + 1 for c in grid.axis_counts)
-        table = self._corner_table()
-        corner_dims = tuple(c + 2 for c in grid.axis_counts)
-        n_fact = len(self.perms)
-        C = cells.shape[0]
-        unit = np.stack([simplex_vertices(s) for s in self.perms])        # (n!, n+1, n)
-        vert_off = cells[:, None, None, :] + unit[None, :, :, :]         # (C, n!, n+1, n)
-        lin = np.ravel_multi_index(tuple((vert_off[..., i] + 1) for i in range(n)), corner_dims)
-        rhs = table[lin]                                                  # (C, n!, n+1, m)
-        if np.isnan(rhs).any():
-            missing = np.argwhere(np.isnan(rhs[..., 0]))[0]
-            off = vert_off[tuple(missing)]
-            raise ValueError(f"no value for hypercube corner at offset {off.tolist()}")
-        world = grid.anchor + grid.eta * vert_off.astype(float)
-        A = np.concatenate([world, np.ones((C, n_fact, n + 1, 1))], axis=3)
-        sol = _solve_pieces(A.reshape(-1, n + 1, n + 1), rhs.reshape(-1, n + 1, m))
-        sol = sol.reshape(C, n_fact, n + 1, m)
-        self.W = np.ascontiguousarray(np.swapaxes(sol[:, :, :n, :], 2, 3))  # (C, n!, m, n)
-        self.B = np.ascontiguousarray(sol[:, :, n, :])                      # (C, n!, m)
+        values = self._vertex_values()                              # (C, n!, n+1, m)
+        step = np.argmax(np.diff(self.unit, axis=1), axis=1)        # (n!, n): step adding each axis
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(values, axis=2) / grid.eta              # (C, n!, n, m)
+            W = np.take_along_axis(slopes, step[None, :, :, None], axis=2)
+            self.W = np.ascontiguousarray(np.swapaxes(W, 2, 3))      # (C, n!, m, n)
+            x0 = grid.anchor + grid.eta * self.cells
+            self.B = values[:, :, 0, :] - np.einsum("cfmn,cn->cfm", self.W, x0)  # (C, n!, m)
+        bad = ~(np.isfinite(self.W).all(axis=(2, 3)) & np.isfinite(self.B).all(axis=2))
+        if bad.any():
+            c, f = np.argwhere(bad)[0]
+            raise FloatingPointError(
+                f"piece at cell {self.cells[c].tolist()}, permutation {self.perms[f]} is not "
+                "finite: its corner values are non-finite or too large")
 
     # -- shape and lookup -------------------------------------------------
 
@@ -260,6 +214,8 @@ class CpwaInterpolant:
             tuple(int(i) for i in e["offset"]): hex_to_vec(e["values"])
             for e in obj["extra_corners"]
         }
+        if len(extras) != len(obj["extra_corners"]):
+            raise SchemaError("interpolant lists an extra corner offset twice")
         k_cont = obj.get("K_cont")
         return CpwaInterpolant(
             grid, omega, extras,
@@ -274,7 +230,7 @@ def build_interpolant(grid: EtaGrid, omega: np.ndarray, k_cont: float | None = N
 
     By default non-grid corners get the eta-ball minimum rule, which is the
     construction carrying the approximation guarantee.  Callers may override
-    ``extra_values`` (all non-grid corners must then be covered), e.g. to
+    ``extra_values`` (exactly the non-grid corners, each once), e.g. to
     feed affine-consistent corner data in tests.
     """
     if extra_values is None:
@@ -360,69 +316,24 @@ def lipschitz_audit(interp: CpwaInterpolant, bound: float | None = None,
     return report
 
 
-def continuity_audit(interp: CpwaInterpolant, samples_per_face: int = 4,
-                     tol: float = 1e-9, seed: int = 0) -> float:
-    """Sample shared faces and compare the adjacent pieces directly.
+def continuity_audit(interp: CpwaInterpolant, tol: float = 1e-9) -> float:
+    """Certify continuity exactly: twice the largest vertex residual.
 
-    Within a cube, simplexes adjacent by one transposition of the sorting
-    permutation share the tie hyperplane; across cubes, neighbors share the
-    axis face.  The max observed jump is returned; a jump above ``tol``
-    raises ``DiscontinuityDetected``.
+    Each stored piece is evaluated at its own n+1 vertices and compared with
+    the corner values there.  Simplexes sharing a face share that face's
+    corners, so at each shared vertex their pieces differ by at most twice
+    the largest residual, and by linearity so they do on the whole face.
+    That bound is returned; above ``tol`` (or NaN) it raises
+    ``DiscontinuityDetected`` naming the worst simplex and output.
     """
-    rng = np.random.default_rng(seed)
     grid = interp.grid
-    n = grid.dimension
-    perms = interp.perms
-    max_jump = 0.0
-    worst = None
-
-    def jump_at(lin_a, rank_a, lin_b, rank_b, x):
-        nonlocal max_jump, worst
-        va = interp.W[lin_a, rank_a] @ x + interp.B[lin_a, rank_a]
-        vb = interp.W[lin_b, rank_b] @ x + interp.B[lin_b, rank_b]
-        j = float(np.abs(va - vb).max())
-        if j > max_jump:
-            max_jump, worst = j, x.copy()
-
-    cells = interp.cells
-    # tie hyperplanes inside each cube
-    if n >= 2:
-        for ci in range(cells.shape[0]):
-            lin = int(interp._cell_lin(cells[ci]))
-            base = grid.anchor + grid.eta * cells[ci]
-            for ra, sigma in enumerate(perms):
-                for pos in range(n - 1):
-                    swapped = list(sigma)
-                    swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-                    rb = permutation_rank(tuple(swapped))
-                    if rb < ra:
-                        continue
-                    for _ in range(samples_per_face):
-                        vals = np.sort(rng.random(n))
-                        vals[pos + 1] = vals[pos]
-                        t = np.empty(n)
-                        t[list(sigma)] = vals
-                        jump_at(lin, ra, lin, rb, base + grid.eta * t)
-    # shared faces between adjacent cubes
-    for axis in range(n):
-        for ci in range(cells.shape[0]):
-            cell = cells[ci]
-            if cell[axis] + 1 > grid.axis_counts[axis] - 1:
-                continue
-            nb = cell.copy()
-            nb[axis] += 1
-            lin_a, lin_b = int(interp._cell_lin(cell)), int(interp._cell_lin(nb))
-            for _ in range(samples_per_face):
-                t = rng.random(n)
-                t[axis] = 1.0
-                x = grid.anchor + grid.eta * (cell + t)
-                ta, tb = t, t.copy()
-                tb[axis] = 0.0
-                ra = permutation_rank(tuple(int(i) for i in np.argsort(ta, kind="stable")))
-                rb = permutation_rank(tuple(int(i) for i in np.argsort(tb, kind="stable")))
-                jump_at(lin_a, ra, lin_b, rb, x)
-    if max_jump > tol:
+    world = grid.anchor + grid.eta * (interp.cells[:, None, None, :] + interp.unit)
+    fitted = np.einsum("cfmn,cftn->cftm", interp.W, world) + interp.B[:, :, None, :]
+    resid = np.abs(fitted - interp._vertex_values())           # (C, n!, n+1, m)
+    c, f, _, j = np.unravel_index(np.argmax(resid), resid.shape)
+    bound = 2.0 * float(resid.max())
+    if not bound <= tol:
         raise DiscontinuityDetected(
-            f"pieces disagree by {max_jump:.3e} (> {tol:.1e}) near {worst.tolist()}"
-        )
-    return max_jump
+            f"vertex residuals bound the face jump by {bound:.3e} (> {tol:.1e}) at cell "
+            f"{interp.cells[c].tolist()}, permutation {interp.perms[f]}, output {j}")
+    return bound

@@ -21,10 +21,6 @@ class OracleFailure(TllSynthError):
     """Controller oracle raised or returned non-finite values."""
 
 
-class SingularSystem(TllSynthError):
-    """Affine interpolation system is singular or failed its residual check."""
-
-
 class BudgetExceeded(TllSynthError):
     """A measured quantity violates its declared budget."""
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -292,16 +291,6 @@ def braid_face_dissection(n: int, axis: int, side: int) -> set[frozenset[tuple[i
             projected = np.delete(on_face, axis, axis=1)
             out.add(frozenset(tuple(int(v) for v in row) for row in projected))
     return out
-
-
-@lru_cache(maxsize=32)
-def _perm_table(n: int) -> dict[tuple[int, ...], int]:
-    return {p: i for i, p in enumerate(itertools.permutations(range(n)))}
-
-
-def permutation_rank(sigma: tuple[int, ...]) -> int:
-    """Lexicographic rank of a permutation among all of its length."""
-    return _perm_table(len(sigma))[tuple(sigma)]
 
 
 def permutation_rank_batch(sigmas: np.ndarray) -> np.ndarray:

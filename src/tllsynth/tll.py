@@ -24,7 +24,6 @@ from .errors import (
     InvariantViolation,
     SchemaError,
 )
-from .geometry import simplex_vertices
 from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
 from .sizing import controller_size
 
@@ -106,7 +105,7 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
 
     Bank: distinct pieces (``piece_bank``).  Selector sets: one per simplex,
     holding every bank function that is >= the simplex's active piece at its
-    n+1 vertices, with a 1e-9 slack absorbing solve noise (inclusion errs
+    n+1 vertices, with a 1e-9 slack absorbing rounding noise (inclusion errs
     toward the max, which is sound).  The active piece always belongs to its
     own set, so sets are nonempty; duplicate sets are stored once.
     """
@@ -121,13 +120,12 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     # active piece at its n+1 vertices (exact for affine functions on the
     # simplex).  Simplexes are convex, which is what makes the max-of-mins
     # representation exact; identical sets collapse to a single entry.
-    unit = [simplex_vertices(s) for s in interp.perms]
     selectors: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()
     for c in range(C):
         cell = interp.cells[c]
         for f in range(F):
-            verts = grid.anchor + grid.eta * (cell + unit[f]).astype(float)
+            verts = grid.anchor + grid.eta * (cell + interp.unit[f]).astype(float)
             vals = W @ verts.T + b[:, None]       # (N, n+1)
             i = act[c, f]
             dominated = (vals >= vals[i] - _DOMINANCE_TOL).all(axis=1)

@@ -8,9 +8,12 @@ max-of-min combinations of affine pieces whose gradients are controlled
 by construction.  The linear-scan embedding interns states one list entry
 at a time and the pairwise tree expansion below builds ReLU layers one
 neuron at a time, as the library once did; they are the bitwise references
-for the library's array-based interning and array-built layers.
+for the library's array-based interning and array-built layers.  The
+per-simplex LU solve is the reference for the closed-form interpolation
+pieces.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -279,6 +282,51 @@ def dict_piece_bank(interp, output):
                 bank_b.append(float(interp.B[c, f, output]))
             active.append(index[k])
     return np.array(bank_w), np.array(bank_b), np.array(active, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# permutation ranks and the linear-solve interpolation pieces
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=32)
+def _perm_table(n):
+    return {p: i for i, p in enumerate(itertools.permutations(range(n)))}
+
+
+def permutation_rank(sigma):
+    """Lexicographic rank of a permutation among all of its length."""
+    return _perm_table(len(sigma))[tuple(sigma)]
+
+
+def lu_pieces(interp):
+    """Interpolation pieces by one LU solve per simplex, as the library once
+    built them: rows [x_t, 1] @ [w; b] = v_t over the n+1 vertices.
+
+    Cells run over offsets -1 .. count-1 per axis in lexicographic order,
+    permutations in lexicographic order; vertex t of permutation sigma sets
+    coordinates sigma[n-t:] of the cell's unit cube to one.  Corner values
+    come from ``interp.omega`` and ``interp.extra_values``.  Returns W
+    (C, n!, m, n) and B (C, n!, m).
+    """
+    grid = interp.grid
+    n = grid.dimension
+    value = {tuple(o): interp.omega[:, i] for i, o in enumerate(grid.offsets.tolist())}
+    value.update(interp.extra_values)
+    A, rhs = [], []
+    for cell in itertools.product(*(range(-1, c) for c in grid.axis_counts)):
+        for sigma in itertools.permutations(range(n)):
+            corner = list(cell)
+            verts = [tuple(corner)]
+            for t in range(1, n + 1):
+                corner[sigma[n - t]] += 1
+                verts.append(tuple(corner))
+            x = grid.anchor + grid.eta * np.array(verts, dtype=float)
+            A.append(np.concatenate([x, np.ones((n + 1, 1))], axis=1))
+            rhs.append([value[v] for v in verts])
+    sol = np.linalg.solve(np.array(A), np.array(rhs))        # (C * n!, n+1, m)
+    shape = (-1, math.factorial(n)) + sol.shape[1:]
+    sol = sol.reshape(shape)
+    return np.swapaxes(sol[:, :, :n, :], 2, 3), sol[:, :, n, :]
 
 
 # ---------------------------------------------------------------------------

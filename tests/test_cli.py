@@ -110,16 +110,25 @@ def test_missing_and_malformed_config(tmp_path):
 _NULL_K_X = {"k_x": None, "k_u": 1.0, "k_cont": 1.0, "tau": 0.1, "delta": 0.05}
 
 
+_UNIT_DOMAIN = {"domain": {"lower": [0.0], "upper": [1.0]}}
+_ZERO_APPROX = {"mu": 1e-9, "oracle": {"kind": "builtin", "name": "zero"}}
+
+
 @pytest.mark.parametrize("command, cfg_obj", [
     ("size", _size_cfg(budget=_NULL_K_X)),
     ("size", _size_cfg(eta=[0.25])),
-    ("grid", {"domain": {"lower": [0.0], "upper": [1.0]}, "eta": [0.25]}),
+    ("grid", dict(_UNIT_DOMAIN, eta=[0.25])),
+    ("grid", dict(_UNIT_DOMAIN, eta="0.25")),
+    ("grid", dict(_UNIT_DOMAIN, eta=True)),
+    ("grid", dict(_UNIT_DOMAIN, eta=10 ** 400)),   # an integer no float holds
     ("verify", {"tolerances": 5}),
     ("verify", {"tolerances": {"continuity": [1e-9]}}),
-    ("verify", {"probes": {"per_axis": [3]}}),
+    ("verify", dict(_ZERO_APPROX, probes={"per_axis": [3]})),
     ("compile", {"bound_n": {}}),
-], ids=["size-null-k_x", "size-list-eta", "grid-list-eta", "verify-scalar-tolerances",
-        "verify-list-tolerance", "verify-list-per_axis", "compile-object-bound_n"])
+    ("compile", {"bound_n": 31.9}),
+], ids=["size-null-k_x", "size-list-eta", "grid-list-eta", "grid-string-eta", "grid-bool-eta",
+        "grid-huge-int-eta", "verify-scalar-tolerances", "verify-list-tolerance",
+        "verify-list-per_axis", "compile-object-bound_n", "compile-float-bound_n"])
 def test_wrong_config_value_types_are_config_errors(tmp_path, command, cfg_obj):
     cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
     argv = [command, "--config", cfg, "--out", str(tmp_path)]
@@ -127,7 +136,8 @@ def test_wrong_config_value_types_are_config_errors(tmp_path, command, cfg_obj):
         out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
         argv[1:1] = [str(out / "interpolant.json")]
         if command == "verify":
-            argv[2:2] = ["--which", "continuity"]
+            # only approx of these checks reads probes, and it needs mu and an oracle
+            argv[2:2] = ["--which", "approx" if "mu" in cfg_obj else "continuity"]
     assert main(argv) == 2
     assert not list(tmp_path.glob("*_report.json"))
 
@@ -193,6 +203,48 @@ def test_build_nonpositive_m_is_config_error(tmp_path):
         assert not (tmp_path / "build_report.json").exists()
 
 
+def test_pendulum_damping_oracle_needs_two_inputs_one_output(tmp_path):
+    for extra in ({"m": 2}, {"domain": {"lower": [0.0] * 3, "upper": [1.0] * 3}}):
+        cfg_obj = _affine_build_cfg({"kind": "builtin", "name": "pendulum_damping"})
+        cfg_obj.update(extra)
+        cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
+        assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "build_report.json").exists()
+
+
+def _edited_interpolant_exit(tmp_path, edit):
+    """Exit code of ``verify --which lipschitz`` on an edited zero interpolant."""
+    out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+    obj = load_json(str(out / "interpolant.json"))
+    edit(obj)
+    bad = tmp_path / "edited.json"
+    dump_json(obj, str(bad))
+    return main(["verify", str(bad), "--which", "lipschitz", "--out", str(tmp_path)])
+
+
+def test_interpolant_extra_corners_must_be_the_non_grid_corners(tmp_path):
+    five = float.hex(5.0)
+    for edit in (
+        lambda obj: obj["extra_corners"].append({"offset": [0, 0], "values": [five]}),
+        lambda obj: obj["extra_corners"].append(obj["extra_corners"][0]),
+        lambda obj: obj["extra_corners"].pop(3),
+    ):
+        assert _edited_interpolant_exit(tmp_path, edit) == 2
+        assert not (tmp_path / "verify_lipschitz_report.json").exists()
+
+
+def test_nonfinite_or_overflowing_pieces_are_numerical_errors(tmp_path):
+    def inf_corner(obj):
+        obj["extra_corners"][0]["values"] = [float.hex(float("inf"))]
+
+    def neighbours_overflow(obj):   # grid offsets (0, 0) and (0, 1)
+        obj["omega"][0][:2] = [float.hex(1.7e308), float.hex(-1.7e308)]
+
+    for edit in (inf_corner, neighbours_overflow):
+        assert _edited_interpolant_exit(tmp_path, edit) == 3
+        assert not (tmp_path / "verify_lipschitz_report.json").exists()
+
+
 def test_verify_regions_rejects_malformed_bound(tmp_path):
     out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
     net = load_json(str(out / "network.json"))
@@ -235,6 +287,10 @@ def test_affine_chain_and_verifications(tmp_path):
 
     assert main(["verify", interp, "--which", "continuity",
                  "--config", vcfg, "--out", str(out)]) == 0
+    cont = _report(out, "verify_continuity_report.json")["results"]
+    # an exact vertex certificate: no probe spec and no seed
+    assert set(cont) == {"which", "metric", "value", "bound", "pass"}
+    assert 0.0 <= cont["value"] <= cont["bound"] == 1e-9
 
     assert main(["verify", interp, "--which", "regions",
                  "--config", vcfg, "--out", str(out)]) == 0

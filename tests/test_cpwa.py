@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import brute_force_extra_values, dict_piece_bank
+from _oracles import brute_force_extra_values, dict_piece_bank, lu_pieces
 from tllsynth import (
     Box,
     BudgetExceeded,
@@ -14,8 +14,6 @@ from tllsynth import (
     OracleFailure,
     SchemaError,
     SimplexId,
-    SingularSystem,
-    affine_piece,
     build_eta_grid,
     build_interpolant,
     compile_tll,
@@ -28,7 +26,7 @@ from tllsynth import (
     sample_controller,
     simplex_world_vertices,
 )
-from tllsynth.cpwa import _solve_pieces, piece_bank
+from tllsynth.cpwa import piece_bank
 
 
 def consistent_extras(grid, fn):
@@ -107,39 +105,67 @@ def test_extension_all_equal_values():
 # single affine pieces
 # ---------------------------------------------------------------------------
 
+def _piece(interp, simplex):
+    """(w, b) of output 0 on one simplex of a built interpolant."""
+    lin = int(interp._cell_lin(np.array(simplex.cell)))
+    f = interp.perms.index(simplex.sigma)
+    return interp.W[lin, f, 0], float(interp.B[lin, f, 0])
+
+
 def test_affine_piece_constant():
     grid = build_eta_grid(Box([-0.5, -0.5], [1.5, 1.5]), 1.0)
-    piece = affine_piece(SimplexId((0, 0), (0, 1)), grid, [3.0, 3.0, 3.0])
-    assert piece.w == pytest.approx([0.0, 0.0], abs=1e-12)
-    assert piece.b == pytest.approx(3.0, abs=1e-12)
-    assert piece.dual_norm == pytest.approx(0.0, abs=1e-12)
+    interp = build_interpolant(grid, np.full((1, grid.num_points), 3.0))
+    w, b = _piece(interp, SimplexId((0, 0), (0, 1)))
+    assert w == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert b == pytest.approx(3.0, abs=1e-12)
+    assert np.abs(w).sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_affine_piece_recovers_plane():
-    # unit simplex (0,0), (0,1), (1,1) with values of x1 + 2 x2
+    # unit simplex (0,0), (0,1), (1,1) with values of x1 + 2 x2; grid
+    # offsets are (0,0), (0,1), (1,0), (1,1), and (1,0) is not a vertex
     grid = build_eta_grid(Box([-0.5, -0.5], [1.5, 1.5]), 1.0)
-    piece = affine_piece(SimplexId((0, 0), (0, 1)), grid, [0.0, 2.0, 3.0])
-    assert piece.w == pytest.approx([1.0, 2.0], abs=1e-12)
-    assert piece.b == pytest.approx(0.0, abs=1e-12)
+    interp = build_interpolant(grid, np.array([[0.0, 2.0, 7.0, 3.0]]))
+    w, b = _piece(interp, SimplexId((0, 0), (0, 1)))
+    assert w == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert b == pytest.approx(0.0, abs=1e-12)
 
 
 def test_affine_piece_reproduces_vertices():
     rng = np.random.default_rng(31)
     grid = build_eta_grid(Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 0.5)
+    omega = rng.normal(size=(1, grid.num_points))
+    extras = {tuple(c): rng.normal(size=1) for c in extra_corners(grid).tolist()}
+    interp = build_interpolant(grid, omega, extra_values=extras)
+    value = dict(extras)
+    value.update((tuple(o), omega[:, i]) for i, o in enumerate(grid.offsets.tolist()))
     for _ in range(20):
         sigma = tuple(rng.permutation(3).tolist())
         cell = tuple(int(v) for v in rng.integers(-1, 2, size=3))
-        vals = rng.normal(size=4)
         s = SimplexId(cell, sigma)
-        piece = affine_piece(s, grid, vals)
         verts = simplex_world_vertices(s, grid)
-        assert np.allclose(piece(verts), vals, atol=1e-9, rtol=1e-9)
+        offsets = np.rint((verts - grid.anchor) / grid.eta).astype(int)
+        vals = np.array([value[tuple(o)][0] for o in offsets.tolist()])
+        w, b = _piece(interp, s)
+        assert np.allclose(verts @ w + b, vals, atol=1e-9, rtol=1e-9)
 
 
-def test_degenerate_vertex_matrix_rejected():
-    A = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    with pytest.raises(SingularSystem):
-        _solve_pieces(A, np.zeros((3, 1)))
+def test_closed_form_pieces_match_lu_reference():
+    # n = 1..4, random anchors and eta, value scales 1e-12 .. 1e9: the
+    # closed form agrees with the LU solve relative to the data's scale
+    rng = np.random.default_rng(97)
+    for n in (1, 2, 3, 4):
+        for scale in (1e-12, 1e-3, 1.0, 1e9):
+            lower = rng.uniform(-5.0, 5.0, size=n)
+            eta = float(rng.uniform(0.2, 0.6))
+            grid = build_eta_grid(Box(lower, lower + rng.uniform(0.5, 1.5, size=n)), eta)
+            omega = scale * rng.normal(size=(2, grid.num_points))
+            interp = build_interpolant(grid, omega)
+            W, B = lu_pieces(interp)
+            value_scale = float(np.abs(omega).max())
+            x_scale = float(np.abs(grid.anchor).max()) + eta * (max(grid.axis_counts) + 1)
+            assert np.abs(interp.W - W).max() <= 1e-12 * value_scale / eta
+            assert np.abs(interp.B - B).max() <= 1e-12 * value_scale * (1.0 + x_scale / eta)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +369,11 @@ def test_continuity_audit_catches_corruption():
     rng = np.random.default_rng(71)
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.4)
     omega = rng.normal(size=(1, grid.num_points))
-    interp = build_interpolant(grid, omega)
-    interp.B[2, 0, 0] += 0.5  # shift one piece off its neighbors
-    with pytest.raises(DiscontinuityDetected):
-        continuity_audit(interp)
+    for corrupt in ("B", "W"):
+        interp = build_interpolant(grid, omega)
+        getattr(interp, corrupt)[2, 0, 0] += 0.5  # tilt or shift one piece off its neighbors
+        with pytest.raises(DiscontinuityDetected):
+            continuity_audit(interp)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +408,14 @@ def test_interpolant_json_requires_keys():
 
 def test_interpolant_rejects_uncovered_corner():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
+    omega = np.array([[0.0, 1.0]])
     with pytest.raises(ValueError):
         # missing the corner at offset 2
-        CpwaInterpolant(grid, np.array([[0.0, 1.0]]), {(-1,): np.array([0.0])})
+        CpwaInterpolant(grid, omega, {(-1,): np.array([0.0])})
+    with pytest.raises(ValueError):
+        # offset 0 is a grid point: its value is omega's, not an extra
+        CpwaInterpolant(grid, omega, {(-1,): [0.0], (0,): [5.0], (2,): [0.0]})
+    obj = build_interpolant(grid, omega).to_json()
+    obj["extra_corners"].append(obj["extra_corners"][0])
+    with pytest.raises(SchemaError):
+        CpwaInterpolant.from_json(obj)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import permutation_rank
 from tllsynth import (
     Box,
     DimensionTooLarge,
@@ -20,7 +21,6 @@ from tllsynth import (
     extra_corners,
     interpolation_hypercubes,
     locate_batch,
-    permutation_rank,
     permutation_rank_batch,
     simplex_vertices,
     simplex_world_vertices,
