@@ -20,6 +20,7 @@ import contextlib
 import csv
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -28,12 +29,15 @@ import numpy as np
 
 from . import __version__
 from .cpwa import (
+    REL_TOL,
     CpwaInterpolant,
     build_interpolant,
+    check_oracle_reply,
     continuity_audit,
     lipschitz_audit,
     region_count,
     sample_controller,
+    value_scale,
 )
 from .dynamics import (
     ControlSystemModel,
@@ -138,14 +142,6 @@ def _number(obj: dict, key: str, default=None, kind=float):
         raise ConfigError(f"'{key}' is out of range: {val!r}") from exc
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """An optional object of settings; absent means empty."""
-    sec = cfg.get(key, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    return sec
-
-
 def _budget_from(cfg: dict) -> SpecBudget:
     b = cfg.get("budget")
     if not isinstance(b, dict):
@@ -192,20 +188,15 @@ def _resolve_eta(cfg: dict, domain: Box) -> float:
 
 
 def _probe_settings(cfg: dict, args) -> tuple[int, int, int]:
-    p = _section(cfg, "probes")
+    p = cfg.get("probes", {})
+    if not isinstance(p, dict):
+        raise ConfigError("'probes' must be an object")
     per_axis = _number(p, "per_axis", 5, int)
     random_count = _number(p, "random", 0, int)
     seed = args.seed if args.seed is not None else _number(p, "seed", 0, int)
     if per_axis < 1 or random_count < 0:
         raise ConfigError("probes need per_axis >= 1 and random >= 0")
     return per_axis, random_count, seed
-
-
-def _tolerance(cfg: dict, name: str, default: float) -> float:
-    val = _number(_section(cfg, "tolerances"), name, default)
-    if not (val > 0):
-        raise ConfigError(f"tolerance '{name}' must be positive")
-    return val
 
 
 # -- controller oracles --------------------------------------------------------
@@ -244,7 +235,9 @@ class _CsvOracle:
         return np.stack([self(row) for row in x])
 
 
-# seconds a subprocess oracle gets to exit after its input closes
+# seconds a subprocess oracle gets to answer one request, and to exit after
+# its input closes
+_ORACLE_REPLY_WAIT_S = 60.0
 _ORACLE_EXIT_WAIT_S = 10.0
 
 
@@ -252,7 +245,8 @@ class _SubprocessOracle:
     """Child process evaluated per batch over line-delimited JSON.
 
     Request: one line ``{"points": [[...], ...]}``.  Response: one line
-    ``{"controls": [[...], ...]}`` with matching row count.
+    ``{"controls": [[...], ...]}`` with matching row count, within
+    ``_ORACLE_REPLY_WAIT_S``; a child that misses it is killed.
     """
 
     def __init__(self, argv: list[str], m: int):
@@ -260,24 +254,51 @@ class _SubprocessOracle:
             raise ConfigError("subprocess oracle needs a nonempty argv list")
         self.argv, self.m = list(argv), m
         self.proc: subprocess.Popen | None = None
+        self.pending = b""          # bytes read past the last reply line
 
     def _ensure(self) -> subprocess.Popen:
         if self.proc is None or self.proc.poll() is not None:
-            self.proc = subprocess.Popen(
-                self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-            )
+            self.proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            os.set_blocking(self.proc.stdin.fileno(), False)    # writes wait in select
+            self.pending = b""
         return self.proc
+
+    def _exchange(self, proc: subprocess.Popen, request: bytes) -> bytes:
+        """Write one request and read one reply line (empty at EOF) within
+        the deadline; past it the child is killed and reaped."""
+        deadline = time.monotonic() + _ORACLE_REPLY_WAIT_S
+        out, inp = proc.stdout.fileno(), proc.stdin.fileno()
+        while b"\n" not in self.pending:
+            if request:
+                try:
+                    request = request[os.write(inp, request):]   # as much as the pipe takes
+                except BlockingIOError:
+                    pass
+            left = deadline - time.monotonic()
+            readable, writable, _ = select.select([out], [inp] if request else [], [],
+                                                  max(left, 0.0))
+            if not (readable or writable):
+                proc.kill()
+                proc.wait()
+                raise OracleFailure(
+                    f"subprocess oracle gave no reply within {_ORACLE_REPLY_WAIT_S:g} s")
+            if readable:
+                chunk = os.read(out, 1 << 16)
+                if not chunk:
+                    break
+                self.pending += chunk
+        line, _, self.pending = self.pending.partition(b"\n")
+        return line
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         batch = x[None, :] if single else x
         proc = self._ensure()
+        request = json.dumps({"points": batch.tolist()}).encode() + b"\n"
         try:
-            proc.stdin.write(json.dumps({"points": batch.tolist()}) + "\n")
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
+            line = self._exchange(proc, request)
+        except OSError as exc:
             raise OracleFailure(f"subprocess oracle pipe failed: {exc}") from exc
         if not line:
             raise OracleFailure("subprocess oracle closed its output stream")
@@ -497,9 +518,7 @@ def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
     per_axis, random_count, seed = _probe_settings(cfg, args)
     probes = build_probes(interp.grid.domain, per_axis, random_count, seed)
     with _closing(oracle):
-        want = np.atleast_2d(np.asarray(oracle(probes.points), dtype=float))
-    if want.shape != (len(probes), interp.m):
-        want = want.reshape(len(probes), interp.m)
+        want = check_oracle_reply(oracle(probes.points), probes.points, interp.m)
     got = interp.eval_batch(probes.points)
     value = float(np.abs(got - want).max())
     passed = value <= mu
@@ -516,6 +535,9 @@ def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args) if args.config else {}
+    if "tolerances" in cfg:
+        raise ConfigError(f"'tolerances' is no longer read: every verify bound is {REL_TOL:g} "
+                          "times each output's power-of-two value scale")
     interp = _load_interpolant(args.artifact)
     which = args.which
     if which == "approx":
@@ -531,27 +553,26 @@ def cmd_verify(args) -> int:
                        "error": str(exc), "pass": False}
             passed = False
     elif which == "continuity":
-        tol = _tolerance(cfg, "continuity", 1e-9)
-        metric = "face jump bound (2 x max vertex residual)"
+        metric = "face jump bound (2 x max vertex residual) / value scale"
         try:
-            results = {"metric": metric, "value": continuity_audit(interp, tol),
-                       "bound": tol, "pass": True}
+            results = {"metric": metric, "value": continuity_audit(interp),
+                       "bound": REL_TOL, "pass": True}
             passed = True
         except DiscontinuityDetected as exc:
-            results = {"metric": metric, "error": str(exc), "bound": tol, "pass": False}
+            results = {"metric": metric, "error": str(exc), "bound": REL_TOL, "pass": False}
             passed = False
     elif which == "tll-equiv":
         if not args.network:
             raise ConfigError("tll-equiv verification needs --network <file>")
         net = import_network(load_json(args.network))
-        tol = _tolerance(cfg, "eval", 1e-9)
         per_axis, random_count, seed = _probe_settings(cfg, args)
         probes = build_probes(interp.grid.domain, per_axis, random_count, seed)
-        gap = float(np.abs(net.eval_batch(probes.points)
-                           - interp.eval_batch(probes.points)).max())
-        passed = gap <= tol
-        results = {"metric": "max lattice-vs-interpolant gap", "value": gap,
-                   "bound": tol, "pass": passed, "probe_spec": probes.spec,
+        gaps = np.abs(net.eval_batch(probes.points) - interp.eval_batch(probes.points))
+        scale = [value_scale(interp, j) for j in range(interp.m)]
+        gap = float((gaps.max(axis=0) / scale).max())
+        passed = gap <= REL_TOL
+        results = {"metric": "max lattice-vs-interpolant gap / value scale", "value": gap,
+                   "bound": REL_TOL, "pass": passed, "probe_spec": probes.spec,
                    "seed": probes.seed}
     elif which == "regions":
         counts = region_count(interp)

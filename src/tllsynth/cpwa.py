@@ -14,6 +14,7 @@ hypercube union whose pieces, sizes, and Lipschitz data are auditable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +22,35 @@ import numpy as np
 from .errors import BudgetExceeded, DiscontinuityDetected, OracleFailure, SchemaError
 from .geometry import (
     EtaGrid,
-    SimplexId,
     braid_simplices,
     extra_corners,
     interpolation_hypercubes,
     locate_batch,
     simplex_vertices,
 )
-from .serialize import float_to_hex, hex_to_float, hex_to_vec, require_keys
+from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
 
 _DEDUP_DECIMALS = 12
+REL_TOL = 1e-9  # every value tolerance is REL_TOL times the output's value_scale
+
+
+def check_oracle_reply(reply, points: np.ndarray, m: int) -> np.ndarray:
+    """An oracle's reply at ``points`` (P, n) as a finite (P, m) array.
+
+    A reply that is not numeric, has another shape, or holds a non-finite
+    row raises ``OracleFailure`` naming the first bad point.
+    """
+    try:
+        values = np.asarray(reply, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise OracleFailure(f"oracle reply at {points[0].tolist()} is not numeric: {exc}") from exc
+    if values.shape != (len(points), m):
+        raise OracleFailure(f"oracle returned shape {values.shape} for the points from "
+                            f"{points[0].tolist()}, expected ({len(points)}, {m})")
+    if not np.isfinite(values).all():
+        first = np.flatnonzero(~np.isfinite(values).all(axis=1))[0]
+        raise OracleFailure(f"oracle returned non-finite values at {points[first].tolist()}")
+    return values
 
 
 def sample_controller(oracle, grid: EtaGrid, m: int) -> np.ndarray:
@@ -46,16 +66,10 @@ def sample_controller(oracle, grid: EtaGrid, m: int) -> np.ndarray:
     values = np.empty((grid.num_points, m))
     for i, p in enumerate(grid.points):
         try:
-            v = np.atleast_1d(np.asarray(oracle(p), dtype=float))
+            v = np.atleast_1d(oracle(p))
         except Exception as exc:
             raise OracleFailure(f"oracle raised at grid point {p.tolist()}: {exc}") from exc
-        if v.shape != (m,):
-            raise OracleFailure(
-                f"oracle returned shape {v.shape} at {p.tolist()}, expected ({m},)"
-            )
-        if not np.isfinite(v).all():
-            raise OracleFailure(f"oracle returned non-finite values at {p.tolist()}")
-        values[i] = v
+        values[i] = check_oracle_reply(v[None], p[None], m)[0]
     return values.T.copy()
 
 
@@ -117,7 +131,7 @@ class CpwaInterpolant:
         dims = tuple(c + 2 for c in self.grid.axis_counts)
         extras = extra_corners(self.grid)
         offsets = sorted(self.extra_values)
-        if not np.array_equal(np.array(offsets, dtype=np.int64), extras):
+        if offsets != list(map(tuple, extras.tolist())):
             raise ValueError("extra corner offsets must be exactly the non-grid hypercube corners")
         values = np.array([self.extra_values[k] for k in offsets])
         if values.shape != (len(offsets), self.m):
@@ -210,10 +224,12 @@ class CpwaInterpolant:
         require_keys(obj, ("grid", "omega", "extra_corners"), "interpolant")
         grid = EtaGrid.from_json(obj["grid"])
         omega = np.array([[hex_to_float(v) for v in row] for row in obj["omega"]])
-        extras = {
-            tuple(int(i) for i in e["offset"]): hex_to_vec(e["values"])
-            for e in obj["extra_corners"]
-        }
+        extras = {}
+        for e in obj["extra_corners"]:
+            require_keys(e, ("offset", "values"), "extra corner")
+            if not isinstance(e["offset"], list) or not all(map(is_int, e["offset"])):
+                raise SchemaError(f"extra corner offset {e['offset']!r} is not a list of integers")
+            extras[tuple(e["offset"])] = hex_to_vec(e["values"])
         if len(extras) != len(obj["extra_corners"]):
             raise SchemaError("interpolant lists an extra corner offset twice")
         k_cont = obj.get("K_cont")
@@ -241,20 +257,32 @@ def build_interpolant(grid: EtaGrid, omega: np.ndarray, k_cont: float | None = N
     return CpwaInterpolant(grid, omega, extra_values, k_cont, min_rule)
 
 
+def value_scale(interp: CpwaInterpolant, output: int) -> float:
+    """The power of two nearest to max|omega| of one output (1.0 if all zero),
+    the unit of every value tolerance.  Dividing by it is exact, so omega * 2^k
+    compiles to the same selectors and a bank 2^k times as large."""
+    frac, exp = math.frexp(float(np.abs(interp.omega[output]).max()))  # frac in [0.5, 1)
+    if frac == 0.0:
+        return 1.0
+    return math.ldexp(1.0, min(exp if frac >= 0.75 else exp - 1, 1023))  # 2^1024 overflows
+
+
 def piece_bank(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct affine pieces of one output, in first-occurrence order.
 
     Returns the bank ``W`` (N, n) and ``b`` (N,), taken from each piece's
     first simplex, and the bank index of every simplex's piece (C * n!,),
-    simplexes in (cell, permutation) order.  Two pieces are the same when
-    ``np.round(w, 12)`` and Python's correctly rounded ``round(b, 12)``
-    agree exactly, with -0 folded into +0.
+    simplexes in (cell, permutation) order.  With s the output's
+    ``value_scale``, two pieces are the same when ``np.round(w / s, 12)``
+    and Python's correctly rounded ``round(b / s, 12)`` agree exactly, with
+    -0 folded into +0.
     """
     w = interp.W[:, :, output].reshape(-1, interp.n)
     b = interp.B[:, :, output].reshape(-1)
+    s = value_scale(interp, output)
     key = np.empty((b.size, interp.n + 1))
-    key[:, :-1] = np.round(w, _DEDUP_DECIMALS)
-    key[:, -1] = [round(v, _DEDUP_DECIMALS) for v in b.tolist()]
+    key[:, :-1] = np.round(w / s, _DEDUP_DECIMALS)
+    key[:, -1] = [round(v, _DEDUP_DECIMALS) for v in (b / s).tolist()]
     key += 0.0  # fold -0.0 into +0.0, so equal keys have equal bytes
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
@@ -274,66 +302,50 @@ def region_count(interp: CpwaInterpolant) -> list[int]:
 class LipschitzReport:
     """Gradient dual-norm audit of all pieces."""
 
-    per_output: list[float]
     value: float
     bound: float | None
-    worst: SimplexId
-    worst_output: int
-
-    def to_json(self) -> dict:
-        return {
-            "per_output": [float_to_hex(v) for v in self.per_output],
-            "value": float_to_hex(self.value),
-            "bound": None if self.bound is None else float_to_hex(self.bound),
-            "worst_cell": list(self.worst.cell),
-            "worst_sigma": list(self.worst.sigma),
-            "worst_output": self.worst_output,
-        }
 
 
-def lipschitz_audit(interp: CpwaInterpolant, bound: float | None = None,
-                    slack: float = 1e-9) -> LipschitzReport:
-    """Max over pieces of sum_i |w_i| per output, checked against the bound.
+def lipschitz_audit(interp: CpwaInterpolant, bound: float | None = None) -> LipschitzReport:
+    """Max over pieces of sum_i |w_i|, checked against the bound.
 
     The default bound is 3 * k_cont when the interpolant declares k_cont.
-    Exceeding the bound beyond ``slack`` raises ``BudgetExceeded`` naming
-    the offending simplex.
+    Exceeding ``bound * (1 + REL_TOL)`` raises ``BudgetExceeded`` naming
+    the offending simplex and output.
     """
     if bound is None and interp.k_cont is not None:
         bound = 3.0 * interp.k_cont
     dual = np.abs(interp.W).sum(axis=3)          # (C, n!, m)
-    per_output = dual.max(axis=(0, 1))
-    flat = int(np.argmax(dual))
-    c, f, j = np.unravel_index(flat, dual.shape)
-    worst = SimplexId(tuple(int(v) for v in interp.cells[c]), interp.perms[f])
-    report = LipschitzReport([float(v) for v in per_output], float(dual.max()),
-                             bound, worst, int(j))
-    if bound is not None and report.value > bound + slack:
+    report = LipschitzReport(float(dual.max()), bound)
+    if bound is not None and report.value > bound * (1.0 + REL_TOL):
+        c, f, j = np.unravel_index(int(np.argmax(dual)), dual.shape)
         raise BudgetExceeded(
-            f"piece gradient dual norm {report.value:.6g} exceeds bound {bound:.6g} "
-            f"at cell {worst.cell}, permutation {worst.sigma}, output {j}"
+            f"piece gradient dual norm {report.value:.6g} exceeds bound {bound:.6g} at cell "
+            f"{tuple(int(v) for v in interp.cells[c])}, permutation {interp.perms[f]}, output {j}"
         )
     return report
 
 
-def continuity_audit(interp: CpwaInterpolant, tol: float = 1e-9) -> float:
-    """Certify continuity exactly: twice the largest vertex residual.
+def continuity_audit(interp: CpwaInterpolant) -> float:
+    """Certify continuity exactly: twice the largest vertex residual, in
+    units of each output's ``value_scale``.
 
     Each stored piece is evaluated at its own n+1 vertices and compared with
     the corner values there.  Simplexes sharing a face share that face's
     corners, so at each shared vertex their pieces differ by at most twice
     the largest residual, and by linearity so they do on the whole face.
-    That bound is returned; above ``tol`` (or NaN) it raises
+    That relative bound is returned; above ``REL_TOL`` (or NaN) it raises
     ``DiscontinuityDetected`` naming the worst simplex and output.
     """
     grid = interp.grid
     world = grid.anchor + grid.eta * (interp.cells[:, None, None, :] + interp.unit)
     fitted = np.einsum("cfmn,cftn->cftm", interp.W, world) + interp.B[:, :, None, :]
-    resid = np.abs(fitted - interp._vertex_values())           # (C, n!, n+1, m)
+    scale = [value_scale(interp, j) for j in range(interp.m)]
+    resid = np.abs(fitted - interp._vertex_values()) / scale   # (C, n!, n+1, m)
     c, f, _, j = np.unravel_index(np.argmax(resid), resid.shape)
     bound = 2.0 * float(resid.max())
-    if not bound <= tol:
+    if not bound <= REL_TOL:
         raise DiscontinuityDetected(
-            f"vertex residuals bound the face jump by {bound:.3e} (> {tol:.1e}) at cell "
-            f"{interp.cells[c].tolist()}, permutation {interp.perms[f]}, output {j}")
+            f"vertex residuals bound the face jump by {bound:.3e} scales (> {REL_TOL:.1e}) "
+            f"at cell {interp.cells[c].tolist()}, permutation {interp.perms[f]}, output {j}")
     return bound

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpwa import CpwaInterpolant, piece_bank
+from .cpwa import REL_TOL, CpwaInterpolant, piece_bank, value_scale
 from .errors import (
     BoundViolated,
     DimensionMismatch,
@@ -26,8 +26,6 @@ from .errors import (
 )
 from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
 from .sizing import controller_size
-
-_DOMINANCE_TOL = 1e-9
 
 
 @dataclass
@@ -104,17 +102,16 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     """Bank and selector sets of one interpolant output.
 
     Bank: distinct pieces (``piece_bank``).  Selector sets: one per simplex,
-    holding every bank function that is >= the simplex's active piece at its
-    n+1 vertices, with a 1e-9 slack absorbing rounding noise (inclusion errs
-    toward the max, which is sound).  The active piece always belongs to its
-    own set, so sets are nonempty; duplicate sets are stored once.
+    holding every bank function >= its active piece at its n+1 vertices less
+    REL_TOL * ``value_scale`` (rounding noise; inclusion errs toward the max,
+    which is sound).  The active piece is in its own set, so sets are
+    nonempty; duplicate sets are stored once.
     """
     grid = interp.grid
     C, F = interp.W.shape[0], interp.W.shape[1]
     W, b, act = piece_bank(interp, output)
     act = act.reshape(C, F)
-    if not np.isfinite(W).all() or not np.isfinite(b).all():
-        raise EmptySelector("bank holds non-finite coefficients")
+    slack = REL_TOL * value_scale(interp, output)
 
     # one selector set per simplex: bank functions dominating the simplex's
     # active piece at its n+1 vertices (exact for affine functions on the
@@ -128,13 +125,9 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
             verts = grid.anchor + grid.eta * (cell + interp.unit[f]).astype(float)
             vals = W @ verts.T + b[:, None]       # (N, n+1)
             i = act[c, f]
-            dominated = (vals >= vals[i] - _DOMINANCE_TOL).all(axis=1)
+            dominated = (vals >= vals[i] - slack).all(axis=1)
             dominated[i] = True
             sel = tuple(int(k) for k in np.flatnonzero(dominated))
-            if not sel:
-                raise EmptySelector(
-                    f"simplex at cell {tuple(int(v) for v in cell)} produced an empty selector set"
-                )
             if sel not in seen:
                 seen.add(sel)
                 selectors.append(list(sel))

@@ -259,17 +259,33 @@ def brute_force_extra_values(omega, grid):
     return out
 
 
-def dict_piece_bank(interp, output):
-    """Bank dedup with a dict keyed on rounded coefficients.
+def nearest_power_of_two(x):
+    """The power of two nearest to ``x`` >= 0, found by doubling and halving
+    (a tie at 1.5 * 2^k goes up); 1.0 for zero."""
+    if x == 0.0:
+        return 1.0
+    s = 1.0
+    while 2.0 * s <= x:
+        s *= 2.0
+    while s > x:
+        s /= 2.0
+    return 2.0 * s if x - s >= 2.0 * s - x else s
 
-    The key is ``np.round(w, 12)`` with -0 folded to +0, plus Python's
-    ``round(b, 12)``; simplexes are visited cell by cell, permutation by
+
+def dict_piece_bank(interp, output):
+    """Bank dedup with a dict keyed on rounded, scale-relative coefficients.
+
+    With s the power of two nearest to max|omega| of the output, the key is
+    ``np.round(w / s, 12)`` with -0 folded to +0, plus Python's
+    ``round(b / s, 12)``; simplexes are visited cell by cell, permutation by
     permutation, and each new key appends its first piece to the bank.
     """
+    s = nearest_power_of_two(float(np.abs(interp.omega[output]).max()))
+
     def key(w, b):
-        wr = np.round(np.asarray(w, dtype=float), 12)
+        wr = np.round(np.asarray(w, dtype=float) / s, 12)
         wr += 0.0
-        return tuple(wr.tolist()) + (round(float(b), 12) + 0.0,)
+        return tuple(wr.tolist()) + (round(float(b) / s, 12) + 0.0,)
 
     index, bank_w, bank_b, active = {}, [], [], []
     C, F = interp.W.shape[:2]

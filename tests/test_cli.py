@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from tllsynth import cli
+from test_tll import sinusoid_interpolant
+from tllsynth import cli, lipschitz_audit
 from tllsynth.cli import main
 from tllsynth.dynamics import FiniteTransitionSystem
 from tllsynth.geometry import EtaGrid
@@ -228,6 +229,10 @@ def test_interpolant_extra_corners_must_be_the_non_grid_corners(tmp_path):
         lambda obj: obj["extra_corners"].append({"offset": [0, 0], "values": [five]}),
         lambda obj: obj["extra_corners"].append(obj["extra_corners"][0]),
         lambda obj: obj["extra_corners"].pop(3),
+        # offsets (-1, -1) and (-1, 0) written as a non-integer and a boolean
+        lambda obj: obj["extra_corners"][0].update(offset=[-1.9, -1.2]),
+        lambda obj: obj["extra_corners"][1].update(offset=[-1, False]),
+        lambda obj: obj["extra_corners"][0].update(offset=[10 ** 30, -1]),  # no int64
     ):
         assert _edited_interpolant_exit(tmp_path, edit) == 2
         assert not (tmp_path / "verify_lipschitz_report.json").exists()
@@ -268,7 +273,6 @@ def test_affine_chain_and_verifications(tmp_path):
 
     vcfg = _write_cfg(tmp_path / "verify.json", {
         "probes": {"per_axis": 7, "random": 50, "seed": 3},
-        "tolerances": {"eval": 1e-9},
     })
     interp = str(out / "interpolant.json")
     net = str(out / "network.json")
@@ -337,6 +341,62 @@ def test_verify_failures_exit_one(tmp_path):
     # tll-equiv without a network file is a config error
     assert main(["verify", interp, "--which", "tll-equiv",
                  "--out", str(out)]) == 2
+
+
+def test_verify_approx_checks_the_oracle_reply_like_build(tmp_path):
+    out = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
+    nan_oracle = {"kind": "builtin", "name": "affine", "W": [[float("nan"), -0.25]],
+                  "b": AFFINE_B}
+    cfg = _write_cfg(tmp_path / "nan_build.json", _affine_build_cfg(nan_oracle))
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "nan")]) == 3
+    vcfg = _write_cfg(tmp_path / "nan_verify.json", {"mu": 1.0, "oracle": nan_oracle})
+    assert main(["verify", str(out / "interpolant.json"), "--which", "approx",
+                 "--config", vcfg, "--out", str(out)]) == 3
+    assert not (out / "verify_approx_report.json").exists()
+
+
+def _sinusoid_artifacts(tmp_path, scale, k_cont=None):
+    """A sin(3x) cos(2y) interpolant times ``scale`` and its compiled network."""
+    interp = sinusoid_interpolant(scale, k_cont)
+    path = tmp_path / "interpolant.json"
+    dump_json(interp.to_json(), str(path))
+    assert main(["compile", str(path), "--out", str(tmp_path)]) == 0
+    return interp, str(path), str(tmp_path / "network.json")
+
+
+def test_verify_tll_equiv_gap_follows_the_value_scale(tmp_path):
+    _, it, net = _sinusoid_artifacts(tmp_path, 1e-12)
+    vcfg = _write_cfg(tmp_path / "verify.json", {"probes": {"per_axis": 7, "random": 50}})
+    equiv = ["verify", it, "--which", "tll-equiv", "--config", vcfg, "--out", str(tmp_path)]
+    assert main(equiv + ["--network", net]) == 0
+    assert main(["verify", it, "--which", "continuity", "--out", str(tmp_path)]) == 0
+    # one bank bias off by a thousandth of the data: an absolute gap near 1e-15
+    obj = load_json(net)
+    b = float.fromhex(obj["outputs"][0]["bank"][0]["b"])
+    obj["outputs"][0]["bank"][0]["b"] = float.hex(b - 1e-3 * 1e-12)
+    bad = tmp_path / "corrupt_network.json"
+    dump_json(obj, str(bad))
+    assert main(equiv + ["--network", str(bad)]) == 1
+    rep = _report(tmp_path, "verify_tll_equiv_report.json")["results"]
+    assert rep["bound"] == 1e-9 < rep["value"]
+
+
+def test_verify_lipschitz_slack_follows_the_bound(tmp_path):
+    # a gradient 100x over 3 K_cont, far below 1e-9 in absolute terms
+    interp, _, _ = _sinusoid_artifacts(tmp_path, 1e-12)
+    value = lipschitz_audit(interp).value
+    _, it, _ = _sinusoid_artifacts(tmp_path, 1e-12, k_cont=value / 300.0)
+    assert main(["verify", it, "--which", "lipschitz", "--out", str(tmp_path)]) == 1
+    assert _report(tmp_path, "verify_lipschitz_report.json")["pass"] is False
+
+
+def test_verify_rejects_the_tolerances_section(tmp_path, capsys):
+    out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+    cfg = _write_cfg(tmp_path / "cfg.json", {"tolerances": {"eval": 1e-6}})
+    assert main(["verify", str(out / "interpolant.json"), "--which", "continuity",
+                 "--config", cfg, "--out", str(out)]) == 2
+    assert "value scale" in capsys.readouterr().err
 
 
 def test_compile_bound_gate(tmp_path):
@@ -442,6 +502,35 @@ def test_subprocess_oracle_lingering_after_eof_is_killed(tmp_path, monkeypatch):
         (ref / "interpolant.json").read_bytes()
     with pytest.raises(ProcessLookupError):  # killed and reaped
         os.kill(int(pid_file.read_text()), 0)
+
+
+@pytest.mark.parametrize("command", ["build", "approx"])
+def test_subprocess_oracle_that_never_answers_is_killed(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(cli, "_ORACLE_REPLY_WAIT_S", 0.5)
+    pids, ensure = [], cli._SubprocessOracle._ensure
+
+    def spawn(self):
+        proc = ensure(self)
+        pids.append(proc.pid)
+        return proc
+
+    monkeypatch.setattr(cli._SubprocessOracle, "_ensure", spawn)
+    # never reads its input either, so a request larger than the pipe stalls too
+    oracle = {"kind": "subprocess", "argv": [sys.executable, "-c", "import time; time.sleep(600)"]}
+    if command == "build":
+        cfg = _write_cfg(tmp_path / "cfg.json", _affine_build_cfg(oracle))
+        argv = ["build", "--config", cfg, "--out", str(tmp_path)]
+    else:
+        out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+        cfg = _write_cfg(tmp_path / "cfg.json", {
+            "mu": 1.0, "oracle": oracle, "probes": {"per_axis": 100}})  # ~400 kB request
+        argv = ["verify", str(out / "interpolant.json"), "--which", "approx",
+                "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert not list(tmp_path.glob("*_report.json"))
+    assert len(pids) == 1
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(pids[0], 0)
 
 
 # -- determinism -------------------------------------------------------------------

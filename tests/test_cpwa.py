@@ -5,7 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import brute_force_extra_values, dict_piece_bank, lu_pieces
+from _oracles import (
+    brute_force_extra_values,
+    dict_piece_bank,
+    lu_pieces,
+    nearest_power_of_two,
+)
 from tllsynth import (
     Box,
     BudgetExceeded,
@@ -26,7 +31,7 @@ from tllsynth import (
     sample_controller,
     simplex_world_vertices,
 )
-from tllsynth.cpwa import piece_bank
+from tllsynth.cpwa import check_oracle_reply, piece_bank, value_scale
 
 
 def consistent_extras(grid, fn):
@@ -70,6 +75,23 @@ def test_sample_controller_failures():
         sample_controller(lambda x: 1 / 0, grid, 1)
     with pytest.raises(OracleFailure):
         sample_controller(lambda x: [0.0], grid, 0)
+    with pytest.raises(OracleFailure):
+        sample_controller(lambda x: [[0.0]], grid, 1)    # one point is not a batch
+    with pytest.raises(OracleFailure):
+        sample_controller(lambda x: ["zero"], grid, 1)
+
+
+def test_oracle_reply_check_names_the_first_bad_point():
+    points = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    good = np.arange(6.0).reshape(3, 2)
+    assert check_oracle_reply(good.tolist(), points, 2).tobytes() == good.tobytes()
+    bad = good.copy()
+    bad[1, 0], bad[2, 1] = np.inf, np.nan
+    with pytest.raises(OracleFailure, match=r"\[2\.0, 3\.0\]"):
+        check_oracle_reply(bad, points, 2)
+    for reply in (good.T, good.ravel(), good[:2], [["a", "b"]] * 3):
+        with pytest.raises(OracleFailure):
+            check_oracle_reply(reply, points, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +291,29 @@ def test_piece_bank_matches_dict_dedup():
         omega = rng.normal(size=(3, grid.num_points))
         omega[1] = np.round(omega[1])   # integer samples: many pieces coincide
         omega[2] = 0.5                  # one piece
-        interp = build_interpolant(grid, omega)
-        for j in range(3):
-            bank = piece_bank(interp, j)
-            assert _same_bank(bank, dict_piece_bank(interp, j))
-            assert bank[2].shape == (interp.num_simplexes,)
+        for scale in (1.0, 2.0 ** -40, 1e-12, 1e-6, 1e3, 1e9):
+            interp = build_interpolant(grid, omega * scale)
+            for j in range(3):
+                bank = piece_bank(interp, j)
+                assert _same_bank(bank, dict_piece_bank(interp, j))
+                assert bank[2].shape == (interp.num_simplexes,)
+
+
+def test_value_scale_is_the_nearest_power_of_two():
+    grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
+    tops = [0.0, 5e-324, 1e-12, 0.74, 0.75, 1.0, 1.49, 1.5, 3.0, 1e9, 2.0 ** 30, 1e300]
+    for top in tops:
+        for sign in (1.0, -1.0):
+            omega = np.zeros((2, grid.num_points))
+            omega[1, 0] = sign * top
+            omega[1, 1] = sign * top / 3.0
+            interp = build_interpolant(grid, omega)
+            assert value_scale(interp, 0) == 1.0
+            assert value_scale(interp, 1) == nearest_power_of_two(top)
+    # a constant near the float maximum: 2^1024 is not a float, 2^1023 is
+    huge = build_interpolant(grid, np.full((1, grid.num_points), 1.7e308))
+    assert value_scale(huge, 0) == nearest_power_of_two(1.7e308) == 2.0 ** 1023
+    assert region_count(huge) == [1]
 
 
 def test_piece_bank_rounds_offsets_like_python():

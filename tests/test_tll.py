@@ -79,6 +79,32 @@ def test_network_equals_interpolant_on_probes():
         assert gap <= 1e-9
 
 
+def sinusoid_interpolant(scale, k_cont=None):
+    """sin(3x) cos(2y) on the unit square at eta = 0.1, times ``scale``."""
+    grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.1)
+    x, y = grid.points.T
+    return build_interpolant(grid, scale * (np.sin(3.0 * x) * np.cos(2.0 * y))[None], k_cont)
+
+
+def test_compile_is_exact_at_every_value_scale():
+    ref = compile_tll(sinusoid_interpolant(1.0)).outputs[0]
+    # a power-of-two scale changes no rounding decision: same selectors,
+    # bank exactly 2^k times the unit-scale bank
+    for k in (-40, -20, 20, 30):
+        lat = compile_tll(sinusoid_interpolant(2.0 ** k)).outputs[0]
+        assert lat.selectors == ref.selectors
+        assert lat.W.tobytes() == (ref.W * 2.0 ** k).tobytes()
+        assert lat.b.tobytes() == (ref.b * 2.0 ** k).tobytes()
+    pts = np.random.default_rng(103).uniform(0.0, 1.0, size=(2000, 2))
+    for scale in (1e-12, 1e-10, 1e-6, 1e3, 1e9):
+        interp = sinusoid_interpolant(scale)
+        net = compile_tll(interp)
+        lat = net.outputs[0]
+        assert (lat.size, len(lat.selectors)) == (ref.size, len(ref.selectors))
+        gap = np.abs(net.eval_batch(pts) - interp.eval_batch(pts)).max()
+        assert gap <= 1e-9 * np.abs(interp.omega).max()
+
+
 def test_network_matches_samples_at_grid_points():
     rng = np.random.default_rng(83)
     interp = _random_interpolant(rng, n=2, eta=0.4, m=2)
