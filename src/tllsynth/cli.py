@@ -9,8 +9,8 @@ interpolant), ``compile`` (interpolant to lattice network), ``verify``
 explicit ReLU layers).
 
 Exit codes: 0 pass, 1 audit failure, 2 configuration error, 3 numerical
-error.  Reports are deterministic for a fixed config and seed except for
-the ``timing`` block.
+error or exhausted memory.  Reports are deterministic for a fixed config
+and seed except for the ``timing`` block.
 """
 
 from __future__ import annotations
@@ -411,6 +411,15 @@ def _load_interpolant(path: str) -> CpwaInterpolant:
     return CpwaInterpolant.from_json(load_json(path))
 
 
+def _network_of(path: str, interp: CpwaInterpolant):
+    """A network file that must map the interpolant's inputs to its outputs."""
+    net = import_network(load_json(path))
+    if (net.n, net.m) != (interp.n, interp.m):
+        raise DimensionMismatch(f"network maps R^{net.n} to R^{net.m}, the interpolant "
+                                f"R^{interp.n} to R^{interp.m}")
+    return net
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -564,7 +573,7 @@ def cmd_verify(args) -> int:
     elif which == "tll-equiv":
         if not args.network:
             raise ConfigError("tll-equiv verification needs --network <file>")
-        net = import_network(load_json(args.network))
+        net = _network_of(args.network, interp)
         per_axis, random_count, seed = _probe_settings(cfg, args)
         probes = build_probes(interp.grid.domain, per_axis, random_count, seed)
         gaps = np.abs(net.eval_batch(probes.points) - interp.eval_batch(probes.points))
@@ -577,7 +586,7 @@ def cmd_verify(args) -> int:
     elif which == "regions":
         counts = region_count(interp)
         if args.network:
-            net = import_network(load_json(args.network))
+            net = _network_of(args.network, interp)
             bound = net.provenance.get("bound_n")
             bank_sizes = [lat.size for lat in net.outputs]
         else:
@@ -838,6 +847,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,11 +2,14 @@
 
 A scalar network is a bank of N affine functions plus selector sets; its
 value is the max over sets of the min over each set's bank members.  The
-bank is the deduplicated piece list of the interpolant; each distinct active
-piece contributes one selector set holding every bank function that
-dominates it on the closure of its active region (checked at simplex
-vertices, which settles dominance exactly by linearity).  Multi-output
-networks stack scalar lattices side by side.
+bank is the deduplicated piece list of the interpolant.  Each simplex
+contributes one selector set: its active piece plus bank functions that
+dominate that piece on the simplex, chosen so that for every simplex some
+member lies at or below that simplex's active piece (a covering rule).  On
+each simplex its own set then attains the interpolant and no set exceeds
+it, so the lattice is exact; both relations are checked at simplex
+vertices, which settles them exactly by linearity.  Multi-output networks
+stack scalar lattices side by side.
 """
 
 from __future__ import annotations
@@ -98,39 +101,81 @@ class TllNetwork:
         return max(float(np.abs(lat.W).sum(axis=1).max()) for lat in self.outputs)
 
 
+# float vertex values evaluated per chunk of simplexes in _vertex_relations
+_CHUNK_VALUES = 1 << 18
+
+
+def _vertex_relations(interp: CpwaInterpolant, W: np.ndarray, b: np.ndarray,
+                      act: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (S, N) matrices from one evaluation of the bank at every
+    simplex's n+1 vertices: ``dom[s, i]`` when function i is >= the active
+    piece of s less ``slack`` there, ``below[s, i]`` when it is <= the active
+    piece plus ``slack``.  By linearity both are exact on the whole simplex.
+    Simplexes are taken in chunks, so the float temporaries stay near
+    ``_CHUNK_VALUES`` values whatever S is.
+    """
+    grid, F = interp.grid, len(interp.perms)
+    S, N = act.size, b.size
+    dom = np.empty((S, N), dtype=bool)
+    below = np.empty((S, N), dtype=bool)
+    step = max(1, _CHUNK_VALUES // (N * (interp.n + 1)))
+    for lo in range(0, S, step):
+        s = np.arange(lo, min(lo + step, S))
+        corners = interp.cells[s // F][:, None, :] + interp.unit[s % F]   # (k, n+1, n)
+        vals = (grid.anchor + grid.eta * corners.astype(float)) @ W.T + b  # (k, n+1, N)
+        own = np.take_along_axis(vals, act[s, None, None], axis=2)
+        dom[s] = (vals >= own - slack).all(axis=1)
+        below[s] = (vals <= own + slack).all(axis=1)
+    return dom, below
+
+
+def _bit_rows(mask: np.ndarray) -> np.ndarray:
+    """Rows of a boolean (R, K) matrix packed into 64-bit words, zero-padded."""
+    R, K = mask.shape
+    packed = np.zeros((R, -(-K // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-K // 8)] = np.packbits(mask, axis=1)
+    return packed.view(np.uint64)
+
+
 def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     """Bank and selector sets of one interpolant output.
 
-    Bank: distinct pieces (``piece_bank``).  Selector sets: one per simplex,
-    holding every bank function >= its active piece at its n+1 vertices less
-    REL_TOL * ``value_scale`` (rounding noise; inclusion errs toward the max,
-    which is sound).  The active piece is in its own set, so sets are
-    nonempty; duplicate sets are stored once.
+    Bank: distinct pieces (``piece_bank``).  Selector sets: one per simplex
+    s, built from its active piece and drawn from the functions that dominate
+    it on s (>= at the n+1 vertices less REL_TOL * ``value_scale``, rounding
+    noise).  The lattice is exact when, besides that, every set holds for
+    every simplex k a member <= k's active piece on k (vertex check with the
+    same slack): on k, k's own set then attains the active piece and no set
+    exceeds it.  So the members are walked in one global order, functions
+    below on more simplexes first, and a member is kept only when it is below
+    on a simplex no earlier member covers.  A set whose dominating functions
+    cannot cover every simplex keeps all of them, the all-dominating set of
+    the Tarela-Martinez lattice, which is exact pointwise.  Duplicate sets
+    are stored once.
     """
-    grid = interp.grid
-    C, F = interp.W.shape[0], interp.W.shape[1]
     W, b, act = piece_bank(interp, output)
-    act = act.reshape(C, F)
-    slack = REL_TOL * value_scale(interp, output)
+    dom, below = _vertex_relations(interp, W, b, act, REL_TOL * value_scale(interp, output))
 
-    # one selector set per simplex: bank functions dominating the simplex's
-    # active piece at its n+1 vertices (exact for affine functions on the
-    # simplex).  Simplexes are convex, which is what makes the max-of-mins
-    # representation exact; identical sets collapse to a single entry.
+    rows = _bit_rows(below.T)          # row i: the simplexes function i is below on
+    full = _bit_rows(np.ones((1, act.size), dtype=bool))[0]
+    order = np.argsort(-below.sum(axis=0), kind="stable")
+    dom_in_order = dom[:, order]
+
     selectors: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()
-    for c in range(C):
-        cell = interp.cells[c]
-        for f in range(F):
-            verts = grid.anchor + grid.eta * (cell + interp.unit[f]).astype(float)
-            vals = W @ verts.T + b[:, None]       # (N, n+1)
-            i = act[c, f]
-            dominated = (vals >= vals[i] - slack).all(axis=1)
-            dominated[i] = True
-            sel = tuple(int(k) for k in np.flatnonzero(dominated))
-            if sel not in seen:
-                seen.add(sel)
-                selectors.append(list(sel))
+    for s, a in enumerate(act):
+        members = order[dom_in_order[s]]
+        walk = np.concatenate(([a], members[members != a]))
+        cover = np.bitwise_or.accumulate(rows[walk], axis=0)
+        if (cover[-1] != full).any():
+            kept = np.sort(walk)
+        else:
+            new = np.concatenate(([True], (cover[1:] != cover[:-1]).any(axis=1)))
+            kept = np.sort(walk[new])
+        sel = tuple(kept.tolist())
+        if sel not in seen:
+            seen.add(sel)
+            selectors.append(list(sel))
     return ScalarLattice(W, b, selectors)
 
 

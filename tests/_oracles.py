@@ -10,7 +10,8 @@ at a time and the pairwise tree expansion below builds ReLU layers one
 neuron at a time, as the library once did; they are the bitwise references
 for the library's array-based interning and array-built layers.  The
 per-simplex LU solve is the reference for the closed-form interpolation
-pieces.
+pieces, and the per-simplex dominating sets are the reference for the
+compiled selector sets.
 """
 
 import functools
@@ -298,6 +299,48 @@ def dict_piece_bank(interp, output):
                 bank_b.append(float(interp.B[c, f, output]))
             active.append(index[k])
     return np.array(bank_w), np.array(bank_b), np.array(active, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# all-dominating selector sets and the below-on-simplex relation
+# ---------------------------------------------------------------------------
+
+def simplex_relations(interp, output):
+    """Per-simplex dominance and below sets of one output, one simplex at a time.
+
+    The bank is ``piece_bank``'s.  For each simplex, in (cell, permutation)
+    order, every bank function is evaluated at the simplex's n+1 vertices;
+    it dominates when it is >= the active piece less REL_TOL * value scale
+    at every vertex, and lies below when it is <= the active piece plus the
+    same slack at every vertex.  Returns the bank (W, b), each simplex's
+    active bank index, its dominating set and its below set, the sets as
+    sorted tuples.  The dominating sets are the selector sets the library
+    once compiled (before deduplication).
+    """
+    from tllsynth.cpwa import REL_TOL, piece_bank, value_scale
+
+    grid = interp.grid
+    C, F = interp.W.shape[:2]
+    W, b, act = piece_bank(interp, output)
+    slack = REL_TOL * value_scale(interp, output)
+    dominating, below = [], []
+    for c in range(C):
+        for f in range(F):
+            verts = grid.anchor + grid.eta * (interp.cells[c] + interp.unit[f]).astype(float)
+            vals = W @ verts.T + b[:, None]       # (N, n+1)
+            i = act[c * F + f]
+            dom = (vals >= vals[i] - slack).all(axis=1)
+            dom[i] = True
+            dominating.append(tuple(np.flatnonzero(dom).tolist()))
+            below.append(tuple(np.flatnonzero((vals <= vals[i] + slack).all(axis=1)).tolist()))
+    return W, b, act, dominating, below
+
+
+def all_dominating_selectors(interp, output):
+    """The all-dominating selector list: each simplex's dominating set, the
+    first occurrence of each distinct set kept, in simplex order."""
+    _, _, _, dominating, _ = simplex_relations(interp, output)
+    return [list(s) for s in dict.fromkeys(dominating)]
 
 
 # ---------------------------------------------------------------------------

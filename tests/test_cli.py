@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from test_tll import sinusoid_interpolant
-from tllsynth import cli, lipschitz_audit
+from tllsynth import (
+    Box,
+    build_eta_grid,
+    build_interpolant,
+    cli,
+    compile_tll,
+    export_network,
+    lipschitz_audit,
+)
 from tllsynth.cli import main
 from tllsynth.dynamics import FiniteTransitionSystem
 from tllsynth.geometry import EtaGrid
@@ -382,6 +390,23 @@ def test_verify_tll_equiv_gap_follows_the_value_scale(tmp_path):
     assert rep["bound"] == 1e-9 < rep["value"]
 
 
+def test_verify_network_must_match_the_interpolant_dimensions(tmp_path):
+    # a 1-output network against a 2-output interpolant with equal outputs,
+    # and a 1-input network against a 2-input interpolant
+    one, _, net = _sinusoid_artifacts(tmp_path, 1.0)
+    two = build_interpolant(one.grid, np.vstack([one.omega, one.omega]))
+    it = tmp_path / "two_outputs.json"
+    dump_json(two.to_json(), str(it))
+    grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
+    line = build_interpolant(grid, np.ones((1, grid.num_points)))
+    dump_json(export_network(compile_tll(line)), str(tmp_path / "line_network.json"))
+    for interp, network in ((it, net), (tmp_path / "interpolant.json",
+                                        tmp_path / "line_network.json")):
+        for which in ("tll-equiv", "regions"):
+            assert main(["verify", str(interp), "--which", which, "--network",
+                         str(network), "--out", str(tmp_path)]) == 2
+
+
 def test_verify_lipschitz_slack_follows_the_bound(tmp_path):
     # a gradient 100x over 3 K_cont, far below 1e-9 in absolute terms
     interp, _, _ = _sinusoid_artifacts(tmp_path, 1e-12)
@@ -583,6 +608,20 @@ def test_export_canonical_and_expanded(tmp_path):
     assert relu["kind"] == "relu-layers"
     assert relu["shape_convention"] == "pairwise-tree-v1"
     assert len(relu["layers"]) >= 1
+
+
+def test_out_of_memory_is_a_one_line_numerical_error(tmp_path, monkeypatch, capsys):
+    out = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
+
+    def exhausted(net):
+        raise MemoryError("Unable to allocate 10.8 TiB for an array with shape (2, 3)")
+
+    monkeypatch.setattr(cli, "expand_relu_layers", exhausted)
+    capsys.readouterr()
+    assert main(["export", str(out / "network.json"), "--expanded", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "10.8 TiB" in err
 
 
 # -- audits -------------------------------------------------------------------------

@@ -26,8 +26,14 @@ from tllsynth import (
     parallel_compose,
     to_json_text,
 )
+from tllsynth import tll
 
-from _oracles import expand_network, schedule_widths
+from _oracles import (
+    all_dominating_selectors,
+    expand_network,
+    schedule_widths,
+    simplex_relations,
+)
 from test_cpwa import consistent_extras, omega_of
 
 
@@ -144,6 +150,61 @@ def test_selector_sets_are_per_simplex_and_deduplicated():
         assert len(set(as_sets)) == len(as_sets)
         for sel in lat.selectors:
             assert sel and all(0 <= i < lat.size for i in sel)
+
+
+@pytest.mark.parametrize("n, m, eta", [(1, 1, 0.15), (1, 2, 0.15), (2, 1, 0.3),
+                                        (2, 2, 0.3), (3, 1, 0.5), (3, 2, 0.5)])
+def test_selectors_are_vertex_certified_or_all_dominating(n, m, eta):
+    rng = np.random.default_rng(131 + 10 * n + m)
+    base = _random_interpolant(rng, n=n, eta=eta, m=m)
+    for scale in (1.0, 2.0 ** -40, 1e9):
+        interp = build_interpolant(base.grid, scale * base.omega, k_cont=None)
+        for j, lat in enumerate(compile_tll(interp).outputs):
+            _, _, act, dominating, below = simplex_relations(interp, j)
+            below = [set(k) for k in below]
+
+            def from_simplex(sel, s):
+                # holds s's active piece, only dominating members, and either
+                # a member below every simplex's active piece or all of them
+                return (act[s] in sel and sel <= set(dominating[s])
+                        and (all(sel & k for k in below) or sel == set(dominating[s])))
+
+            sels = [set(sel) for sel in lat.selectors]
+            for sel in sels:
+                assert any(from_simplex(sel, s) for s in range(act.size))
+            for s in range(act.size):
+                assert any(from_simplex(sel, s) for sel in sels)
+
+
+def test_selector_that_cannot_cover_keeps_its_dominating_set(monkeypatch):
+    # a below relation with a hole: simplex 0 is covered by its own active
+    # piece alone, so every selector without that piece keeps all its
+    # dominating members and the lattice stays exact
+    rng = np.random.default_rng(139)
+    interp = _random_interpolant(rng, n=2, eta=0.3)
+    relations = tll._vertex_relations
+
+    def holed(interp, W, b, act, slack):
+        dom, below = relations(interp, W, b, act, slack)
+        below[0] = np.arange(b.size) == act[0]
+        return dom, below
+
+    monkeypatch.setattr(tll, "_vertex_relations", holed)
+    net = compile_tll(interp)
+    _, _, act, dominating, _ = simplex_relations(interp, 0)
+    uncovered = [list(d) for d in dominating if act[0] not in d]
+    assert uncovered
+    for sel in uncovered:
+        assert sel in net.outputs[0].selectors
+    pts = rng.uniform(0, 1, size=(2000, 2))
+    assert np.abs(net.eval_batch(pts) - interp.eval_batch(pts)).max() <= 1e-9
+
+
+def test_selector_mass_is_at_most_a_fifth_of_the_all_dominating_mass():
+    interp = sinusoid_interpolant(1.0)
+    reference = all_dominating_selectors(interp, 0)
+    assert sum(map(len, reference)) == 33654
+    assert 5 * sum(map(len, compile_tll(interp).outputs[0].selectors)) <= 33654
 
 
 def test_compile_scalar_output_selection():
