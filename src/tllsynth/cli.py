@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .cpwa import (
     REL_TOL,
+    BatchOracle,
     CpwaInterpolant,
     build_interpolant,
     check_oracle_reply,
@@ -225,28 +226,32 @@ class _CsvOracle:
     def _key(x) -> tuple:
         return tuple(round(float(v), 12) + 0.0 for v in x)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
+    def __call__(self, points):
+        """Controls at ``points`` (P, n), shape (P, m)."""
+        rows = []
+        for x in np.asarray(points, dtype=float):
             hit = self.table.get(self._key(x))
             if hit is None:
                 raise OracleFailure(f"CSV oracle has no row for point {x.tolist()}")
-            return hit
-        return np.stack([self(row) for row in x])
+            rows.append(hit)
+        return np.array(rows)
 
 
 # seconds a subprocess oracle gets to answer one request, and to exit after
-# its input closes
+# its input closes; the most points one request line carries
 _ORACLE_REPLY_WAIT_S = 60.0
 _ORACLE_EXIT_WAIT_S = 10.0
+_ORACLE_CHUNK_POINTS = 4096
 
 
 class _SubprocessOracle:
     """Child process evaluated per batch over line-delimited JSON.
 
-    Request: one line ``{"points": [[...], ...]}``.  Response: one line
-    ``{"controls": [[...], ...]}`` with matching row count, within
-    ``_ORACLE_REPLY_WAIT_S``; a child that misses it is killed.
+    Request: one line ``{"points": [[...], ...]}`` of at most
+    ``_ORACLE_CHUNK_POINTS`` rows; a larger batch is sent as several
+    requests in order.  Response: one line ``{"controls": [[...], ...]}``
+    with its own request's row count, within ``_ORACLE_REPLY_WAIT_S`` of
+    that request; a child that misses it is killed.
     """
 
     def __init__(self, argv: list[str], m: int):
@@ -290,12 +295,9 @@ class _SubprocessOracle:
         line, _, self.pending = self.pending.partition(b"\n")
         return line
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        batch = x[None, :] if single else x
-        proc = self._ensure()
-        request = json.dumps({"points": batch.tolist()}).encode() + b"\n"
+    def _request(self, proc: subprocess.Popen, points: np.ndarray) -> np.ndarray:
+        """One request line for ``points`` and its checked (len(points), m) reply."""
+        request = json.dumps({"points": points.tolist()}).encode() + b"\n"
         try:
             line = self._exchange(proc, request)
         except OSError as exc:
@@ -303,16 +305,17 @@ class _SubprocessOracle:
         if not line:
             raise OracleFailure("subprocess oracle closed its output stream")
         try:
-            reply = json.loads(line)
-            controls = np.asarray(reply["controls"], dtype=float)
+            controls = json.loads(line)["controls"]
         except (KeyError, TypeError, ValueError) as exc:
             raise OracleFailure(f"subprocess oracle reply malformed: {exc}") from exc
-        if controls.shape != (batch.shape[0], self.m):
-            raise OracleFailure(
-                f"subprocess oracle returned shape {controls.shape}, "
-                f"expected ({batch.shape[0]}, {self.m})"
-            )
-        return controls[0] if single else controls
+        return check_oracle_reply(controls, points, self.m)
+
+    def __call__(self, points):
+        """Controls at ``points`` (P, n), shape (P, m)."""
+        points = np.asarray(points, dtype=float)
+        proc = self._ensure()
+        return np.concatenate([self._request(proc, points[i:i + _ORACLE_CHUNK_POINTS])
+                               for i in range(0, len(points), _ORACLE_CHUNK_POINTS)])
 
     def close(self) -> None:
         """End the child and its pipes; one that outstays the wait after EOF
@@ -474,7 +477,7 @@ def cmd_build(args) -> int:
         k_cont = _number(cfg, "k_cont")
     grid = build_eta_grid(domain, eta)
     with _closing(_resolve_oracle(cfg, grid.dimension, m)) as oracle:
-        omega = sample_controller(oracle, grid, m)
+        omega = sample_controller(BatchOracle(oracle), grid, m)
     interp = build_interpolant(grid, omega, k_cont)
     path = _write_artifact(args, "interpolant.json", interp.to_json())
     results = {
@@ -693,9 +696,9 @@ def cmd_sysid(args) -> int:
     n, m = model.n, model.m
 
     def field_oracle(z):
-        return model.field(z[:n], z[n:])
+        return model.field(z[..., :n], z[..., n:])
 
-    omega = sample_controller(field_oracle, grid, n)
+    omega = sample_controller(BatchOracle(field_oracle), grid, n)
     interp = build_interpolant(grid, omega, k_field)
     bound = sysid_size(n, m, xu.extent(), eta)
     try:

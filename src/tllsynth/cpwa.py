@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,13 +38,15 @@ REL_TOL = 1e-9  # every value tolerance is REL_TOL times the output's value_scal
 def check_oracle_reply(reply, points: np.ndarray, m: int) -> np.ndarray:
     """An oracle's reply at ``points`` (P, n) as a finite (P, m) array.
 
-    A reply that is not numeric, has another shape, or holds a non-finite
-    row raises ``OracleFailure`` naming the first bad point.
+    A reply that is not numeric or has another shape raises
+    ``OracleFailure`` naming the first point asked for; one that holds a
+    non-finite row names the first such point.
     """
     try:
         values = np.asarray(reply, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise OracleFailure(f"oracle reply at {points[0].tolist()} is not numeric: {exc}") from exc
+        raise OracleFailure(f"oracle reply for the points from {points[0].tolist()} is not "
+                            f"numeric: {exc}") from exc
     if values.shape != (len(points), m):
         raise OracleFailure(f"oracle returned shape {values.shape} for the points from "
                             f"{points[0].tolist()}, expected ({len(points)}, {m})")
@@ -53,24 +56,46 @@ def check_oracle_reply(reply, points: np.ndarray, m: int) -> np.ndarray:
     return values
 
 
+@dataclass(frozen=True)
+class BatchOracle:
+    """A controller that answers a whole (P, n) array of points at once.
+
+    Wrapping a callable in it tells ``sample_controller`` to hand ``fn`` the
+    entire grid in one call; its reply must be (P, m).
+    """
+
+    fn: Callable[[np.ndarray], object]
+
+
 def sample_controller(oracle, grid: EtaGrid, m: int) -> np.ndarray:
     """Evaluate a controller oracle at every grid point.
 
-    Returns the omega value table, one row per output: shape (m, P).
-    The oracle is called point by point with a vector of shape (n,) and must
-    return m finite reals.  Any raise, wrong arity, or non-finite value is
-    reported as ``OracleFailure``.
+    Returns the omega value table, one row per output: shape (m, P).  The
+    oracle takes one of two contracts, chosen by its type:
+
+    - a ``BatchOracle`` is called once with all grid points, shape (P, n),
+      and returns (P, m);
+    - any other callable is called point by point with a vector of shape
+      (n,) and returns m reals; a raise there is an ``OracleFailure``
+      naming the grid point.  It is never handed a batch.
+
+    The points go out in ``grid.points`` order and the whole reply is
+    checked once by ``check_oracle_reply``: a wrong shape or a non-finite
+    value is an ``OracleFailure`` naming the first bad point.
     """
     if m < 1:
         raise OracleFailure(f"output dimension must be at least 1, got {m}")
-    values = np.empty((grid.num_points, m))
-    for i, p in enumerate(grid.points):
-        try:
-            v = np.atleast_1d(oracle(p))
-        except Exception as exc:
-            raise OracleFailure(f"oracle raised at grid point {p.tolist()}: {exc}") from exc
-        values[i] = check_oracle_reply(v[None], p[None], m)[0]
-    return values.T.copy()
+    points = grid.points
+    if isinstance(oracle, BatchOracle):
+        reply = oracle.fn(points)
+    else:
+        reply = []
+        for p in points:
+            try:
+                reply.append(np.atleast_1d(oracle(p)))
+            except Exception as exc:
+                raise OracleFailure(f"oracle raised at grid point {p.tolist()}: {exc}") from exc
+    return check_oracle_reply(reply, points, m).T.copy()
 
 
 def extend_extra_corners(omega: np.ndarray, grid: EtaGrid) -> dict[tuple[int, ...], np.ndarray]:

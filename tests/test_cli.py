@@ -15,10 +15,13 @@ from tllsynth import (
     Box,
     build_eta_grid,
     build_interpolant,
+    builtin_models,
     cli,
     compile_tll,
     export_network,
     lipschitz_audit,
+    sample_controller,
+    sysid_size,
 )
 from tllsynth.cli import main
 from tllsynth.dynamics import FiniteTransitionSystem
@@ -556,6 +559,106 @@ def test_subprocess_oracle_that_never_answers_is_killed(tmp_path, monkeypatch, c
     assert len(pids) == 1
     with pytest.raises(ProcessLookupError):  # killed and reaped
         os.kill(pids[0], 0)
+
+
+def _oracle_script(tmp_path, body):
+    """A subprocess oracle: ``body`` turns each request's ``pts`` list into
+    the ``out`` rows it answers."""
+    script = tmp_path / "oracle.py"
+    script.write_text(
+        "import sys, json\n"
+        "import numpy as np\n"
+        f"W = np.array({AFFINE_W!r}); b = np.array({AFFINE_B!r})\n"
+        "for line in sys.stdin:\n"
+        "    pts = json.loads(line)['points']\n"
+        + "".join(f"    {stmt}\n" for stmt in body) +
+        "    sys.stdout.write(json.dumps({'controls': out}) + '\\n')\n"
+        "    sys.stdout.flush()\n"
+    )
+    return {"kind": "subprocess", "argv": [sys.executable, str(script)]}
+
+
+def test_oracle_requests_carry_whole_bounded_batches(tmp_path, monkeypatch):
+    log = tmp_path / "requests.log"
+    oracle = _oracle_script(tmp_path, [
+        f"open({str(log)!r}, 'a').write(f'{{len(pts)}}\\n')",
+        "out = (np.asarray(pts, dtype=float) @ W.T + b).tolist()",
+    ])
+
+    def requests():
+        rows = [int(v) for v in log.read_text().split()]
+        log.unlink()
+        return rows
+
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path / "cfg.json", _affine_build_cfg(oracle))
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+    assert requests() == [4]                    # the whole 4-point grid at once
+    vcfg = _write_cfg(tmp_path / "verify.json", {
+        "mu": 1.0, "oracle": oracle, "probes": {"per_axis": 100}})
+    assert main(["verify", str(out / "interpolant.json"), "--which", "approx",
+                 "--config", vcfg, "--out", str(out)]) == 0
+    assert requests() == [4096, 4096, 10_000 - 2 * 4096]
+    # a grid larger than one line goes out in order, one bounded line at a time
+    monkeypatch.setattr(cli, "_ORACLE_CHUNK_POINTS", 3)
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "split")]) == 0
+    assert requests() == [3, 1]
+    assert (tmp_path / "split" / "interpolant.json").read_bytes() == \
+        (out / "interpolant.json").read_bytes()
+
+
+def test_each_oracle_reply_must_match_its_own_request(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_ORACLE_CHUNK_POINTS", 3)
+    # 2 rows for the first request of 3, then 2 for the second of 1: the
+    # total is right, each reply is not
+    oracle = _oracle_script(tmp_path, [
+        "out = [[0.0]] * (2 if len(pts) == 3 else len(pts) + 1)",
+    ])
+    cfg = _write_cfg(tmp_path / "cfg.json", _affine_build_cfg(oracle))
+    assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "expected (3, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "interpolant.json").exists()
+
+
+def test_subprocess_nan_names_its_grid_point(tmp_path, capsys):
+    oracle = _oracle_script(tmp_path, [
+        "out = [[float('nan') if p == [0.375, 0.625] else 0.0] for p in pts]",
+    ])
+    cfg = _write_cfg(tmp_path / "cfg.json", {**_affine_build_cfg(oracle), "eta": 0.25})
+    assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "non-finite values at [0.375, 0.625]" in capsys.readouterr().err
+    assert not (tmp_path / "interpolant.json").exists()
+
+
+def test_batched_build_and_sysid_match_per_point_sampling(tmp_path):
+    # the README example: its oracle answers a point alone as in a batch
+    readme = {**_size_cfg(), "m": 1, "oracle": {
+        "kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B}}
+    sysid = {"model": "pendulum", "eta": 0.6875}
+    out = tmp_path / "out"
+    assert main(["build", "--config", _write_cfg(tmp_path / "readme.json", readme),
+                 "--out", str(out)]) == 0
+    assert main(["sysid", "--config", _write_cfg(tmp_path / "sysid.json", sysid),
+                 "--out", str(out)]) == 0
+
+    eta = float.fromhex(_report(out, "build_report.json")["results"]["eta"])
+    grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), eta)
+    W, b = np.array(AFFINE_W), np.array(AFFINE_B)
+    interp = build_interpolant(grid, sample_controller(lambda x: x @ W.T + b, grid, 1), 1.0)
+    pend = builtin_models()["pendulum"]
+    xu = pend.x_box.product(pend.u_box)
+    sid_grid = build_eta_grid(xu, 0.6875)
+    sid_interp = build_interpolant(
+        sid_grid, sample_controller(lambda z: pend.field(z[:2], z[2:]), sid_grid, 2),
+        pend.k_x + pend.k_u)
+    sid_net = compile_tll(sid_interp, sysid_size(2, 1, xu.extent(), 0.6875))
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for name, obj in (("interpolant.json", interp.to_json()),
+                      ("sysid_interpolant.json", sid_interp.to_json()),
+                      ("sysid_network.json", export_network(sid_net))):
+        dump_json(obj, str(ref / name))
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 # -- determinism -------------------------------------------------------------------

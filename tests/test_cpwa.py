@@ -31,7 +31,7 @@ from tllsynth import (
     sample_controller,
     simplex_world_vertices,
 )
-from tllsynth.cpwa import check_oracle_reply, piece_bank, value_scale
+from tllsynth.cpwa import BatchOracle, check_oracle_reply, piece_bank, value_scale
 
 
 def consistent_extras(grid, fn):
@@ -79,6 +79,52 @@ def test_sample_controller_failures():
         sample_controller(lambda x: [[0.0]], grid, 1)    # one point is not a batch
     with pytest.raises(OracleFailure):
         sample_controller(lambda x: ["zero"], grid, 1)
+
+
+def test_per_point_oracle_is_never_handed_a_batch():
+    # on this 2-point grid with m = 2, handing the lambda the (2, 2) point
+    # array would return a well-shaped (2, 2) reply of wrong values
+    grid = build_eta_grid(Box([0.0, 0.0], [1.0, 0.5]), 0.5)
+    assert grid.num_points == 2
+    omega = sample_controller(lambda x: [x[0] + 2 * x[1], -x[0]], grid, 2)
+    expect = np.array([[p[0] + 2 * p[1], -p[0]] for p in grid.points]).T
+    assert omega.tobytes() == expect.tobytes()
+
+
+def test_per_point_raise_names_the_grid_point():
+    grid = build_eta_grid(Box([0.0], [1.0]), 0.25)
+
+    def oracle(x):
+        if x[0] == 0.625:
+            raise ValueError("no answer here")
+        return [x[0]]
+
+    with pytest.raises(OracleFailure, match=r"grid point \[0\.625\]: no answer here"):
+        sample_controller(oracle, grid, 1)
+
+
+def test_batch_oracle_answers_the_whole_grid_in_one_call():
+    grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.25)
+    W = np.array([[1.0], [2.0]])
+    calls = []
+
+    def answer(points):
+        calls.append(points.copy())
+        return points @ W
+
+    omega = sample_controller(BatchOracle(answer), grid, 1)
+    assert len(calls) == 1 and calls[0].tobytes() == grid.points.tobytes()
+    assert omega.tobytes() == (grid.points @ W).T.tobytes()
+
+    def nan_inside(points):
+        values = points @ W
+        values[6] = np.nan
+        return values
+
+    with pytest.raises(OracleFailure, match=r"non-finite values at \[0\.375, 0\.625\]"):
+        sample_controller(BatchOracle(nan_inside), grid, 1)
+    with pytest.raises(OracleFailure, match=r"shape \(16,\)"):
+        sample_controller(BatchOracle(lambda points: points[:, 0]), grid, 1)
 
 
 def test_oracle_reply_check_names_the_first_bad_point():
