@@ -29,7 +29,7 @@ from .geometry import (
     locate_batch,
     simplex_vertices,
 )
-from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
+from .serialize import float_to_hex, hex_to_float, hex_to_vec, require_keys
 
 _DEDUP_DECIMALS = 12
 REL_TOL = 1e-9  # every value tolerance is REL_TOL times the output's value_scale
@@ -98,8 +98,9 @@ def sample_controller(oracle, grid: EtaGrid, m: int) -> np.ndarray:
     return check_oracle_reply(reply, points, m).T.copy()
 
 
-def extend_extra_corners(omega: np.ndarray, grid: EtaGrid) -> dict[tuple[int, ...], np.ndarray]:
-    """Values for non-grid corners: per-output minimum over the corner's
+def extend_extra_corners(omega: np.ndarray, grid: EtaGrid) -> np.ndarray:
+    """Values for non-grid corners, shape (m, E) with columns in
+    ``extra_corners(grid)`` order: per-output minimum over the corner's
     eta-ball grid neighbors (independently for each output row).
 
     The grid values are padded with +inf by two steps per side, and the
@@ -113,34 +114,34 @@ def extend_extra_corners(omega: np.ndarray, grid: EtaGrid) -> dict[tuple[int, ..
     for shift in itertools.product(range(3), repeat=grid.dimension):
         np.minimum(mins, padded[tuple(slice(s, s + c + 2) for s, c in zip(shift, counts))],
                    out=mins)
-    corners = extra_corners(grid)
-    values = mins[tuple((corners + 1).T)]
-    return {tuple(c): v for c, v in zip(corners.tolist(), values)}
+    return mins[tuple((extra_corners(grid) + 1).T)].T.copy()
 
 
 class CpwaInterpolant:
     """Piecewise-affine interpolant of grid samples on the hypercube union.
 
     Pieces are indexed by (hypercube cell, sorting permutation); evaluation
-    locates the simplex and applies its affine function.  ``omega`` has one
-    row per output; ``extra_values`` maps each non-grid corner offset
-    (exactly those of ``extra_corners(grid)``) to its value vector.
+    locates the simplex and applies its affine function.  ``omega`` (m, P)
+    holds the grid values and ``extra_values`` (m, E) the values at the
+    non-grid corners, columns in ``extra_corners(grid)`` order.
     ``min_rule_extras`` records whether those values came from the eta-ball
     minimum rule (the guarantee-carrying construction) or were supplied by
     the caller (e.g. affine-consistent test data).
     """
 
-    def __init__(self, grid: EtaGrid, omega: np.ndarray,
-                 extra_values: dict[tuple[int, ...], np.ndarray],
+    def __init__(self, grid: EtaGrid, omega: np.ndarray, extra_values: np.ndarray,
                  k_cont: float | None = None, min_rule_extras: bool = True):
         omega = np.asarray(omega, dtype=float)
         if omega.ndim != 2 or omega.shape[1] != grid.num_points:
             raise ValueError(f"omega must have shape (m, {grid.num_points})")
         if not np.isfinite(omega).all():
             raise OracleFailure("omega holds non-finite values")
+        self.extra_values = np.asarray(extra_values, dtype=float)
+        num_extra = math.prod(c + 2 for c in grid.axis_counts) - grid.num_points
+        if self.extra_values.shape != (omega.shape[0], num_extra):
+            raise ValueError(f"extra_values must have shape ({omega.shape[0]}, {num_extra})")
         self.grid = grid
         self.omega = omega
-        self.extra_values = {tuple(k): np.asarray(v, dtype=float) for k, v in extra_values.items()}
         self.k_cont = None if k_cont is None else float(k_cont)
         self.min_rule_extras = bool(min_rule_extras)
         self.perms = braid_simplices(grid.dimension)
@@ -152,19 +153,15 @@ class CpwaInterpolant:
     def _corner_table(self) -> np.ndarray:
         """Values on the full corner lattice (offsets -1..count per axis),
         shape (prod(count_i + 2), m): grid entries from omega, the rest from
-        extra_values, whose offsets must be exactly ``extra_corners(grid)``."""
-        dims = tuple(c + 2 for c in self.grid.axis_counts)
-        extras = extra_corners(self.grid)
-        offsets = sorted(self.extra_values)
-        if offsets != list(map(tuple, extras.tolist())):
-            raise ValueError("extra corner offsets must be exactly the non-grid hypercube corners")
-        values = np.array([self.extra_values[k] for k in offsets])
-        if values.shape != (len(offsets), self.m):
-            raise ValueError(f"every extra corner needs {self.m} values")
-        table = np.empty((int(np.prod(dims)), self.m))
-        table[np.ravel_multi_index((self.grid.offsets + 1).T, dims)] = self.omega.T
-        table[np.ravel_multi_index((extras + 1).T, dims)] = values
-        return table
+        extra_values.  Both fill their corners in lexicographic order."""
+        counts = self.grid.axis_counts
+        table = np.empty(tuple(c + 2 for c in counts) + (self.m,))
+        grid_part = tuple(slice(1, c + 1) for c in counts)
+        table[grid_part] = self.omega.T.reshape(counts + (self.m,))
+        extra = np.ones(table.shape[:-1], dtype=bool)
+        extra[grid_part] = False
+        table[extra] = self.extra_values.T
+        return table.reshape(-1, self.m)
 
     def _vertex_values(self) -> np.ndarray:
         """Corner values at every simplex vertex, shape (C, n!, n+1, m),
@@ -236,33 +233,31 @@ class CpwaInterpolant:
         return {
             "grid": self.grid.to_json(),
             "omega": [[float_to_hex(v) for v in row] for row in self.omega],
-            "extra_corners": [
-                {"offset": list(k), "values": [float_to_hex(v) for v in vals]}
-                for k, vals in sorted(self.extra_values.items())
-            ],
+            "extra_values": [[float_to_hex(v) for v in row] for row in self.extra_values],
             "K_cont": None if self.k_cont is None else float_to_hex(self.k_cont),
             "min_rule_extras": self.min_rule_extras,
         }
 
     @staticmethod
     def from_json(obj: dict) -> "CpwaInterpolant":
-        require_keys(obj, ("grid", "omega", "extra_corners"), "interpolant")
-        grid = EtaGrid.from_json(obj["grid"])
-        omega = np.array([[hex_to_float(v) for v in row] for row in obj["omega"]])
-        extras = {}
-        for e in obj["extra_corners"]:
-            require_keys(e, ("offset", "values"), "extra corner")
-            if not isinstance(e["offset"], list) or not all(map(is_int, e["offset"])):
-                raise SchemaError(f"extra corner offset {e['offset']!r} is not a list of integers")
-            extras[tuple(e["offset"])] = hex_to_vec(e["values"])
-        if len(extras) != len(obj["extra_corners"]):
-            raise SchemaError("interpolant lists an extra corner offset twice")
+        require_keys(obj, ("grid", "omega", "extra_values", "min_rule_extras"), "interpolant")
+        if not isinstance(obj["min_rule_extras"], bool):
+            raise SchemaError("interpolant min_rule_extras must be true or false")
         k_cont = obj.get("K_cont")
         return CpwaInterpolant(
-            grid, omega, extras,
+            EtaGrid.from_json(obj["grid"]),
+            _hex_rows(obj["omega"], "omega"),
+            _hex_rows(obj["extra_values"], "extra_values"),
             None if k_cont is None else hex_to_float(k_cont),
-            bool(obj.get("min_rule_extras", False)),
+            obj["min_rule_extras"],
         )
+
+
+def _hex_rows(rows, what: str) -> np.ndarray:
+    """A JSON list of rows of hex floats as an array (ragged rows: ValueError)."""
+    if not isinstance(rows, list):
+        raise SchemaError(f"interpolant {what} must be a list of rows")
+    return np.array([hex_to_vec(row) for row in rows])
 
 
 def build_interpolant(grid: EtaGrid, omega: np.ndarray, k_cont: float | None = None,
@@ -271,25 +266,32 @@ def build_interpolant(grid: EtaGrid, omega: np.ndarray, k_cont: float | None = N
 
     By default non-grid corners get the eta-ball minimum rule, which is the
     construction carrying the approximation guarantee.  Callers may override
-    ``extra_values`` (exactly the non-grid corners, each once), e.g. to
-    feed affine-consistent corner data in tests.
+    ``extra_values`` with a mapping from each non-grid corner offset (exactly
+    those of ``extra_corners(grid)``) to its m values, e.g. to feed
+    affine-consistent corner data in tests.
     """
     if extra_values is None:
-        extra_values = extend_extra_corners(omega, grid)
-        min_rule = True
-    else:
-        min_rule = False
-    return CpwaInterpolant(grid, omega, extra_values, k_cont, min_rule)
+        return CpwaInterpolant(grid, omega, extend_extra_corners(omega, grid), k_cont, True)
+    corners = list(map(tuple, extra_corners(grid).tolist()))
+    if sorted(extra_values) != corners:
+        raise ValueError("extra corner offsets must be exactly the non-grid hypercube corners")
+    values = np.array([extra_values[c] for c in corners], dtype=float).T
+    return CpwaInterpolant(grid, omega, values, k_cont, False)
 
 
-def value_scale(interp: CpwaInterpolant, output: int) -> float:
-    """The power of two nearest to max|omega| of one output (1.0 if all zero),
-    the unit of every value tolerance.  Dividing by it is exact, so omega * 2^k
-    compiles to the same selectors and a bank 2^k times as large."""
-    frac, exp = math.frexp(float(np.abs(interp.omega[output]).max()))  # frac in [0.5, 1)
+def power_of_two_scale(values) -> float:
+    """The power of two nearest to max|values| (1.0 if all zero).  Dividing
+    by it and multiplying back are exact, so values * 2^k keep their digits."""
+    frac, exp = math.frexp(float(np.abs(values).max()))  # frac in [0.5, 1)
     if frac == 0.0:
         return 1.0
     return math.ldexp(1.0, min(exp if frac >= 0.75 else exp - 1, 1023))  # 2^1024 overflows
+
+
+def value_scale(interp: CpwaInterpolant, output: int) -> float:
+    """The ``power_of_two_scale`` of one output's omega, the unit of every value
+    tolerance: omega * 2^k compiles to the same selectors and a bank 2^k as large."""
+    return power_of_two_scale(interp.omega[output])
 
 
 def piece_bank(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

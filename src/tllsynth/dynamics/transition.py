@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cpwa import power_of_two_scale
 from ..errors import DimensionMismatch, SchemaError
 from ..serialize import float_to_hex, hex_to_vec, is_int, require_keys
 from .integrate import rk4_closed_loop
@@ -121,9 +122,10 @@ def _seed_pairs(ts_a: FiniteTransitionSystem, ts_b: FiniteTransitionSystem,
 
 def _segment_label(controls: np.ndarray) -> str:
     """Identifier of a control segment: hash of the node samples rounded to
-    1e-9.  Rounding makes label identity robust to sub-nanoscale float dust
-    while keeping distinct segments distinct."""
-    sig = np.round(np.asarray(controls, dtype=float), 9) + 0.0
+    1e-9 of their ``power_of_two_scale`` s and multiplied back by s, exactly.
+    So float dust merges at any scale, and segments u and 2u stay distinct."""
+    scale = power_of_two_scale(controls)
+    sig = np.round(controls / scale, 9) * scale + 0.0
     digest = hashlib.sha256(sig.tobytes()).hexdigest()[:16]
     return f"u#{digest}"
 

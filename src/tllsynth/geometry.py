@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, NonPositiveEta, OutsideDomain, SchemaError
-from .serialize import float_to_hex, hex_to_float, hex_to_vec, require_keys
+from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
 
 #: factorial growth guard: n! hypercube dissections above this are refused
 DEFAULT_DIMENSION_CAP = 6
@@ -115,9 +115,9 @@ class EtaGrid:
         self.anchor = anchor
         self.axis_counts = tuple(int(c) for c in axis_counts)
         self.domain = domain
+        self.validate()
         self._offsets = _lattice(self.axis_counts)
         self._points = self.anchor + self.eta * self._offsets
-        self.validate()
 
     @property
     def dimension(self) -> int:
@@ -158,25 +158,18 @@ class EtaGrid:
         return {
             "eta": float_to_hex(self.eta),
             "anchor": [float_to_hex(v) for v in self.anchor],
-            "dimension": self.dimension,
-            "offsets": self._offsets.tolist(),
+            "axis_counts": list(self.axis_counts),
             "domain": self.domain.to_json(),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "EtaGrid":
-        require_keys(obj, ("eta", "anchor", "dimension", "offsets", "domain"), "grid")
+        require_keys(obj, ("eta", "anchor", "axis_counts", "domain"), "grid")
         domain = Box.from_json(obj["domain"])
-        offsets = np.asarray(obj["offsets"], dtype=np.int64)
-        if offsets.ndim != 2 or offsets.shape[1] != domain.dimension:
-            raise SchemaError("grid offsets must be a list of integer vectors")
-        counts = tuple(int(offsets[:, i].max()) + 1 for i in range(domain.dimension))
-        grid = EtaGrid(hex_to_float(obj["eta"]), hex_to_vec(obj["anchor"]), counts, domain)
-        if grid.num_points != offsets.shape[0] or not np.array_equal(grid.offsets, offsets):
-            raise SchemaError("grid offsets are not the full lattice in canonical order")
-        if int(obj["dimension"]) != domain.dimension:
-            raise SchemaError("grid dimension field disagrees with domain")
-        return grid
+        counts = obj["axis_counts"]
+        if not isinstance(counts, list) or not all(map(is_int, counts)):
+            raise SchemaError("grid axis_counts must be a list of integers")
+        return EtaGrid(hex_to_float(obj["eta"]), hex_to_vec(obj["anchor"]), tuple(counts), domain)
 
 
 def build_eta_grid(domain: Box, eta: float) -> EtaGrid:

@@ -19,7 +19,7 @@ def float_to_hex(x: float) -> str:
 
 
 def hex_to_float(s: Any) -> float:
-    if isinstance(s, (int, float)):
+    if isinstance(s, float) or is_int(s):
         return float(s)
     if not isinstance(s, str):
         raise SchemaError(f"expected hex float string, got {type(s).__name__}")

@@ -461,7 +461,7 @@ def import_network(obj: dict) -> TllNetwork:
         sels = block["selectors"]
         if not isinstance(sels, list) or any(not isinstance(s, list) for s in sels):
             raise SchemaError("selectors must be a list of index lists")
-        if not set(map(type, itertools.chain.from_iterable(sels))) <= {int, bool}:
+        if not set(map(type, itertools.chain.from_iterable(sels))) <= {int}:
             raise SchemaError("selector indices must be integers")
         outputs.append(ScalarLattice(np.array(Ws), np.array(bs), [list(s) for s in sels]))
     prov_raw = obj["provenance"]

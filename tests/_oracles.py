@@ -364,13 +364,15 @@ def lu_pieces(interp):
     Cells run over offsets -1 .. count-1 per axis in lexicographic order,
     permutations in lexicographic order; vertex t of permutation sigma sets
     coordinates sigma[n-t:] of the cell's unit cube to one.  Corner values
-    come from ``interp.omega`` and ``interp.extra_values``.  Returns W
-    (C, n!, m, n) and B (C, n!, m).
+    come from ``interp.omega`` and ``interp.extra_values``, whose columns
+    are the non-grid corners (offsets -1 .. count per axis) in lexicographic
+    order.  Returns W (C, n!, m, n) and B (C, n!, m).
     """
     grid = interp.grid
     n = grid.dimension
     value = {tuple(o): interp.omega[:, i] for i, o in enumerate(grid.offsets.tolist())}
-    value.update(interp.extra_values)
+    corners = itertools.product(*(range(-1, c + 1) for c in grid.axis_counts))
+    value.update(zip([c for c in corners if c not in value], interp.extra_values.T))
     A, rhs = [], []
     for cell in itertools.product(*(range(-1, c) for c in grid.axis_counts)):
         for sigma in itertools.permutations(range(n)):

@@ -4,20 +4,33 @@ it reads off their results must still read."""
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from tllsynth import check_ads, embed_tau_sampled, linear_1d, perturb
+from tllsynth import check_ads, embed_tau_sampled, import_network, linear_1d, perturb
+from tllsynth.cli import main
+from tllsynth.serialize import load_json
 
-SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench(stem):
+    # workloads.py imports its sibling controllers.py as a top-level module
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH_DIR / f"{stem}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return module
 
 
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_bench("spans")
 
 
 def test_span_targets_resolve():
@@ -55,3 +68,31 @@ def test_dynamics_counters_read_real_results():
     assert counts["dynamics.transition.relation_pairs"] == len(verdict.relation.pairs)
     # only coincident states pair up at delta 0, and every state is distinct
     assert counts["dynamics.transition.seed_pairs"]() == ts.num_states
+
+
+def test_bench_readers_agree_with_the_lattice(tmp_path):
+    # the benchmark checks its outputs with its own readers of network.json
+    # and relu.json; run them on the README example's files
+    workloads = _load_bench("workloads")
+    readme = {
+        "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 1.0, "tau": 0.1,
+                   "delta": 0.05, "exponent_multiplier": 2},
+        "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "m": 1,
+        "oracle": {"kind": "builtin", "name": "affine", "W": [[0.5, -0.25]], "b": [0.1]},
+    }
+    cfg, out = tmp_path / "config.json", str(tmp_path / "run")
+    cfg.write_text(json.dumps(readme), encoding="utf-8")
+    assert main(["build", "--config", str(cfg), "--out", out]) == 0
+    assert main(["compile", f"{out}/interpolant.json", "--out", out]) == 0
+    assert main(["export", f"{out}/network.json", "--expanded", "--out", out]) == 0
+    network = load_json(f"{out}/network.json")
+    rng = np.random.default_rng(5)
+    axis = np.linspace(0.0, 1.0, 9)
+    X = np.vstack([np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2),
+                   rng.uniform(0.0, 1.0, (200, 2))])
+    want = import_network(network).eval_batch(X)
+    for got in (workloads.eval_lattice_json(network, X),
+                workloads.eval_relu_json(load_json(f"{out}/relu.json"), X)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9 * max(1.0, float(np.abs(want).max()))

@@ -235,15 +235,27 @@ def _edited_interpolant_exit(tmp_path, edit):
 
 
 def test_interpolant_extra_corners_must_be_the_non_grid_corners(tmp_path):
+    # the test grid has 2 x 2 points, so extra_values is one row of 16 - 4 = 12
     five = float.hex(5.0)
+
+    def old_records(obj):   # the older format: one offset/values record per corner
+        obj["extra_corners"] = [{"offset": [-1, -1], "values": [v]}
+                                for v in obj.pop("extra_values")[0]]
+
+    def old_grid(obj):      # the older grid: every offset and the dimension
+        obj["grid"].update(offsets=[[0, 0], [0, 1], [1, 0], [1, 1]], dimension=2)
+        del obj["grid"]["axis_counts"]
+
     for edit in (
-        lambda obj: obj["extra_corners"].append({"offset": [0, 0], "values": [five]}),
-        lambda obj: obj["extra_corners"].append(obj["extra_corners"][0]),
-        lambda obj: obj["extra_corners"].pop(3),
-        # offsets (-1, -1) and (-1, 0) written as a non-integer and a boolean
-        lambda obj: obj["extra_corners"][0].update(offset=[-1.9, -1.2]),
-        lambda obj: obj["extra_corners"][1].update(offset=[-1, False]),
-        lambda obj: obj["extra_corners"][0].update(offset=[10 ** 30, -1]),  # no int64
+        lambda obj: obj["extra_values"][0].append(five),          # a 13th corner
+        lambda obj: obj["extra_values"][0].pop(3),                # a corner missing
+        lambda obj: obj["extra_values"].append(obj["extra_values"][0]),  # a second row
+        lambda obj: obj["extra_values"][0].__setitem__(1, False),
+        lambda obj: obj.update(min_rule_extras="false"),
+        lambda obj: obj["grid"].update(axis_counts=[2, 3]),
+        lambda obj: obj["grid"].update(axis_counts=[2, 2.0]),
+        old_records,
+        old_grid,
     ):
         assert _edited_interpolant_exit(tmp_path, edit) == 2
         assert not (tmp_path / "verify_lipschitz_report.json").exists()
@@ -251,7 +263,7 @@ def test_interpolant_extra_corners_must_be_the_non_grid_corners(tmp_path):
 
 def test_nonfinite_or_overflowing_pieces_are_numerical_errors(tmp_path):
     def inf_corner(obj):
-        obj["extra_corners"][0]["values"] = [float.hex(float("inf"))]
+        obj["extra_values"][0][0] = float.hex(float("inf"))
 
     def neighbours_overflow(obj):   # grid offsets (0, 0) and (0, 1)
         obj["omega"][0][:2] = [float.hex(1.7e308), float.hex(-1.7e308)]

@@ -41,6 +41,11 @@ def consistent_extras(grid, fn):
     return {tuple(c): np.atleast_1d(fn(x)) for c, x in zip(extras.tolist(), coords)}
 
 
+def by_corner(grid, values):
+    """Extra-corner value columns (m, E) keyed by their corner offsets."""
+    return dict(zip(map(tuple, extra_corners(grid).tolist()), values.T))
+
+
 def omega_of(grid, fn):
     """Row-per-output table of ``fn`` over the grid points."""
     vals = np.array([np.atleast_1d(fn(p)) for p in grid.points], dtype=float)
@@ -148,25 +153,26 @@ def test_extension_takes_neighborhood_minimum():
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 1.0 / 3.0)  # 3 x 3 points
     omega = np.array([[1.0, 2.0, -4.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0]])
     vals = extend_extra_corners(omega, grid)
+    assert vals.shape == (1, len(extra_corners(grid))) == (1, 16)
+    vals = by_corner(grid, vals)
     assert vals[(-1, 1)] == pytest.approx([-4.0])   # neighbors (0, 0..2)
     assert vals[(-1, 0)] == pytest.approx([1.0])    # neighbors (0, 0..1)
     assert vals[(-1, -1)] == pytest.approx([1.0])   # single neighbor (0, 0)
-    assert len(vals) == len(extra_corners(grid)) == 16
 
 
 def test_extension_singleton_and_per_output():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
     omega = np.array([[3.0, 7.0], [5.0, -1.0]])
-    vals = extend_extra_corners(omega, grid)
-    assert vals[(-1,)] == pytest.approx([3.0, 5.0])   # single neighbor: point 0
-    assert vals[(2,)] == pytest.approx([7.0, -1.0])   # single neighbor: point 1
+    vals = extend_extra_corners(omega, grid)   # columns: corners -1 and 2
+    assert vals.tolist() == [[3.0, 7.0], [5.0, -1.0]]   # single neighbors: points 0 and 1
 
 
 def test_extension_all_equal_values():
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.5)
     omega = np.full((1, grid.num_points), 4.25)
     vals = extend_extra_corners(omega, grid)
-    assert all(v == pytest.approx([4.25]) for v in vals.values())
+    assert vals.shape == (1, len(extra_corners(grid)))
+    assert (vals == 4.25).all()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +282,7 @@ def test_min_rule_interpolant_is_sandwiched_by_corner_values():
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.3)
     omega = rng.normal(size=(1, grid.num_points))
     interp = build_interpolant(grid, omega)
-    corner_value = {tuple(c): v[0] for c, v in extend_extra_corners(omega, grid).items()}
+    corner_value = {c: v[0] for c, v in by_corner(grid, extend_extra_corners(omega, grid)).items()}
     corner_value.update((tuple(o), omega[0, i]) for i, o in enumerate(grid.offsets.tolist()))
     unit = np.array(list(itertools.product((0, 1), repeat=2)))
     pts = rng.uniform(0, 1, size=(400, 2))
@@ -404,10 +410,9 @@ def test_min_rule_matches_per_corner_neighbor_minimum():
                       rng.choice([0.0, -0.0, 1.0], size=(2, grid.num_points))):
             got = extend_extra_corners(omega, grid)
             want = brute_force_extra_values(omega, grid)
-            assert list(got) == list(want)
-            for corner, vals in want.items():
-                assert got[corner].tobytes() == vals.tobytes()
-                assert np.isfinite(got[corner]).all()
+            assert list(by_corner(grid, got)) == list(want)
+            assert got.tobytes() == np.array(list(want.values())).T.tobytes()
+            assert np.isfinite(got).all()
 
 
 def test_lipschitz_audit_constant_and_affine():
@@ -483,25 +488,60 @@ def test_interpolant_json_roundtrip_bitwise():
     assert np.array_equal(back.eval_batch(pts), interp.eval_batch(pts))
 
 
+def test_interpolant_json_roundtrip_every_dimension():
+    # n = 1..4, m = 1..2, min-rule corners and caller-supplied corners
+    rng = np.random.default_rng(79)
+    for n in (1, 2, 3, 4):
+        grid = build_eta_grid(Box(np.zeros(n), rng.uniform(0.5, 1.0, size=n)), 0.3)
+        extras = list(map(tuple, extra_corners(grid).tolist()))
+        for m in (1, 2):
+            omega = rng.normal(size=(m, grid.num_points))
+            supplied = {c: rng.normal(size=m) for c in extras}
+            caller = build_interpolant(grid, omega, extra_values=supplied)
+            # the mapping becomes one column per corner, in extra_corners order
+            assert caller.extra_values.tobytes() == np.array(
+                [supplied[c] for c in extras]).T.tobytes()
+            for interp in (build_interpolant(grid, omega, k_cont=0.7), caller):
+                obj = interp.to_json()
+                assert "offsets" not in obj["grid"] and "extra_corners" not in obj
+                back = CpwaInterpolant.from_json(obj)
+                assert back.extra_values.shape == (m, len(extras))
+                for name in ("omega", "extra_values", "W", "B"):
+                    assert getattr(back, name).tobytes() == getattr(interp, name).tobytes()
+                assert back.min_rule_extras is interp.min_rule_extras
+                assert back.k_cont == interp.k_cont
+
+
 def test_interpolant_json_requires_keys():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
     interp = build_interpolant(grid, np.array([[0.0, 1.0]]))
     obj = interp.to_json()
-    bad = {k: v for k, v in obj.items() if k != "omega"}
-    with pytest.raises(SchemaError):
-        CpwaInterpolant.from_json(bad)
+    for key in ("omega", "extra_values", "min_rule_extras"):
+        with pytest.raises(SchemaError, match=key):
+            CpwaInterpolant.from_json({k: v for k, v in obj.items() if k != key})
+    for flag in ("false", 0, None):   # a JSON boolean, not a truthy stand-in
+        with pytest.raises(SchemaError):
+            CpwaInterpolant.from_json({**obj, "min_rule_extras": flag})
 
 
 def test_interpolant_rejects_uncovered_corner():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
-    omega = np.array([[0.0, 1.0]])
+    omega = np.array([[0.0, 1.0]])   # extra corners at offsets -1 and 2
     with pytest.raises(ValueError):
         # missing the corner at offset 2
-        CpwaInterpolant(grid, omega, {(-1,): np.array([0.0])})
+        build_interpolant(grid, omega, extra_values={(-1,): np.array([0.0])})
     with pytest.raises(ValueError):
         # offset 0 is a grid point: its value is omega's, not an extra
-        CpwaInterpolant(grid, omega, {(-1,): [0.0], (0,): [5.0], (2,): [0.0]})
+        build_interpolant(grid, omega, extra_values={(-1,): [0.0], (0,): [5.0], (2,): [0.0]})
+    for values in ([[0.0]], [[0.0, 0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]):
+        with pytest.raises(ValueError):   # one value per output and extra corner
+            CpwaInterpolant(grid, omega, np.array(values))
     obj = build_interpolant(grid, omega).to_json()
-    obj["extra_corners"].append(obj["extra_corners"][0])
-    with pytest.raises(SchemaError):
-        CpwaInterpolant.from_json(obj)
+    for values in ([["0x0.0p+0"]], [["0x0.0p+0"] * 3], [["0x0.0p+0"] * 2] * 2,
+                   [["0x0.0p+0", "0x0.0p+0"], ["0x0.0p+0"]]):
+        with pytest.raises(ValueError):
+            CpwaInterpolant.from_json({**obj, "extra_values": values})
+    for edit in ({"extra_values": [["0x0.0p+0", True]]}, {"extra_values": [5]},
+                 {"omega": 5}):   # not rows of hex floats
+        with pytest.raises(SchemaError):
+            CpwaInterpolant.from_json({**obj, **edit})

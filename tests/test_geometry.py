@@ -129,18 +129,25 @@ def test_grid_json_roundtrip_bit_exact():
 def test_grid_json_rejects_tampering():
     grid = build_eta_grid(Box([0.0], [1.0]), 0.25)
     obj = grid.to_json()
-    bad = dict(obj)
-    bad["offsets"] = obj["offsets"][::-1]  # not canonical order
+    assert sorted(obj) == ["anchor", "axis_counts", "domain", "eta"]
+    for counts in ([4.0], [True], 4, None):   # not a list of JSON integers
+        with pytest.raises(SchemaError):
+            EtaGrid.from_json({**obj, "axis_counts": counts})
+    # the constructor checks one positive count per axis, containment and covering
+    for counts in ([4, 1], [], [3], [5], [0], [-4], [10 ** 30]):
+        with pytest.raises(ValueError):
+            EtaGrid.from_json({**obj, "axis_counts": counts})
     with pytest.raises(SchemaError):
-        EtaGrid.from_json(bad)
-    bad = dict(obj)
-    bad["dimension"] = 2
-    with pytest.raises(SchemaError):
-        EtaGrid.from_json(bad)
+        EtaGrid.from_json({**obj, "eta": True})
     bad = dict(obj)
     del bad["anchor"]
     with pytest.raises(SchemaError):
         EtaGrid.from_json(bad)
+    # the older format listed every offset and the dimension instead of the counts
+    old = {k: v for k, v in obj.items() if k != "axis_counts"}
+    old.update(dimension=1, offsets=grid.offsets.tolist())
+    with pytest.raises(SchemaError, match="axis_counts"):
+        EtaGrid.from_json(old)
 
 
 # ---------------------------------------------------------------------------

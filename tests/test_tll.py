@@ -484,11 +484,27 @@ def test_import_rejects_tampered_selectors():
 def test_import_rejects_non_integer_selector_members():
     rng = np.random.default_rng(191)
     obj = export_network(compile_tll(_random_interpolant(rng, n=1, eta=0.4)))
-    for member in (0.0, "0", None, [0]):
+    for member in (0.0, "0", None, [0], True, False):
+        for alone in (False, True):   # next to integer members, or the whole selector
+            bad = copy.deepcopy(obj)
+            selector = bad["outputs"][0]["selectors"][-1]
+            selector[:] = [member] if alone else selector + [member]
+            with pytest.raises(SchemaError):
+                import_network(bad)
+
+
+def test_import_rejects_boolean_coefficients():
+    # JSON true is not the float 1.0: a bias true would load as 1.0
+    rng = np.random.default_rng(193)
+    obj = export_network(compile_tll(_random_interpolant(rng, n=1, eta=0.4)))
+    for edit in (lambda out: out["bank"][0].update(b=True),
+                 lambda out: out["bank"][0]["w"].__setitem__(0, False)):
         bad = copy.deepcopy(obj)
-        bad["outputs"][0]["selectors"][-1].append(member)
+        edit(bad["outputs"][0])
         with pytest.raises(SchemaError):
             import_network(bad)
+    with pytest.raises(SchemaError):
+        import_network({**obj, "provenance": {**obj["provenance"], "eta": True}})
 
 
 def test_network_call_on_one_point_is_a_batch_row():

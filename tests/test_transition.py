@@ -138,6 +138,31 @@ def test_embed_labels_hash_control_segments():
     assert {u for (_, u, _) in again.transitions} == labels
 
 
+def test_embed_labels_follow_the_controls_own_scale():
+    # u = c sin(3 x1) on the pendulum: 25 samples, 25 distinct segments at
+    # any c; an absolute rounding grain merged them all at c = 1e-12
+    from tllsynth import pendulum
+
+    model = pendulum()
+    axis = np.linspace(-0.55, 0.65, 5)   # off the origin, where u = 0 = 2u
+    samples = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+
+    def partition(c):
+        ts = embed_tau_sampled(model, lambda x: c * np.sin(3.0 * x[..., :1]), samples,
+                               tau=0.25, step=0.025)
+        by_label = {}
+        for src, u, _ in sorted(ts.transitions):
+            by_label.setdefault(u, []).append(src)
+        return sorted(by_label.values()), {u for (_, u, _) in ts.transitions}
+
+    groups, labels = partition(1.0)
+    assert len(labels) == 25
+    for c in (1e-12, 1e-300, 1e12):
+        assert partition(c)[0] == groups
+    # segments u and 2u differ, though they round alike relative to their scales
+    assert partition(2.0)[1].isdisjoint(labels)
+
+
 def test_embed_extra_states_are_interned_not_integrated():
     model = linear_1d(a=0.0, b=0.0)
     controller = lambda x: np.zeros_like(x)
