@@ -27,7 +27,6 @@ from .dynamics import (
     check_simulation,
     deviation_audit,
     embed_tau_sampled,
-    integrate_closed_loop,
     linear_1d,
     pendulum,
     perturb,

@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
+import math
 import os
 import select
 import subprocess
@@ -129,8 +131,9 @@ def _load_config(args) -> dict:
 
 def _number(obj: dict, key: str, default=None, kind=float):
     """``obj[key]`` as a ``kind``; ``default`` when the key is absent or null.
-    Only a JSON integer is an int, and only an integer or a real is a float
-    (booleans and strings are neither); anything else raises ``ConfigError``."""
+    Only a JSON integer is an int, and only an integer or a finite real is a
+    float (booleans, strings, NaN and infinities are neither); anything else
+    raises ``ConfigError``."""
     val = obj.get(key)
     if val is None:
         return default
@@ -138,9 +141,12 @@ def _number(obj: dict, key: str, default=None, kind=float):
         raise ConfigError(f"'{key}' must be {'an integer' if kind is int else 'a number'}, "
                           f"got {val!r}")
     try:
-        return kind(val)
+        val = kind(val)
     except OverflowError as exc:
         raise ConfigError(f"'{key}' is out of range: {val!r}") from exc
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"'{key}' must be finite, got {val!r}")
+    return val
 
 
 def _budget_from(cfg: dict) -> SpecBudget:
@@ -622,15 +628,8 @@ def _surrogate(model: ControlSystemModel, net) -> ControlSystemModel:
             f"surrogate must map {model.n + model.m} -> {model.n}, "
             f"got {net.n} -> {net.m}"
         )
-
-    def f_hat(x, u):
-        z = np.concatenate([np.atleast_2d(x), np.atleast_2d(u)], axis=-1)
-        return net.eval_batch(z)
-
-    return ControlSystemModel(
-        model.name + "+surrogate", model.n, model.m, f_hat,
-        model.x_box, model.u_box, model.k_x, model.k_u,
-    )
+    return dataclasses.replace(model, name=model.name + "+surrogate",
+                               f=lambda x, u: net.eval_batch(np.concatenate([x, u], axis=-1)))
 
 
 def cmd_audit(args) -> int:
@@ -676,8 +675,8 @@ def cmd_ads_check(args) -> int:
     t0 = time.monotonic()
     ts_a = FiniteTransitionSystem.from_json(load_json(args.ts_a))
     ts_b = FiniteTransitionSystem.from_json(load_json(args.ts_b))
-    if args.delta is None or args.delta < 0:
-        raise ConfigError("ads-check needs --delta >= 0")
+    if not (math.isfinite(args.delta) and args.delta >= 0):
+        raise ConfigError(f"ads-check needs a finite --delta >= 0, got {args.delta!r}")
     verdict = check_ads(ts_a, ts_b, args.delta)
     results = verdict.to_json()
     results["num_states"] = [ts_a.num_states, ts_b.num_states]

@@ -6,7 +6,7 @@ from .audits import (
     deviation_audit,
     sysid_deviation_audit,
 )
-from .integrate import integrate_closed_loop, rk4_closed_loop
+from .integrate import rk4_closed_loop
 from .models import ControlSystemModel, builtin_models, linear_1d, pendulum, van_der_pol
 from .transition import (
     FiniteTransitionSystem,

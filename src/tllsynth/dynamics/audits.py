@@ -12,25 +12,31 @@ Three empirical checks over probe lattices — explicitly audits, not proofs:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from ..cpwa import check_oracle_reply
 from ..errors import DimensionMismatch, NonPositiveBudget
 from ..geometry import Box
 from ..sizing import gronwall_bound
-from .integrate import _as_controls, rk4_closed_loop
+from .integrate import rk4_closed_loop
 from .models import ControlSystemModel
 
 _AUDIT_NOTE = "sampling-based audit on finite probe sets, not a proof"
+# slack on the invariance margins and on the deviation bounds, and the most
+# violations one invariance report lists
+_MARGIN_TOL = 1e-9
+_DEVIATION_TOL = 1e-7
+_MAX_VIOLATIONS = 10
 
 
 def boundary_margin(box: Box, pts: np.ndarray) -> np.ndarray:
-    """Signed distance (infinity-norm geometry) from each point to the
-    complement of the box: positive inside, zero on a face, negative
-    outside."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return np.minimum(pts - box.lower, box.upper - pts).min(axis=1)
+    """Signed distance (infinity-norm geometry) from each point of ``pts``
+    (..., n) to the complement of the box: positive inside, zero on a face,
+    negative outside."""
+    pts = np.asarray(pts, dtype=float)
+    return np.minimum(pts - box.lower, box.upper - pts).min(axis=-1)
 
 
 @dataclass
@@ -69,17 +75,16 @@ def _edge_aware_axes(box: Box, delta: float, per_axis: int) -> list[np.ndarray]:
 
 def check_delta_tau_invariance(model: ControlSystemModel, controller, delta: float,
                                tau: float, per_axis: int = 5,
-                               step: float | None = None,
-                               tol: float = 1e-9,
-                               max_violations: int = 10) -> InvarianceReport:
+                               step: float | None = None) -> InvarianceReport:
     """Audit margin invariance of the closed loop on the model's state box.
 
     The edge band collects points within ``delta`` of the boundary; the core
     is its complement.  The audit samples a lattice (densified inside the
-    band) and verifies (a) every edge start reaches the core after ``tau``
-    and (b) every core start stays in the core at all integration nodes.
-    When some axis is narrower than 2*delta the core has no interior and
-    the audit fails with an ``EdgeConsumesDomain`` note.
+    band), integrates every start in one pass, and verifies (a) every edge
+    start reaches the core after ``tau`` and (b) every core start stays in
+    the core at all integration nodes.  When some axis is narrower than
+    2*delta the core has no interior and the audit fails with an
+    ``EdgeConsumesDomain`` note.
     """
     if delta < 0:
         raise NonPositiveBudget(f"delta must be nonnegative, got {delta}")
@@ -95,61 +100,54 @@ def check_delta_tau_invariance(model: ControlSystemModel, controller, delta: flo
                    "EdgeConsumesDomain: some axis width <= 2*delta, core is empty"],
         )
 
-    axes = _edge_aware_axes(box, delta, per_axis)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*_edge_aware_axes(box, delta, per_axis), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    margins = boundary_margin(box, pts)
-    edge_pts = pts[margins < delta]
-    core_pts = pts[margins >= delta]
+    in_edge = boundary_margin(box, pts) < delta
+    edge, core = np.flatnonzero(in_edge), np.flatnonzero(~in_edge)
+    times, states, _ = rk4_closed_loop(model, controller, pts, tau, step)
+    margin = boundary_margin(box, states) - delta  # (S+1, P)
     violations: list[dict] = []
 
     worst_edge = None
-    if edge_pts.shape[0]:
-        times, states, _ = rk4_closed_loop(model, controller, edge_pts, tau, step)
-        end_margin = boundary_margin(box, states[-1]) - delta
+    if edge.size:
+        end_margin = margin[-1, edge]
         worst_edge = float(end_margin.min())
         for idx in np.argsort(end_margin):
-            if end_margin[idx] >= -tol or len(violations) >= max_violations:
+            if end_margin[idx] >= -_MARGIN_TOL or len(violations) >= _MAX_VIOLATIONS:
                 break
             violations.append({
                 "kind": "edge-endpoint",
-                "start": edge_pts[idx].tolist(),
+                "start": pts[edge[idx]].tolist(),
                 "time": float(times[-1]),
-                "state": states[-1, idx].tolist(),
+                "state": states[-1, edge[idx]].tolist(),
                 "shortfall": float(-end_margin[idx]),
             })
 
     worst_core = None
-    if core_pts.shape[0]:
-        times, states, _ = rk4_closed_loop(model, controller, core_pts, tau, step)
-        node_margin = (
-            np.minimum(states - box.lower, box.upper - states).min(axis=2) - delta
-        )  # (S+1, P)
+    if core.size:
+        node_margin = margin[:, core]
         worst_core = float(node_margin.min())
-        bad = np.argwhere(node_margin < -tol)
+        bad = np.argwhere(node_margin < -_MARGIN_TOL)
         order = np.argsort(node_margin[bad[:, 0], bad[:, 1]]) if bad.size else []
         seen: set[int] = set()
         for k in order:
             s, p = map(int, bad[k])
-            if p in seen or len(violations) >= max_violations:
+            if p in seen or len(violations) >= _MAX_VIOLATIONS:
                 continue
             seen.add(p)
             violations.append({
                 "kind": "core-node",
-                "start": core_pts[p].tolist(),
+                "start": pts[core[p]].tolist(),
                 "time": float(times[s]),
-                "state": states[s, p].tolist(),
+                "state": states[s, core[p]].tolist(),
                 "shortfall": float(-node_margin[s, p]),
             })
 
-    holds = (
-        (worst_edge is None or worst_edge >= -tol)
-        and (worst_core is None or worst_core >= -tol)
-    )
     return InvarianceReport(
-        holds=holds, delta=delta, tau=tau, edge_consumed=False,
-        num_edge_starts=int(edge_pts.shape[0]),
-        num_interior_starts=int(core_pts.shape[0]),
+        holds=all(w is None or w >= -_MARGIN_TOL for w in (worst_edge, worst_core)),
+        delta=delta, tau=tau, edge_consumed=False,
+        num_edge_starts=int(edge.size),
+        num_interior_starts=int(core.size),
         worst_edge_margin=worst_edge, worst_interior_margin=worst_core,
         violations=violations,
         probe_spec=f"edge-aware lattice[{per_axis}^{box.dimension}]",
@@ -183,35 +181,28 @@ class DeviationReport:
         return {"audit": f"{fields.pop('kind')}_deviation", "holds": self.holds, **fields}
 
 
-def _eval_controller(controller, pts: np.ndarray, m: int) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _as_controls(controller(pts), pts.shape[:-1], m)
-
-
-def _compare_loops(kind: str, model_a: ControlSystemModel, psi_a,
-                   model_b: ControlSystemModel, psi_b, tau: float, step: float,
-                   probes: np.ndarray, *, k_lip: float, mu: float, mu_source: str,
-                   delta: float | None, tol: float,
+def _compare_loops(kind: str, model: ControlSystemModel, controller, tau: float,
+                   step: float, probes: np.ndarray, *, k_lip: float, mu: float,
+                   mu_source: str, delta: float | None,
                    probe_spec: str | None) -> DeviationReport:
-    """Integrate both closed loops from ``probes`` for one period and check
-    the worst endpoint gap against the Gronwall bound for ``mu`` (with the
-    first model's constants and ``k_lip``) and, when given, ``delta``."""
-    _, states_a, _ = rk4_closed_loop(model_a, psi_a, probes, tau, step)
-    _, states_b, _ = rk4_closed_loop(model_b, psi_b, probes, tau, step)
-    dev = np.abs(states_a[-1] - states_b[-1]).max(axis=1)
+    """Integrate a pair of closed loops from ``probes`` for one period in one
+    pass: the starts are stacked twice, and ``model`` with ``controller``
+    runs one loop on each half.  The worst endpoint gap is checked against
+    the Gronwall bound for ``mu`` (with ``model``'s constants and ``k_lip``)
+    and, when given, ``delta``."""
+    P = probes.shape[0]
+    _, states, _ = rk4_closed_loop(model, controller, np.vstack([probes, probes]), tau, step)
+    dev = np.abs(states[-1, :P] - states[-1, P:]).max(axis=1)
     worst = int(np.argmax(dev))
-    bound = gronwall_bound(mu, model_a.k_x, model_a.k_u, k_lip, tau)
+    bound = gronwall_bound(mu, model.k_x, model.k_u, k_lip, tau)
     max_dev = float(dev[worst])
     return DeviationReport(
-        kind=kind,
-        max_deviation=max_dev,
-        worst_start=probes[worst].tolist(),
+        kind=kind, max_deviation=max_dev, worst_start=probes[worst].tolist(),
         mu=mu, mu_source=mu_source,
-        bound=bound, bound_pass=bool(max_dev <= bound + tol),
+        bound=bound, bound_pass=bool(max_dev <= bound + _DEVIATION_TOL),
         delta=delta,
-        delta_pass=None if delta is None else bool(max_dev <= delta + tol),
-        tau=float(tau), num_probes=int(probes.shape[0]),
-        probe_spec=probe_spec,
+        delta_pass=None if delta is None else bool(max_dev <= delta + _DEVIATION_TOL),
+        tau=float(tau), num_probes=P, probe_spec=probe_spec,
     )
 
 
@@ -220,7 +211,6 @@ def deviation_audit(model: ControlSystemModel, psi, upsilon, tau: float,
                     mu: float | None = None,
                     mu_probes: np.ndarray | None = None,
                     delta: float | None = None,
-                    tol: float = 1e-7,
                     probe_spec: str | None = None) -> DeviationReport:
     """Compare the closed loops under two controllers from shared starts.
 
@@ -235,14 +225,20 @@ def deviation_audit(model: ControlSystemModel, psi, upsilon, tau: float,
     mu_source = "supplied"
     if mu is None:
         pts = probes if mu_probes is None else np.atleast_2d(mu_probes)
-        gap = np.abs(
-            _eval_controller(psi, pts, model.m) - _eval_controller(upsilon, pts, model.m)
-        )
+        gap = np.abs(check_oracle_reply(psi(pts), pts, model.m)
+                     - check_oracle_reply(upsilon(pts), pts, model.m))
         mu = float(gap.max())
         mu_source = "measured"
-    return _compare_loops("controller", model, psi, model, upsilon, tau, step, probes,
+
+    def pair(x):
+        # psi answers the first half of the rows, upsilon the second
+        half = len(x) // 2
+        return np.concatenate([check_oracle_reply(psi(x[:half]), x[:half], model.m),
+                               check_oracle_reply(upsilon(x[half:]), x[half:], model.m)])
+
+    return _compare_loops("controller", model, pair, tau, step, probes,
                           k_lip=k_upsilon, mu=mu, mu_source=mu_source, delta=delta,
-                          tol=tol, probe_spec=probe_spec)
+                          probe_spec=probe_spec)
 
 
 def sysid_deviation_audit(model_true: ControlSystemModel,
@@ -251,7 +247,6 @@ def sysid_deviation_audit(model_true: ControlSystemModel,
                           mu: float | None = None,
                           mu_probes: np.ndarray | None = None,
                           delta: float | None = None,
-                          tol: float = 1e-7,
                           probe_spec: str | None = None) -> DeviationReport:
     """Compare the true plant against an identified surrogate field under
     one shared controller.
@@ -272,7 +267,7 @@ def sysid_deviation_audit(model_true: ControlSystemModel,
     if mu is None:
         if mu_probes is None:
             xs = probes
-            us = _eval_controller(psi, xs, m)
+            us = check_oracle_reply(psi(xs), xs, m)
         else:
             mu_probes = np.atleast_2d(np.asarray(mu_probes, dtype=float))
             if mu_probes.shape[1] != n + m:
@@ -283,6 +278,13 @@ def sysid_deviation_audit(model_true: ControlSystemModel,
         gap = np.abs(model_true.field(xs, us) - model_surrogate.field(xs, us))
         mu = float(gap.max())
         mu_source = "measured"
-    return _compare_loops("field", model_true, psi, model_surrogate, psi, tau, step, probes,
+
+    def pair(x, u):
+        # the true field drives the first half of the rows, the surrogate the second
+        half = len(x) // 2
+        return np.concatenate([model_true.field(x[:half], u[:half]),
+                               model_surrogate.field(x[half:], u[half:])])
+
+    return _compare_loops("field", replace(model_true, f=pair), psi, tau, step, probes,
                           k_lip=k_psi, mu=mu, mu_source=mu_source, delta=delta,
-                          tol=tol, probe_spec=probe_spec)
+                          probe_spec=probe_spec)

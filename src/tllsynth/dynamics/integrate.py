@@ -9,45 +9,24 @@ shrunk to the nearest exact divisor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NonFiniteState, OracleFailure, StepInvalid
+from ..cpwa import check_oracle_reply
+from ..errors import NonFiniteState, StepInvalid
 from .models import ControlSystemModel
-
-
-@dataclass
-class Trajectory:
-    """Sampled closed-loop run: node times, states, and applied controls."""
-
-    times: np.ndarray      # (S+1,)
-    states: np.ndarray     # (S+1, n)
-    controls: np.ndarray   # (S+1, m)
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def _as_controls(u, batch_shape, m) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    want = batch_shape + (m,)
-    if u.shape == want:
-        return u
-    if u.shape == batch_shape and m == 1:
-        return u[..., None]
-    raise OracleFailure(f"controller returned shape {u.shape}, expected {want}")
 
 
 def rk4_closed_loop(model: ControlSystemModel, controller, X0: np.ndarray,
                     tau: float, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch RK4 over horizon tau.
 
-    ``X0`` has shape (P, n); the controller maps (P, n) -> (P, m) (scalar
-    outputs may come back as (P,)).  Returns (times, states, controls) with
-    states of shape (S+1, P, n).  Raises ``NonFiniteState`` the moment any
-    stage stops being finite, and ``StepInvalid`` for a bad step size.
+    ``X0`` has shape (P, n); the controller maps (P, n) to finite (P, m),
+    and ``cpwa.check_oracle_reply`` checks every reply: any other shape or
+    a non-finite control is an ``OracleFailure`` naming the point.  Returns
+    (times, states, controls) with states of shape (S+1, P, n).  Raises
+    ``NonFiniteState`` the moment any stage stops being finite, and
+    ``StepInvalid`` for a bad step size.
     """
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
         raise StepInvalid(f"horizon must be positive, got {tau!r}")
@@ -61,7 +40,7 @@ def rk4_closed_loop(model: ControlSystemModel, controller, X0: np.ndarray,
     P, n = X0.shape
 
     def g(x):
-        u = _as_controls(controller(x), x.shape[:-1], model.m)
+        u = check_oracle_reply(controller(x), x, model.m)
         dx = model.field(x, u)
         if not np.isfinite(dx).all():
             raise NonFiniteState("field produced non-finite derivatives")
@@ -88,14 +67,3 @@ def rk4_closed_loop(model: ControlSystemModel, controller, X0: np.ndarray,
     controls[steps] = u_last
     return times, states, controls
 
-
-def integrate_closed_loop(model: ControlSystemModel, controller, x0,
-                          tau: float, step: float | None = None) -> Trajectory:
-    """Integrate one initial state; default step is tau/100."""
-    if step is None:
-        step = tau / 100.0
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise StepInvalid(f"initial state must have shape ({model.n},)")
-    times, states, controls = rk4_closed_loop(model, controller, x0[None, :], tau, step)
-    return Trajectory(times, states[:, 0, :], controls[:, 0, :])

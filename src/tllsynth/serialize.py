@@ -20,7 +20,10 @@ def float_to_hex(x: float) -> str:
 
 def hex_to_float(s: Any) -> float:
     if isinstance(s, float) or is_int(s):
-        return float(s)
+        try:
+            return float(s)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise SchemaError("integer too large for a float") from exc
     if not isinstance(s, str):
         raise SchemaError(f"expected hex float string, got {type(s).__name__}")
     try:

@@ -9,8 +9,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tllsynth import check_ads, embed_tau_sampled, import_network, linear_1d, perturb
+from tllsynth import cli
 from tllsynth.cli import main
 from tllsynth.serialize import load_json
 
@@ -96,3 +98,17 @@ def test_bench_readers_agree_with_the_lattice(tmp_path):
                 workloads.eval_relu_json(load_json(f"{out}/relu.json"), X)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, float(np.abs(want).max()))
+
+
+@pytest.mark.parametrize("name", ["synth-2d", "interp-4d", "closed-loop"])
+def test_tiny_workload_op_passes_its_own_checks(tmp_path, name):
+    # one --tiny op of each workload, in-process, checked as the benchmark
+    # checks it: a change that breaks the benchmark's chain fails here
+    workloads, spans = _load_bench("workloads"), _load_spans()
+    wl = workloads.WORKLOADS[name](7, True)
+    wl.inp = tmp_path / "inputs"
+    wl.write_inputs(wl.inp)
+    out = tmp_path / "op"
+    rec = wl.op(cli, out, spans.NullTracer())
+    assert rec["failures"] == []
+    assert wl.check(out, rec) == []

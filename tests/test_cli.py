@@ -136,11 +136,14 @@ _ZERO_APPROX = {"mu": 1e-9, "oracle": {"kind": "builtin", "name": "zero"}}
     ("verify", {"tolerances": 5}),
     ("verify", {"tolerances": {"continuity": [1e-9]}}),
     ("verify", dict(_ZERO_APPROX, probes={"per_axis": [3]})),
+    ("verify", dict(_ZERO_APPROX, mu=float("inf"))),   # JSON Infinity
+    ("verify", dict(_ZERO_APPROX, mu=float("nan"))),   # JSON NaN
     ("compile", {"bound_n": {}}),
     ("compile", {"bound_n": 31.9}),
 ], ids=["size-null-k_x", "size-list-eta", "grid-list-eta", "grid-string-eta", "grid-bool-eta",
         "grid-huge-int-eta", "verify-scalar-tolerances", "verify-list-tolerance",
-        "verify-list-per_axis", "compile-object-bound_n", "compile-float-bound_n"])
+        "verify-list-per_axis", "verify-infinite-mu", "verify-nan-mu",
+        "compile-object-bound_n", "compile-float-bound_n"])
 def test_wrong_config_value_types_are_config_errors(tmp_path, command, cfg_obj):
     cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
     argv = [command, "--config", cfg, "--out", str(tmp_path)]
@@ -377,6 +380,31 @@ def test_verify_approx_checks_the_oracle_reply_like_build(tmp_path):
     assert main(["verify", str(out / "interpolant.json"), "--which", "approx",
                  "--config", vcfg, "--out", str(out)]) == 3
     assert not (out / "verify_approx_report.json").exists()
+
+
+def _steep_affine_interpolant(tmp_path):
+    """An interpolant of x -> 100 x + 100 y, whose gradient dual norm is 200."""
+    out = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": [[100.0, 100.0]], "b": [0.0]})
+    return str(out / "interpolant.json"), str(out)
+
+
+def test_verify_lipschitz_nan_bound_is_config_error(tmp_path):
+    interp, out = _steep_affine_interpolant(tmp_path)
+    one = _write_cfg(tmp_path / "one.json", {"lipschitz_bound": 1.0})
+    assert main(["verify", interp, "--which", "lipschitz", "--config", one, "--out", out]) == 1
+    nan = _write_cfg(tmp_path / "nan.json", {"lipschitz_bound": float("nan")})
+    assert main(["verify", interp, "--which", "lipschitz", "--config", nan, "--out", out]) == 2
+
+
+@pytest.mark.parametrize("where", ["K_cont", "eta"])
+def test_integer_beyond_float_range_in_interpolant_is_schema_error(tmp_path, capsys, where):
+    interp, out = _steep_affine_interpolant(tmp_path)
+    obj = load_json(interp)
+    (obj if where == "K_cont" else obj["grid"])[where] = 10 ** 400
+    dump_json(obj, interp)
+    assert main(["verify", interp, "--which", "lipschitz", "--out", out]) == 2
+    assert "too large for a float" in capsys.readouterr().err
 
 
 def _sinusoid_artifacts(tmp_path, scale, k_cont=None):
@@ -900,6 +928,13 @@ def test_ads_check_pass_fail_and_validation(tmp_path):
     dump_json({"states": [{"id": 0}], "transitions": []}, str(malformed))
     assert main(["ads-check", a, str(malformed), "--delta", "0.0",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_ads_check_nonfinite_delta_is_config_error(tmp_path, delta):
+    a = _ts_file(tmp_path / "a.json", [[0.0], [1.0]], {(0, "go", 1), (1, "go", 1)})
+    assert main(["ads-check", a, a, "--delta", delta, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "ads_check_report.json").exists()
 
 
 # -- process-level entry points ---------------------------------------------------------

@@ -15,7 +15,6 @@ from tllsynth import (
     builtin_models,
     check_delta_tau_invariance,
     deviation_audit,
-    integrate_closed_loop,
     linear_1d,
     pendulum,
     rk4_closed_loop,
@@ -132,11 +131,49 @@ def test_controller_shape_is_checked():
         rk4_closed_loop(model, bad, x0, tau=1.0, step=0.1)
 
 
-def test_single_trajectory_helper():
+def test_single_start_reaches_analytic_endpoint():
     model = linear_1d(a=-1.0, b=0.0)
-    traj = integrate_closed_loop(model, ZERO, np.array([1.0]), tau=1.0, step=0.01)
-    assert traj.endpoint[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
-    assert traj.states.shape[0] == traj.times.shape[0]
+    times, states, controls = rk4_closed_loop(model, ZERO, np.array([[1.0]]),
+                                              tau=1.0, step=0.01)
+    assert states[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+    assert states.shape[0] == times.shape[0] == controls.shape[0]
+
+
+@pytest.mark.parametrize("controller, says", [
+    (lambda x: np.zeros(x.shape[:-1]), "shape"),              # (P,) for m = 1
+    (lambda x: np.full(x.shape[:-1] + (1,), np.nan), "non-finite"),
+], ids=["p-reply-for-m-1", "nan-control"])
+def test_controller_reply_must_be_finite_p_by_m(controller, says):
+    model = linear_1d(a=-1.0, b=1.0)
+    with pytest.raises(OracleFailure, match=says) as info:
+        rk4_closed_loop(model, controller, np.array([[0.25]]), tau=1.0, step=0.1)
+    assert "[0.25]" in str(info.value)
+
+
+@pytest.mark.parametrize("audit", ["invariance", "deviation", "sysid"])
+def test_each_audit_integrates_once(audit, monkeypatch):
+    from tllsynth.dynamics import audits
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].shape)
+        return rk4_closed_loop(*args, **kwargs)
+
+    monkeypatch.setattr(audits, "rk4_closed_loop", counting)
+    model = linear_1d(a=-1.0, b=1.0)
+    probes = np.array([[0.5], [-0.25], [0.0]])
+    if audit == "invariance":
+        report = check_delta_tau_invariance(model, ZERO, delta=0.1, tau=0.5,
+                                            per_axis=5, step=0.01)
+        assert report.num_edge_starts and report.num_interior_starts
+    elif audit == "deviation":
+        deviation_audit(model, ZERO, ZERO, tau=0.5, step=0.01, probes=probes,
+                        k_upsilon=0.0)
+    else:
+        sysid_deviation_audit(model, model, ZERO, tau=0.5, step=0.01, probes=probes,
+                              k_psi=0.0)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
