@@ -613,9 +613,14 @@ def cmd_verify(args) -> int:
 
 def _controller_from_args(args, cfg, model):
     """Controller for closed-loop audits: compiled network file if given,
-    else the configured oracle."""
+    which must map the model's states to its controls, else the configured
+    oracle."""
     if args.network:
-        return import_network(load_json(args.network))
+        net = import_network(load_json(args.network))
+        if (net.n, net.m) != (model.n, model.m):
+            raise DimensionMismatch(f"network maps R^{net.n} to R^{net.m}, the model "
+                                    f"{model.name} R^{model.n} to R^{model.m}")
+        return net
     if cfg.get("oracle") is not None:
         return _resolve_oracle(cfg, model.n, model.m)
     raise ConfigError("audit needs --network or an 'oracle' in the config")
@@ -648,12 +653,14 @@ def cmd_audit(args) -> int:
         if not args.network:
             raise ConfigError(f"{args.which} audit needs --network (the compiled "
                               "controller for gronwall, the field surrogate for sysid)")
-        net = import_network(load_json(args.network))
-        surrogate = _surrogate(model, net) if args.which == "sysid" else None
+        if args.which == "sysid":
+            surrogate = _surrogate(model, import_network(load_json(args.network)))
+        else:
+            net = _controller_from_args(args, cfg, model)
         probes = build_probes(_optional_box(cfg, "domain", model.x_box), per_axis,
                               random_count, seed)
         with _closing(_resolve_oracle(cfg, model.n, model.m)) as psi:
-            if surrogate is None:
+            if args.which == "gronwall":
                 report = deviation_audit(
                     model, psi, net, budget.tau, step, probes.points,
                     k_upsilon=_number(cfg, "k_upsilon", 3.0 * budget.k_cont),

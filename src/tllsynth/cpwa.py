@@ -300,17 +300,25 @@ def piece_bank(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np.nda
     Returns the bank ``W`` (N, n) and ``b`` (N,), taken from each piece's
     first simplex, and the bank index of every simplex's piece (C * n!,),
     simplexes in (cell, permutation) order.  With s the output's
-    ``value_scale``, two pieces are the same when ``np.round(w / s, 12)``
-    and Python's correctly rounded ``round(b / s, 12)`` agree exactly, with
-    -0 folded into +0.
+    ``value_scale``, two pieces are the same when ``np.round(key / s, 12)``
+    agrees exactly, with -0 folded into +0, for key the gradient w followed
+    by the piece's value at the grid anchor.  That value is read off the
+    cell's minimal corner x_0, v_0 + w.(anchor - x_0) with anchor - x_0 =
+    -eta * cell, summed axis by axis, not through b = v_0 - w.x_0: its
+    rounding then follows the domain's extent, not its distance from the
+    origin.
     """
+    grid, F = interp.grid, len(interp.perms)
     w = interp.W[:, :, output].reshape(-1, interp.n)
     b = interp.B[:, :, output].reshape(-1)
-    s = value_scale(interp, output)
+    corners = np.ravel_multi_index((interp.cells + 1).T, tuple(c + 2 for c in grid.axis_counts))
+    to_anchor = np.repeat(-grid.eta * interp.cells, F, axis=0)       # (S, n)
     key = np.empty((b.size, interp.n + 1))
-    key[:, :-1] = np.round(w / s, _DEDUP_DECIMALS)
-    key[:, -1] = [round(v, _DEDUP_DECIMALS) for v in (b / s).tolist()]
-    key += 0.0  # fold -0.0 into +0.0, so equal keys have equal bytes
+    key[:, :-1] = w
+    key[:, -1] = np.repeat(interp._corner_table()[corners, output], F)
+    for i in range(interp.n):
+        key[:, -1] += w[:, i] * to_anchor[:, i]
+    key = np.round(key / value_scale(interp, output), _DEDUP_DECIMALS) + 0.0  # +0.0 folds -0
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)

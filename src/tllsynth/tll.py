@@ -30,6 +30,10 @@ from .errors import (
 from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
 from .sizing import controller_size
 
+# floats held by one chunk's temporaries: the gathered selector values of
+# TllNetwork.eval_batch, the vertex values of _vertex_relations
+_CHUNK_VALUES = 1 << 18
+
 
 @dataclass
 class ScalarLattice:
@@ -49,6 +53,17 @@ def _members(selectors) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(selectors), dtype=np.intp)
 
 
+def _size_buckets(sizes: np.ndarray, members: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Selectors grouped by set size: for each size k, the members of its
+    selectors as an (M_k, k) index array, sizes ascending; and for each
+    selector, the column of its min when the buckets' minima stand side by
+    side in that order."""
+    starts = np.cumsum(sizes) - sizes
+    groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes)]
+    idxs = [members[starts[g, None] + np.arange(sizes[g[0]])] for g in groups]
+    return idxs, np.argsort(np.concatenate(groups))
+
+
 class TllNetwork:
     """Max-of-mins network over affine banks, one lattice per output.
 
@@ -56,17 +71,23 @@ class TllNetwork:
     the source interpolant is only claimed on the interpolant's hypercube
     union.  ``provenance`` carries the grid spacing, the declared controller
     Lipschitz constant, and the constructive size bound the bank must obey.
+    The selector sets are read once, at construction, into the index arrays
+    evaluation uses, so mutating an output's ``ScalarLattice`` afterwards is
+    not supported.
     """
 
     def __init__(self, n: int, outputs: list[ScalarLattice], provenance: dict | None = None):
         if n < 1 or not outputs:
             raise InvariantViolation("network needs n >= 1 and at least one output")
+        self._buckets = []
         for out in outputs:
             if out.W.shape != (out.b.shape[0], n) or out.b.ndim != 1:
                 raise InvariantViolation("bank shapes are inconsistent")
             if out.size < 1 or not out.selectors:
                 raise InvariantViolation("bank and selector list must be nonempty")
-            if not all(map(len, out.selectors)):
+            sizes = np.fromiter(map(len, out.selectors), dtype=np.intp,
+                                count=len(out.selectors))
+            if not sizes.all():
                 raise EmptySelector("selector set is empty")
             try:
                 members = _members(out.selectors)
@@ -74,6 +95,7 @@ class TllNetwork:
                 raise InvariantViolation("selector index out of bank range") from exc
             if members.min() < 0 or members.max() >= out.size:
                 raise InvariantViolation("selector index out of bank range")
+            self._buckets.append(_size_buckets(sizes, members))
         self.n = n
         self.outputs = outputs
         self.provenance = dict(provenance or {})
@@ -83,12 +105,25 @@ class TllNetwork:
         return len(self.outputs)
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of ``X`` (P, n), shape (P, m).
+
+        Each selector size takes one gather and one ``min`` over its
+        (rows, M_k, k) values, in chunks of rows that hold at most
+        ``_CHUNK_VALUES`` gathered values; the minima are put back in
+        selector order before the ``max``, so the result is bitwise that of
+        one ``min`` per selector."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise DimensionMismatch(f"network inputs must have shape (P, {self.n}), "
+                                    f"got {X.shape}")
         res = np.empty((X.shape[0], self.m))
-        for j, lat in enumerate(self.outputs):
+        for j, (lat, (idxs, column)) in enumerate(zip(self.outputs, self._buckets)):
             vals = X @ lat.W.T + lat.b
-            terms = np.stack([vals[:, sel].min(axis=1) for sel in lat.selectors], axis=1)
-            res[:, j] = terms.max(axis=1)
+            step = max(1, _CHUNK_VALUES // max(idx.size for idx in idxs))
+            for lo in range(0, X.shape[0], step):
+                rows = vals[lo:lo + step]
+                mins = np.concatenate([rows[:, idx].min(axis=2) for idx in idxs], axis=1)
+                res[lo:lo + step, j] = mins[:, column].max(axis=1)
         return res
 
     def __call__(self, x):
@@ -99,10 +134,6 @@ class TllNetwork:
         """Largest bank gradient dual norm: a global Lipschitz constant of
         the network under the infinity norm."""
         return max(float(np.abs(lat.W).sum(axis=1).max()) for lat in self.outputs)
-
-
-# float vertex values evaluated per chunk of simplexes in _vertex_relations
-_CHUNK_VALUES = 1 << 18
 
 
 def _vertex_relations(interp: CpwaInterpolant, W: np.ndarray, b: np.ndarray,

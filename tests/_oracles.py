@@ -10,8 +10,9 @@ at a time and the pairwise tree expansion below builds ReLU layers one
 neuron at a time, as the library once did; they are the bitwise references
 for the library's array-based interning and array-built layers.  The
 per-simplex LU solve is the reference for the closed-form interpolation
-pieces, and the per-simplex dominating sets are the reference for the
-compiled selector sets.
+pieces, the per-simplex dominating sets are the reference for the
+compiled selector sets, and the lattice is evaluated one selector set at a
+time as the reference for the size-bucketed evaluation.
 """
 
 import functools
@@ -277,22 +278,33 @@ def dict_piece_bank(interp, output):
     """Bank dedup with a dict keyed on rounded, scale-relative coefficients.
 
     With s the power of two nearest to max|omega| of the output, the key is
-    ``np.round(w / s, 12)`` with -0 folded to +0, plus Python's
-    ``round(b / s, 12)``; simplexes are visited cell by cell, permutation by
-    permutation, and each new key appends its first piece to the bank.
+    ``np.round(k / s, 12)`` with -0 folded to +0, for k a piece's gradient w
+    followed by its value at the grid anchor: the sample v at its cell's
+    minimal corner (offset = cell) plus w_i * (-eta * cell_i), added axis by
+    axis.  Samples are looked up by corner offset in omega and extra_values.
+    Simplexes are visited cell by cell, permutation by permutation, and each
+    new key appends its first piece to the bank.
     """
-    s = nearest_power_of_two(float(np.abs(interp.omega[output]).max()))
+    from tllsynth.geometry import extra_corners
 
-    def key(w, b):
-        wr = np.round(np.asarray(w, dtype=float) / s, 12)
-        wr += 0.0
-        return tuple(wr.tolist()) + (round(float(b) / s, 12) + 0.0,)
+    grid = interp.grid
+    s = nearest_power_of_two(float(np.abs(interp.omega[output]).max()))
+    sample = dict(zip(map(tuple, grid.offsets.tolist()), interp.omega[output]))
+    sample.update(zip(map(tuple, extra_corners(grid).tolist()), interp.extra_values[output]))
+
+    def key(w, cell):
+        at_anchor = sample[tuple(cell)]
+        for wi, ci in zip(w, cell):
+            at_anchor += wi * (-grid.eta * ci)
+        k = np.round(np.append(w, at_anchor) / s, 12)
+        k += 0.0
+        return tuple(k.tolist())
 
     index, bank_w, bank_b, active = {}, [], [], []
     C, F = interp.W.shape[:2]
     for c in range(C):
         for f in range(F):
-            k = key(interp.W[c, f, output], interp.B[c, f, output])
+            k = key(interp.W[c, f, output], interp.cells[c].tolist())
             if k not in index:
                 index[k] = len(bank_w)
                 bank_w.append(interp.W[c, f, output].copy())
@@ -504,6 +516,17 @@ def expand_scalar(W, b, selectors, n, pad_to=None):
         out_vec[p], out_vec[q] = 1.0, -1.0
         out_bias = 0.0
     return layers, out_vec, out_bias
+
+
+def lattice_values(lattices, X):
+    """Max over selector sets of the min over each set's bank values, one
+    ``min`` per set, for (W, b, selectors) lattices; shape (P, len(lattices))."""
+    X = np.asarray(X, dtype=float)
+    res = np.empty((X.shape[0], len(lattices)))
+    for j, (W, b, selectors) in enumerate(lattices):
+        vals = X @ W.T + b
+        res[:, j] = np.stack([vals[:, sel].min(axis=1) for sel in selectors], axis=1).max(axis=1)
+    return res
 
 
 def expand_network(n, lattices):

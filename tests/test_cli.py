@@ -13,6 +13,8 @@ import pytest
 from test_tll import sinusoid_interpolant
 from tllsynth import (
     Box,
+    ScalarLattice,
+    TllNetwork,
     build_eta_grid,
     build_interpolant,
     builtin_models,
@@ -892,6 +894,31 @@ def test_audit_sysid_shape_mismatch_is_config_error(tmp_path):
     })
     assert main(["audit", "--which", "sysid", "--network", str(net),
                  "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("which", ["gronwall", "invariance"])
+@pytest.mark.parametrize("model, net_shape, model_shape", [
+    ("linear_1d", (2, 1), (1, 1)),
+    ("pendulum", (2, 2), (2, 1)),
+], ids=["two-inputs-on-linear_1d", "two-outputs-on-pendulum"])
+def test_audit_controller_network_must_fit_the_model(tmp_path, capsys, which, model,
+                                                     net_shape, model_shape):
+    n, m = net_shape
+    lattice = ScalarLattice(np.zeros((1, n)), np.zeros(1), [[0]])
+    net = tmp_path / "network.json"
+    dump_json(export_network(TllNetwork(n, [lattice] * m)), str(net))
+    cfg = _write_cfg(tmp_path / "aud.json", {
+        "model": model,
+        "budget": {"k_x": 1.5, "k_u": 1.0, "k_cont": 0.5, "tau": 0.5, "delta": 0.5},
+        "oracle": {"kind": "builtin", "name": "zero"},
+        "probes": {"per_axis": 3},
+    })
+    assert main(["audit", "--which", which, "--network", str(net),
+                 "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "R^%d to R^%d" % net_shape in err and "R^%d to R^%d" % model_shape in err
+    assert not (tmp_path / f"audit_{which}_report.json").exists()
 
 
 # -- ads-check ------------------------------------------------------------------------

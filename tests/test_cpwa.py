@@ -368,9 +368,9 @@ def test_value_scale_is_the_nearest_power_of_two():
     assert region_count(huge) == [1]
 
 
-def test_piece_bank_rounds_offsets_like_python():
-    # np.round scales by 1e12 and rounds the product; round() is correctly
-    # rounded.  They disagree here, and the bank must follow round().
+def test_piece_bank_key_never_reads_the_offset():
+    # pieces whose b differ in the 12th decimal but whose gradients and
+    # corner values agree are one piece; the bank keeps the first b
     b = 2.2053876672105
     assert np.round(b, 12) != round(b, 12)
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
@@ -383,6 +383,21 @@ def test_piece_bank_rounds_offsets_like_python():
     assert bias.tolist() == [b] and active.tolist() == [0, 0, 0]
     assert _same_bank((W, bias, active), dict_piece_bank(interp, 0))
     assert region_count(interp) == [1]
+
+
+def test_piece_bank_keeps_its_pieces_on_a_domain_moved_by_1e6():
+    # the same samples on the unit square and on [1e6, 1e6 + 1]^2: b carries
+    # w . x_0, about 1e6 times the gradient, the key does not
+    grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.1)
+    x, y = grid.points.T
+    near = build_interpolant(grid, (np.sin(3.0 * x) * np.cos(2.0 * y))[None])
+    far = build_interpolant(build_eta_grid(Box([1e6, 1e6], [1e6 + 1.0, 1e6 + 1.0]), 0.1),
+                            near.omega)
+    W, b, active = piece_bank(near, 0)
+    W_far, b_far, active_far = piece_bank(far, 0)
+    assert np.array_equal(active_far, active) and np.array_equal(W_far, W)
+    assert region_count(far) == region_count(near) == [len(b)]
+    assert _same_bank((W_far, b_far, active_far), dict_piece_bank(far, 0))
 
 
 def test_region_count_equals_compiled_bank_sizes():

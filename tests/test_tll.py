@@ -31,6 +31,7 @@ from tllsynth import tll
 from _oracles import (
     all_dominating_selectors,
     expand_network,
+    lattice_values,
     schedule_widths,
     simplex_relations,
 )
@@ -400,6 +401,86 @@ def test_expansion_matches_reference_bitwise():
             assert same(W, W_ref) and same(c, c_ref)
         assert same(relu.out_w, out_w) and same(relu.out_b, out_b)
     assert any(len(expand_relu_layers(net).layers) == 0 for net in nets)
+
+
+# ---------------------------------------------------------------------------
+# lattice evaluation
+# ---------------------------------------------------------------------------
+
+def _bitwise(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _lattices(net):
+    return [(lat.W, lat.b, lat.selectors) for lat in net.outputs]
+
+
+def _eval_networks(rng):
+    """(network, inputs) pairs: random lattices of mixed set sizes with
+    repeated members, the same lattices on integer banks and inputs (so that
+    values tie), a compiled network, one parallel composition, and each
+    network again after an export/import round trip.  m is 1 or 2."""
+    nets = []
+    for m in (1, 2):
+        for n in (1, 2, 3):
+            lats = [_random_lattice(rng, n, max_set=9, num_sets=int(rng.integers(1, 40)))
+                    for _ in range(m)]
+            nets.append((TllNetwork(n, lats), False))
+            ints = [ScalarLattice(np.round(2.0 * lat.W), np.round(2.0 * lat.b), lat.selectors)
+                    for lat in lats]
+            nets.append((TllNetwork(n, ints), True))
+    one_output = [net for net, ints in nets if net.n == 2 and net.m == 1 and not ints]
+    nets.append((parallel_compose(one_output + [compile_scalar_tll(
+        _random_interpolant(rng, n=2, eta=0.3))]), False))
+    nets.append((compile_tll(_random_interpolant(rng, n=2, eta=0.3, m=2)), False))
+    nets += [(import_network(export_network(net)), ints) for net, ints in nets]
+    assert {net.m for net, _ in nets} == {1, 2}
+    return nets
+
+
+def _inputs(rng, P, n, ints):
+    if ints:
+        return rng.integers(-2, 3, size=(P, n)).astype(float)
+    return rng.uniform(-0.5, 1.5, size=(P, n))
+
+
+@pytest.mark.parametrize("P", [0, 1, 111])
+def test_eval_batch_is_bitwise_the_selector_loop(P):
+    rng = np.random.default_rng(197)
+    for net, ints in _eval_networks(rng):
+        X = _inputs(rng, P, net.n, ints)
+        assert _bitwise(net.eval_batch(X), lattice_values(_lattices(net), X))
+
+
+def test_eval_batch_over_several_chunks_is_bitwise_the_selector_loop():
+    # 150 sets of each size 1..6: the size-6 bucket gathers 900 values per
+    # row, so 3,000 rows take several chunks of _CHUNK_VALUES values
+    rng = np.random.default_rng(199)
+    sels = [rng.integers(20, size=k).tolist() for k in range(1, 7) for _ in range(150)]
+    rng.shuffle(sels)
+    lat = ScalarLattice(rng.normal(size=(20, 2)), rng.normal(size=20), sels)
+    for net in (TllNetwork(2, [lat]), TllNetwork(2, [lat, _random_lattice(rng, 2, 9, 30)])):
+        X = _inputs(rng, 3000, 2, False)
+        assert 3000 > 2 * (tll._CHUNK_VALUES // 900)
+        assert _bitwise(net.eval_batch(X), lattice_values(_lattices(net), X))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_eval_batch_chunk_bound_does_not_change_bits(monkeypatch, chunk):
+    rng = np.random.default_rng(211)
+    cases = [(net, _inputs(rng, 111, net.n, ints)) for net, ints in _eval_networks(rng)]
+    want = [net.eval_batch(X) for net, X in cases]
+    monkeypatch.setattr(tll, "_CHUNK_VALUES", chunk)   # every call crosses chunk boundaries
+    for (net, X), before in zip(cases, want):
+        got = net.eval_batch(X)
+        assert _bitwise(got, before) and _bitwise(got, lattice_values(_lattices(net), X))
+
+
+def test_eval_batch_rejects_inputs_of_another_shape():
+    net = TllNetwork(2, [ScalarLattice(np.ones((1, 2)), np.zeros(1), [[0]])])
+    for X in (np.zeros(2), np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((2, 3, 2))):
+        with pytest.raises(DimensionMismatch, match=r"\(P, 2\)"):
+            net.eval_batch(X)
 
 
 # ---------------------------------------------------------------------------
