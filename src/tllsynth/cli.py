@@ -38,6 +38,7 @@ from .cpwa import (
     check_oracle_reply,
     continuity_audit,
     lipschitz_audit,
+    power_of_two_scale,
     region_count,
     sample_controller,
     value_scale,
@@ -56,22 +57,16 @@ from .errors import (
     BudgetExceeded,
     ConfigError,
     DimensionMismatch,
-    DimensionTooLarge,
     DiscontinuityDetected,
     EmptySelector,
     InvariantViolation,
     NonFiniteState,
-    NonPositiveBudget,
-    NonPositiveEta,
     OracleFailure,
     OutsideDomain,
-    SchemaError,
-    StepInvalid,
-    TllSynthError,
 )
 from .geometry import Box, build_eta_grid, extra_corners, interpolation_hypercubes
 from .probes import build_probes
-from .serialize import dump_json, float_to_hex, load_json, vec_to_hex
+from .serialize import dump_json, float_to_hex, hex_or_none, load_json, vec_to_hex
 from .sizing import (
     SpecBudget,
     compute_sizing,
@@ -93,27 +88,17 @@ EXIT_AUDIT_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    SchemaError,
-    NonPositiveBudget,
-    NonPositiveEta,
-    DimensionTooLarge,
-    DimensionMismatch,
-    StepInvalid,
-    InvariantViolation,
-    EmptySelector,
-    FileNotFoundError,
-    IsADirectoryError,
-    json.JSONDecodeError,
-)
 _AUDIT_ERRORS = (BudgetExceeded, DiscontinuityDetected, BoundViolated)
-_NUMERIC_ERRORS = (
-    NonFiniteState,
-    OracleFailure,
-    OutsideDomain,
-    FloatingPointError,
-    np.linalg.LinAlgError,
+
+# what ends a command early, as (exceptions, exit code, stderr prefix); the
+# first match wins, so the numerical row must precede ValueError, which
+# OutsideDomain is
+_EXIT_TABLE = (
+    (_AUDIT_ERRORS, EXIT_AUDIT_FAILURE, "audit failure"),
+    ((NonFiniteState, OracleFailure, OutsideDomain, FloatingPointError),
+     EXIT_NUMERICAL_ERROR, "numerical error"),
+    ((ValueError, OSError, EmptySelector, InvariantViolation), EXIT_CONFIG_ERROR, "config error"),
+    (MemoryError, EXIT_NUMERICAL_ERROR, "out of memory"),
 )
 
 
@@ -182,6 +167,14 @@ def _model_from(cfg: dict) -> ControlSystemModel:
     return catalog[name]
 
 
+def _bound(cfg: dict, key: str) -> float | None:
+    """``_number(cfg, key)`` as a bound some result can meet: not negative."""
+    val = _number(cfg, key)
+    if val is not None and val < 0:
+        raise ConfigError(f"'{key}' must be >= 0, got {val!r}")
+    return val
+
+
 def _resolve_eta(cfg: dict, domain: Box) -> float:
     """Explicit 'eta' wins; otherwise derive it from the budget chain."""
     eta = _number(cfg, "eta")
@@ -210,33 +203,51 @@ def _probe_settings(cfg: dict, args) -> tuple[int, int, int]:
 
 
 class _CsvOracle:
-    """Lookup table from a CSV of rows x_1..x_n,u_1..u_m."""
+    """Lookup table from a CSV of rows x_1..x_n,u_1..u_m.
+
+    A point's key is its coordinates rounded to 1e-12 of the table's
+    ``power_of_two_scale`` s and multiplied back by s, so rows match their
+    points at any scale; two rows with one key are a config error.
+    """
 
     def __init__(self, path: str, n: int, m: int):
         self.n, self.m = n, m
-        self.table: dict[tuple, np.ndarray] = {}
+        lines, rows = [], []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].lstrip().startswith("#"):
                     continue
-                vals = [float(v) for v in row]
-                if len(vals) != n + m:
-                    raise ConfigError(
-                        f"CSV oracle rows need {n + m} columns, got {len(vals)}"
-                    )
-                self.table[self._key(vals[:n])] = np.array(vals[n:])
-        if not self.table:
+                if len(row) != n + m:
+                    raise ConfigError(f"CSV oracle rows need {n + m} columns, got {len(row)}")
+                lines.append(reader.line_num)
+                rows.append([float(v) for v in row])
+        if not rows:
             raise ConfigError(f"CSV oracle '{path}' holds no data rows")
+        coords, controls = np.hsplit(np.array(rows), [n])
+        if not np.isfinite(coords).all():
+            raise ConfigError(f"CSV oracle '{path}' holds a non-finite coordinate")
+        self.scale = power_of_two_scale(coords)
+        self.table: dict[tuple, np.ndarray] = {}
+        first: dict[tuple, int] = {}
+        for line, key, u in zip(lines, self._keys(coords), controls):
+            if key in first:
+                raise ConfigError(f"CSV oracle '{path}' lines {first[key]} and {line} hold "
+                                  f"the same point {list(key)}")
+            first[key] = line
+            self.table[key] = u
 
-    @staticmethod
-    def _key(x) -> tuple:
-        return tuple(round(float(v), 12) + 0.0 for v in x)
+    def _keys(self, points: np.ndarray) -> list[tuple]:
+        """The table keys of ``points`` (P, n)."""
+        snapped = np.round(points / self.scale, 12) * self.scale + 0.0
+        return list(map(tuple, snapped.tolist()))
 
     def __call__(self, points):
         """Controls at ``points`` (P, n), shape (P, m)."""
+        points = np.asarray(points, dtype=float)
         rows = []
-        for x in np.asarray(points, dtype=float):
-            hit = self.table.get(self._key(x))
+        for x, key in zip(points, self._keys(points)):
+            hit = self.table.get(key)
             if hit is None:
                 raise OracleFailure(f"CSV oracle has no row for point {x.tolist()}")
             rows.append(hit)
@@ -257,7 +268,9 @@ class _SubprocessOracle:
     ``_ORACLE_CHUNK_POINTS`` rows; a larger batch is sent as several
     requests in order.  Response: one line ``{"controls": [[...], ...]}``
     with its own request's row count, within ``_ORACLE_REPLY_WAIT_S`` of
-    that request; a child that misses it is killed.
+    that request; a child that misses it is killed.  The child starts on
+    the first request and serves every later one: once it has exited, each
+    call is an ``OracleFailure``.
     """
 
     def __init__(self, argv: list[str], m: int):
@@ -268,10 +281,12 @@ class _SubprocessOracle:
         self.pending = b""          # bytes read past the last reply line
 
     def _ensure(self) -> subprocess.Popen:
-        if self.proc is None or self.proc.poll() is not None:
+        """The child, started on first use; one that has exited is an error."""
+        if self.proc is None:
             self.proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
             os.set_blocking(self.proc.stdin.fileno(), False)    # writes wait in select
-            self.pending = b""
+        elif self.proc.poll() is not None:
+            raise OracleFailure(f"subprocess oracle exited with code {self.proc.returncode}")
         return self.proc
 
     def _exchange(self, proc: subprocess.Popen, request: bytes) -> bytes:
@@ -388,11 +403,12 @@ def _resolve_oracle(cfg: dict, n: int, m: int):
 # -- report plumbing -----------------------------------------------------------
 
 
-def _emit(args, command: str, results: dict, passed: bool,
-          config_echo: dict | None, started: float,
-          filename: str | None = None) -> int:
+def _emit(args, results: dict, passed: bool, config_echo: dict | None,
+          started: float) -> int:
+    """Write the command's report into ``--out``; its exit code.  The file
+    is named by the command and, for ``verify`` and ``audit``, the check."""
     report = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "pass": bool(passed),
         "seed": args.seed,
@@ -400,12 +416,10 @@ def _emit(args, command: str, results: dict, passed: bool,
         "results": results,
         "timing": {"seconds": round(time.monotonic() - started, 6)},
     }
-    os.makedirs(args.out, exist_ok=True)
-    stem = filename or f"{command.replace('-', '_')}_report"
-    path = os.path.join(args.out, f"{stem}.json")
-    dump_json(report, path)
+    stem = f"{args.command}_{args.which}" if hasattr(args, "which") else args.command
+    path = _write_artifact(args, f"{stem.replace('-', '_')}_report.json", report)
     status = "PASS" if passed else "FAIL"
-    print(f"[{status}] {command}: report written to {path}")
+    print(f"[{status}] {args.command}: report written to {path}")
     return EXIT_PASS if passed else EXIT_AUDIT_FAILURE
 
 
@@ -420,20 +434,19 @@ def _load_interpolant(path: str) -> CpwaInterpolant:
     return CpwaInterpolant.from_json(load_json(path))
 
 
-def _network_of(path: str, interp: CpwaInterpolant):
-    """A network file that must map the interpolant's inputs to its outputs."""
+def _load_network(path: str, n: int, m: int, what: str):
+    """A network file that must map R^n to R^m, as ``what`` needs."""
     net = import_network(load_json(path))
-    if (net.n, net.m) != (interp.n, interp.m):
-        raise DimensionMismatch(f"network maps R^{net.n} to R^{net.m}, the interpolant "
-                                f"R^{interp.n} to R^{interp.m}")
+    if (net.n, net.m) != (n, m):
+        raise DimensionMismatch(f"network maps R^{net.n} to R^{net.m}; {what} needs "
+                                f"R^{n} to R^{m}")
     return net
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_size(args) -> int:
-    t0 = time.monotonic()
+def cmd_size(args) -> tuple[dict, bool, dict | None]:
     cfg = _load_config(args)
     budget = _budget_from(cfg)
     domain = _box_from(cfg, "domain")
@@ -441,11 +454,10 @@ def cmd_size(args) -> int:
                             _number(cfg, "eta"))
     results = sizing.to_json()
     holds = all(entry.get("holds", True) for entry in sizing.audit)
-    return _emit(args, "size", results, holds, cfg, t0)
+    return results, holds, cfg
 
 
-def cmd_grid(args) -> int:
-    t0 = time.monotonic()
+def cmd_grid(args) -> tuple[dict, bool, dict | None]:
     cfg = _load_config(args)
     domain = _box_from(cfg, "domain")
     eta = _resolve_eta(cfg, domain)
@@ -463,11 +475,10 @@ def cmd_grid(args) -> int:
         "num_extra_corners": len(extras),
         "grid_file": path,
     }
-    return _emit(args, "grid", results, len(cubes) <= bound, cfg, t0)
+    return results, len(cubes) <= bound, cfg
 
 
-def cmd_build(args) -> int:
-    t0 = time.monotonic()
+def cmd_build(args) -> tuple[dict, bool, dict | None]:
     cfg = _load_config(args)
     domain = _box_from(cfg, "domain")
     eta = _resolve_eta(cfg, domain)
@@ -492,14 +503,13 @@ def cmd_build(args) -> int:
         "num_simplexes": interp.num_simplexes,
         "outputs": m,
         "region_counts": region_count(interp),
-        "k_cont": None if k_cont is None else float_to_hex(k_cont),
+        "k_cont": hex_or_none(k_cont),
         "interpolant_file": path,
     }
-    return _emit(args, "build", results, True, cfg, t0)
+    return results, True, cfg
 
 
-def cmd_compile(args) -> int:
-    t0 = time.monotonic()
+def cmd_compile(args) -> tuple[dict, bool, dict | None]:
     interp = _load_interpolant(args.artifact)
     bound_n = None
     cfg = None
@@ -510,24 +520,22 @@ def cmd_compile(args) -> int:
         net = compile_tll(interp, bound_n)
         desc = arch_descriptor(net)
     except _AUDIT_ERRORS as exc:
-        return _emit(args, "compile", {"error": str(exc)}, False, cfg, t0)
+        return {"error": str(exc)}, False, cfg
     path = _write_artifact(args, "network.json", export_network(net))
     results = {
         "descriptor": desc.to_json(),
         "network_file": path,
         "provenance": {
-            "eta": None if net.provenance.get("eta") is None
-            else float_to_hex(net.provenance["eta"]),
-            "k_cont": None if net.provenance.get("k_cont") is None
-            else float_to_hex(net.provenance["k_cont"]),
+            "eta": hex_or_none(net.provenance.get("eta")),
+            "k_cont": hex_or_none(net.provenance.get("k_cont")),
             "bound_n": net.provenance.get("bound_n"),
         },
     }
-    return _emit(args, "compile", results, True, cfg, t0)
+    return results, True, cfg
 
 
 def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
-    mu = _number(cfg, "mu")
+    mu = _bound(cfg, "mu")
     if mu is None:
         if "budget" not in cfg:
             raise ConfigError("approx verification needs 'mu' or a 'budget'")
@@ -550,8 +558,7 @@ def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
     }, passed
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args) -> tuple[dict, bool, dict | None]:
     cfg = _load_config(args) if args.config else {}
     if "tolerances" in cfg:
         raise ConfigError(f"'tolerances' is no longer read: every verify bound is {REL_TOL:g} "
@@ -562,7 +569,7 @@ def cmd_verify(args) -> int:
         results, passed = _verify_approx(args, cfg, interp)
     elif which == "lipschitz":
         try:
-            rep = lipschitz_audit(interp, _number(cfg, "lipschitz_bound"))
+            rep = lipschitz_audit(interp, _bound(cfg, "lipschitz_bound"))
             results = {"metric": "max piece gradient dual norm",
                        "value": rep.value, "bound": rep.bound, "pass": True}
             passed = True
@@ -582,7 +589,7 @@ def cmd_verify(args) -> int:
     elif which == "tll-equiv":
         if not args.network:
             raise ConfigError("tll-equiv verification needs --network <file>")
-        net = _network_of(args.network, interp)
+        net = _load_network(args.network, interp.n, interp.m, "the interpolant")
         per_axis, random_count, seed = _probe_settings(cfg, args)
         probes = build_probes(interp.grid.domain, per_axis, random_count, seed)
         gaps = np.abs(net.eval_batch(probes.points) - interp.eval_batch(probes.points))
@@ -592,10 +599,10 @@ def cmd_verify(args) -> int:
         results = {"metric": "max lattice-vs-interpolant gap / value scale", "value": gap,
                    "bound": REL_TOL, "pass": passed, "probe_spec": probes.spec,
                    "seed": probes.seed}
-    elif which == "regions":
+    else:  # regions
         counts = region_count(interp)
         if args.network:
-            net = _network_of(args.network, interp)
+            net = _load_network(args.network, interp.n, interp.m, "the interpolant")
             bound = net.provenance.get("bound_n")
             bank_sizes = [lat.size for lat in net.outputs]
         else:
@@ -605,10 +612,7 @@ def cmd_verify(args) -> int:
         results = {"metric": "distinct affine regions per output",
                    "value": counts, "bank_sizes": bank_sizes,
                    "bound": bound, "pass": passed}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown verification '{which}'")
-    return _emit(args, "verify", {"which": which, **results}, passed,
-                 cfg or None, t0, filename=f"verify_{which.replace('-', '_')}_report")
+    return {"which": which, **results}, passed, cfg or None
 
 
 def _controller_from_args(args, cfg, model):
@@ -616,29 +620,13 @@ def _controller_from_args(args, cfg, model):
     which must map the model's states to its controls, else the configured
     oracle."""
     if args.network:
-        net = import_network(load_json(args.network))
-        if (net.n, net.m) != (model.n, model.m):
-            raise DimensionMismatch(f"network maps R^{net.n} to R^{net.m}, the model "
-                                    f"{model.name} R^{model.n} to R^{model.m}")
-        return net
+        return _load_network(args.network, model.n, model.m, f"the model {model.name}")
     if cfg.get("oracle") is not None:
         return _resolve_oracle(cfg, model.n, model.m)
     raise ConfigError("audit needs --network or an 'oracle' in the config")
 
 
-def _surrogate(model: ControlSystemModel, net) -> ControlSystemModel:
-    """The model with its field replaced by a network over (x, u)."""
-    if net.n != model.n + model.m or net.m != model.n:
-        raise ConfigError(
-            f"surrogate must map {model.n + model.m} -> {model.n}, "
-            f"got {net.n} -> {net.m}"
-        )
-    return dataclasses.replace(model, name=model.name + "+surrogate",
-                               f=lambda x, u: net.eval_batch(np.concatenate([x, u], axis=-1)))
-
-
-def cmd_audit(args) -> int:
-    t0 = time.monotonic()
+def cmd_audit(args) -> tuple[dict, bool, dict | None]:
     cfg = _load_config(args)
     model = _model_from(cfg)
     budget = _budget_from(cfg)
@@ -654,7 +642,11 @@ def cmd_audit(args) -> int:
             raise ConfigError(f"{args.which} audit needs --network (the compiled "
                               "controller for gronwall, the field surrogate for sysid)")
         if args.which == "sysid":
-            surrogate = _surrogate(model, import_network(load_json(args.network)))
+            net = _load_network(args.network, model.n + model.m, model.n,
+                                f"a field surrogate of {model.name}")
+            surrogate = dataclasses.replace(
+                model, name=model.name + "+surrogate",
+                f=lambda x, u: net.eval_batch(np.concatenate([x, u], axis=-1)))
         else:
             net = _controller_from_args(args, cfg, model)
         probes = build_probes(_optional_box(cfg, "domain", model.x_box), per_axis,
@@ -674,12 +666,10 @@ def cmd_audit(args) -> int:
                     k_psi=_number(cfg, "k_psi", budget.k_cont), mu_probes=mu_pts.points,
                     delta=budget.delta, probe_spec=probes.spec,
                 )
-    return _emit(args, "audit", {"which": args.which, **report.to_json()},
-                 report.holds, cfg, t0, filename=f"audit_{args.which}_report")
+    return {"which": args.which, **report.to_json()}, report.holds, cfg
 
 
-def cmd_ads_check(args) -> int:
-    t0 = time.monotonic()
+def cmd_ads_check(args) -> tuple[dict, bool, dict | None]:
     ts_a = FiniteTransitionSystem.from_json(load_json(args.ts_a))
     ts_b = FiniteTransitionSystem.from_json(load_json(args.ts_b))
     if not (math.isfinite(args.delta) and args.delta >= 0):
@@ -687,11 +677,10 @@ def cmd_ads_check(args) -> int:
     verdict = check_ads(ts_a, ts_b, args.delta)
     results = verdict.to_json()
     results["num_states"] = [ts_a.num_states, ts_b.num_states]
-    return _emit(args, "ads-check", results, verdict.holds, None, t0)
+    return results, verdict.holds, None
 
 
-def cmd_sysid(args) -> int:
-    t0 = time.monotonic()
+def cmd_sysid(args) -> tuple[dict, bool, dict | None]:
     cfg = _load_config(args)
     model = _model_from(cfg)
     xu = _optional_box(cfg, "domain", model.x_box).product(
@@ -711,7 +700,7 @@ def cmd_sysid(args) -> int:
         net = compile_tll(interp, bound)
         desc = arch_descriptor(net)
     except _AUDIT_ERRORS as exc:
-        return _emit(args, "sysid", {"error": str(exc)}, False, cfg, t0)
+        return {"error": str(exc)}, False, cfg
     ipath = _write_artifact(args, "sysid_interpolant.json", interp.to_json())
     npath = _write_artifact(args, "sysid_network.json", export_network(net))
     budget = _budget_from(cfg) if "budget" in cfg else None
@@ -731,11 +720,10 @@ def cmd_sysid(args) -> int:
                          budget.k_cont, budget.tau)
         )
     passed = all(lat.size <= bound for lat in net.outputs)
-    return _emit(args, "sysid", results, passed, cfg, t0)
+    return results, passed, cfg
 
 
-def cmd_export(args) -> int:
-    t0 = time.monotonic()
+def cmd_export(args) -> tuple[dict, bool, dict | None]:
     net = import_network(load_json(args.artifact))
     if args.expanded:
         relu = expand_relu_layers(net)
@@ -764,7 +752,7 @@ def cmd_export(args) -> int:
             "bank_sizes": [lat.size for lat in net.outputs],
             "file": path,
         }
-    return _emit(args, "export", results, True, None, t0)
+    return results, True, None
 
 
 # -- entry point ----------------------------------------------------------------
@@ -838,27 +826,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: its report and exit code, or the ``_EXIT_TABLE``
+    code and a one-line message for what ended it early."""
     args = _build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except _AUDIT_ERRORS as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return EXIT_AUDIT_FAILURE
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except TllSynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except MemoryError as exc:
-        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
+        results, passed, config_echo = args.func(args)
+        return _emit(args, results, passed, config_echo, started)
+    except Exception as exc:
+        for kinds, code, prefix in _EXIT_TABLE:
+            if isinstance(exc, kinds):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,7 +29,7 @@ from .geometry import (
     locate_batch,
     simplex_vertices,
 )
-from .serialize import float_to_hex, hex_to_float, hex_to_vec, require_keys
+from .serialize import float_to_hex, hex_or_none, hex_to_float, hex_to_vec, require_keys
 
 _DEDUP_DECIMALS = 12
 REL_TOL = 1e-9  # every value tolerance is REL_TOL times the output's value_scale
@@ -234,7 +234,7 @@ class CpwaInterpolant:
             "grid": self.grid.to_json(),
             "omega": [[float_to_hex(v) for v in row] for row in self.omega],
             "extra_values": [[float_to_hex(v) for v in row] for row in self.extra_values],
-            "K_cont": None if self.k_cont is None else float_to_hex(self.k_cont),
+            "K_cont": hex_or_none(self.k_cont),
             "min_rule_extras": self.min_rule_extras,
         }
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..cpwa import power_of_two_scale
 from ..errors import DimensionMismatch, SchemaError
-from ..serialize import float_to_hex, hex_to_vec, is_int, require_keys
+from ..serialize import float_to_hex, hex_or_none, hex_to_vec, is_int, require_keys
 from .integrate import rk4_closed_loop
 from .models import ControlSystemModel
 
@@ -208,7 +208,7 @@ class SimulationVerdict:
         return {
             "holds": self.holds,
             "mode": self.relation.mode,
-            "delta": None if self.relation.delta is None else float_to_hex(self.relation.delta),
+            "delta": hex_or_none(self.relation.delta),
             "pairs": sorted(map(list, self.relation.pairs)),
             "counterexample": self.counterexample,
         }

@@ -18,6 +18,11 @@ def float_to_hex(x: float) -> str:
     return float(x).hex()
 
 
+def hex_or_none(x: float | None) -> str | None:
+    """``float_to_hex(x)``, or None (JSON null) for None."""
+    return None if x is None else float_to_hex(x)
+
+
 def hex_to_float(s: Any) -> float:
     if isinstance(s, float) or is_int(s):
         try:

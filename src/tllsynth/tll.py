@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolation,
     SchemaError,
 )
-from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
+from .serialize import float_to_hex, hex_or_none, hex_to_float, hex_to_vec, is_int, require_keys
 from .sizing import controller_size
 
 # floats held by one chunk's temporaries: the gathered selector values of
@@ -448,16 +448,12 @@ def export_network(net: TllNetwork) -> dict:
             for lat in net.outputs
         ],
         "provenance": {
-            "eta": _hex_or_none(prov.get("eta")),
-            "K_cont": _hex_or_none(prov.get("k_cont")),
+            "eta": hex_or_none(prov.get("eta")),
+            "K_cont": hex_or_none(prov.get("k_cont")),
             "bound_N": prov.get("bound_n"),
         },
     }
     return out
-
-
-def _hex_or_none(v):
-    return None if v is None else float_to_hex(v)
 
 
 def import_network(obj: dict) -> TllNetwork:

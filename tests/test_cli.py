@@ -27,6 +27,7 @@ from tllsynth import (
 )
 from tllsynth.cli import main
 from tllsynth.dynamics import FiniteTransitionSystem
+from tllsynth.errors import OracleFailure
 from tllsynth.geometry import EtaGrid
 from tllsynth.serialize import dump_json, load_json
 
@@ -140,11 +141,12 @@ _ZERO_APPROX = {"mu": 1e-9, "oracle": {"kind": "builtin", "name": "zero"}}
     ("verify", dict(_ZERO_APPROX, probes={"per_axis": [3]})),
     ("verify", dict(_ZERO_APPROX, mu=float("inf"))),   # JSON Infinity
     ("verify", dict(_ZERO_APPROX, mu=float("nan"))),   # JSON NaN
+    ("verify", dict(_ZERO_APPROX, mu=-1)),             # a bound nothing meets
     ("compile", {"bound_n": {}}),
     ("compile", {"bound_n": 31.9}),
 ], ids=["size-null-k_x", "size-list-eta", "grid-list-eta", "grid-string-eta", "grid-bool-eta",
         "grid-huge-int-eta", "verify-scalar-tolerances", "verify-list-tolerance",
-        "verify-list-per_axis", "verify-infinite-mu", "verify-nan-mu",
+        "verify-list-per_axis", "verify-infinite-mu", "verify-nan-mu", "verify-negative-mu",
         "compile-object-bound_n", "compile-float-bound_n"])
 def test_wrong_config_value_types_are_config_errors(tmp_path, command, cfg_obj):
     cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
@@ -395,8 +397,10 @@ def test_verify_lipschitz_nan_bound_is_config_error(tmp_path):
     interp, out = _steep_affine_interpolant(tmp_path)
     one = _write_cfg(tmp_path / "one.json", {"lipschitz_bound": 1.0})
     assert main(["verify", interp, "--which", "lipschitz", "--config", one, "--out", out]) == 1
-    nan = _write_cfg(tmp_path / "nan.json", {"lipschitz_bound": float("nan")})
-    assert main(["verify", interp, "--which", "lipschitz", "--config", nan, "--out", out]) == 2
+    for bad in (float("nan"), -1):
+        cfg = _write_cfg(tmp_path / "bad.json", {"lipschitz_bound": bad})
+        assert main(["verify", interp, "--which", "lipschitz", "--config", cfg,
+                     "--out", out]) == 2
 
 
 @pytest.mark.parametrize("where", ["K_cont", "eta"])
@@ -523,6 +527,50 @@ def test_csv_oracle_missing_row_is_numerical_error(tmp_path):
     cfg = _write_cfg(tmp_path / "cfg.json",
                      _affine_build_cfg({"kind": "csv", "path": str(csv_path)}))
     assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def _tiny_csv_build(tmp_path, points):
+    """Exit code of ``build`` over [0, 1e-12] at eta 2.5e-13 (four grid
+    points) from a CSV whose i-th row puts the value i at ``points[i]``."""
+    csv_path = tmp_path / "tiny.csv"
+    csv_path.write_text("".join(f"{p!r},{float(i)!r}\n" for i, p in enumerate(points)))
+    cfg = _write_cfg(tmp_path / "cfg.json", {
+        "domain": {"lower": [0.0], "upper": [1e-12]}, "eta": 2.5e-13,
+        "oracle": {"kind": "csv", "path": str(csv_path)}})
+    return main(["build", "--config", cfg, "--out", str(tmp_path)])
+
+
+def test_csv_oracle_keys_rows_relative_to_the_table_scale(tmp_path):
+    # the points 1.25e-13 ... 8.75e-13 share keys when rounded to 12 absolute decimals
+    points = build_eta_grid(Box([0.0], [1e-12]), 2.5e-13).points[:, 0].tolist()
+    assert len(points) == 4
+    assert _tiny_csv_build(tmp_path, points) == 0
+    omega = load_json(str(tmp_path / "interpolant.json"))["omega"]
+    assert [float.fromhex(v) for v in omega[0]] == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_csv_oracle_repeated_point_is_config_error(tmp_path, capsys):
+    points = build_eta_grid(Box([0.0], [1e-12]), 2.5e-13).points[:, 0].tolist()
+    assert _tiny_csv_build(tmp_path, points + [points[2]]) == 2
+    assert "lines 3 and 5" in capsys.readouterr().err
+    assert not (tmp_path / "build_report.json").exists()
+
+
+def test_subprocess_oracle_that_has_exited_is_not_restarted(tmp_path):
+    script = tmp_path / "once.py"   # answers one request, then exits
+    script.write_text(
+        "import sys, json\n"
+        "pts = json.loads(sys.stdin.readline())['points']\n"
+        "print(json.dumps({'controls': [[0.0]] * len(pts)}), flush=True)\n"
+    )
+    child = cli._SubprocessOracle([sys.executable, str(script)], 1)
+    try:
+        assert child(np.zeros((2, 1))).tolist() == [[0.0], [0.0]]
+        child.proc.wait(timeout=60)
+        with pytest.raises(OracleFailure, match="exited with code 0"):
+            child(np.zeros((2, 1)))
+    finally:
+        child.close()
 
 
 def test_subprocess_oracle_matches_builtin(tmp_path):
@@ -701,6 +749,69 @@ def test_batched_build_and_sysid_match_per_point_sampling(tmp_path):
                       ("sysid_network.json", export_network(sid_net))):
         dump_json(obj, str(ref / name))
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+# -- report envelope ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """Input files for one passing run of every subcommand, by placeholder."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    affine = {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B}
+    out = _run_affine_chain(tmp, affine)
+    sysid = _write_cfg(tmp / "sysid.json", {"model": "linear_1d", "eta": 0.5})
+    assert main(["sysid", "--config", sysid, "--out", str(tmp)]) == 0
+    return {
+        "size": _write_cfg(tmp / "size.json", _size_cfg()),
+        "build": str(tmp / "build.json"),
+        "interp": str(out / "interpolant.json"),
+        "network": str(out / "network.json"),
+        "verify": _write_cfg(tmp / "verify.json", {"mu": 1.0, "oracle": affine}),
+        "ctrl": str(_linear_controller_chain(tmp)),
+        "surrogate": str(tmp / "sysid_network.json"),
+        "audit": _write_cfg(tmp / "audit.json", {
+            "model": "linear_1d",
+            "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 0.5, "tau": 0.5, "delta": 0.5},
+            "oracle": {"kind": "builtin", "name": "affine", "W": [[-0.5]], "b": [0.0]},
+            "k_psi": 0.5, "probes": {"per_axis": 3}}),
+        "ts": _ts_file(tmp / "ts.json", [[0.0]], {(0, "go", 0)}),
+        "sysid": sysid,
+    }
+
+
+_VERIFY_CHECKS = ("approx", "lipschitz", "continuity", "tll-equiv", "regions")
+_AUDIT_CHECKS = ("invariance", "gronwall", "sysid")
+# every subcommand and check, with the one report it writes
+_EVERY_COMMAND = [
+    (["size", "--config", "{size}"], "size_report.json"),
+    (["grid", "--config", "{build}"], "grid_report.json"),
+    (["build", "--config", "{build}"], "build_report.json"),
+    (["compile", "{interp}"], "compile_report.json"),
+    *[(["verify", "{interp}", "--which", which, "--network", "{network}",
+        "--config", "{verify}"], f"verify_{which.replace('-', '_')}_report.json")
+      for which in _VERIFY_CHECKS],
+    *[(["audit", "--which", which, "--network", "{surrogate}" if which == "sysid" else "{ctrl}",
+        "--config", "{audit}"], f"audit_{which}_report.json") for which in _AUDIT_CHECKS],
+    (["ads-check", "{ts}", "{ts}", "--delta", "0.0"], "ads_check_report.json"),
+    (["sysid", "--config", "{sysid}"], "sysid_report.json"),
+    (["export", "{network}"], "export_report.json"),
+]
+
+
+@pytest.mark.parametrize("argv, report", _EVERY_COMMAND,
+                         ids=[report[:-len("_report.json")] for _, report in _EVERY_COMMAND])
+def test_every_command_writes_its_named_report(tmp_path, command_inputs, argv, report):
+    out = tmp_path / "out"
+    assert main([arg.format(**command_inputs) for arg in argv] + ["--out", str(out)]) == 0
+    assert [path.name for path in out.glob("*_report.json")] == [report]
+    assert _report(out, report)["command"] == argv[0]
+
+
+def test_out_under_a_regular_file_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "cfg.json", _size_cfg())
+    assert main(["size", "--config", cfg, "--out", str(tmp_path / "cfg.json" / "run")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 # -- determinism -------------------------------------------------------------------
