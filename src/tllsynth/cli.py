@@ -489,9 +489,9 @@ def cmd_build(args) -> tuple[dict, bool, dict | None]:
         budget = cfg["budget"]
         if not isinstance(budget, dict) or budget.get("k_cont") is None:
             raise ConfigError("config 'budget' must be an object with a 'k_cont'")
-        k_cont = _number(budget, "k_cont")
+        k_cont = _bound(budget, "k_cont")
     else:
-        k_cont = _number(cfg, "k_cont")
+        k_cont = _bound(cfg, "k_cont")
     grid = build_eta_grid(domain, eta)
     with _closing(_resolve_oracle(cfg, grid.dimension, m)) as oracle:
         omega = sample_controller(BatchOracle(oracle), grid, m)

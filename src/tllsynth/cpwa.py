@@ -29,7 +29,7 @@ from .geometry import (
     locate_batch,
     simplex_vertices,
 )
-from .serialize import float_to_hex, hex_or_none, hex_to_float, hex_to_vec, require_keys
+from .serialize import float_or_none, float_to_hex, hex_or_none, hex_to_vec, require_keys
 
 _DEDUP_DECIMALS = 12
 REL_TOL = 1e-9  # every value tolerance is REL_TOL times the output's value_scale
@@ -143,6 +143,8 @@ class CpwaInterpolant:
         self.grid = grid
         self.omega = omega
         self.k_cont = None if k_cont is None else float(k_cont)
+        if self.k_cont is not None and not self.k_cont >= 0:
+            raise ValueError(f"k_cont must be a Lipschitz constant >= 0, got {self.k_cont!r}")
         self.min_rule_extras = bool(min_rule_extras)
         self.perms = braid_simplices(grid.dimension)
         self.unit = np.stack([simplex_vertices(s) for s in self.perms])  # (n!, n+1, n)
@@ -243,12 +245,11 @@ class CpwaInterpolant:
         require_keys(obj, ("grid", "omega", "extra_values", "min_rule_extras"), "interpolant")
         if not isinstance(obj["min_rule_extras"], bool):
             raise SchemaError("interpolant min_rule_extras must be true or false")
-        k_cont = obj.get("K_cont")
         return CpwaInterpolant(
             EtaGrid.from_json(obj["grid"]),
             _hex_rows(obj["omega"], "omega"),
             _hex_rows(obj["extra_values"], "extra_values"),
-            None if k_cont is None else hex_to_float(k_cont),
+            float_or_none(obj.get("K_cont")),
             obj["min_rule_extras"],
         )
 

@@ -23,6 +23,12 @@ def hex_or_none(x: float | None) -> str | None:
     return None if x is None else float_to_hex(x)
 
 
+def float_or_none(s: Any) -> float | None:
+    """``hex_to_float(s)``, or None for None (JSON null): the inverse of
+    ``hex_or_none``."""
+    return None if s is None else hex_to_float(s)
+
+
 def hex_to_float(s: Any) -> float:
     if isinstance(s, float) or is_int(s):
         try:

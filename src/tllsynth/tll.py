@@ -8,8 +8,12 @@ dominate that piece on the simplex, chosen so that for every simplex some
 member lies at or below that simplex's active piece (a covering rule).  On
 each simplex its own set then attains the interpolant and no set exceeds
 it, so the lattice is exact; both relations are checked at simplex
-vertices, which settles them exactly by linearity.  Multi-output networks
-stack scalar lattices side by side.
+vertices, which settles them exactly by linearity.  The sets are
+irredundant: in each, every member but the simplex's own active piece (its
+pin) is the only one at or below some simplex's active piece, so none can
+go without breaking the covering rule, and no set is absorbed by a subset
+that holds its pins.  Multi-output networks stack scalar lattices side by
+side.
 """
 
 from __future__ import annotations
@@ -27,12 +31,22 @@ from .errors import (
     InvariantViolation,
     SchemaError,
 )
-from .serialize import float_to_hex, hex_or_none, hex_to_float, hex_to_vec, is_int, require_keys
+from .serialize import (
+    float_or_none,
+    float_to_hex,
+    hex_or_none,
+    hex_to_float,
+    hex_to_vec,
+    is_int,
+    require_keys,
+)
 from .sizing import controller_size
 
-# floats held by one chunk's temporaries: the gathered selector values of
-# TllNetwork.eval_batch, the vertex values of _vertex_relations
+# floats or words held by one chunk's temporaries: the gathered selector
+# values of TllNetwork.eval_batch, the vertex values of _vertex_relations,
+# the cover rows _scalar_lattice keeps for _prune
 _CHUNK_VALUES = 1 << 18
+_ALL_BITS = ~np.uint64(0)
 
 
 @dataclass
@@ -71,7 +85,8 @@ class TllNetwork:
     the source interpolant is only claimed on the interpolant's hypercube
     union.  ``provenance`` carries the grid spacing, the declared controller
     Lipschitz constant, and the constructive size bound the bank must obey.
-    The selector sets are read once, at construction, into the index arrays
+    A non-finite bank coefficient raises ``FloatingPointError``.  The
+    selector sets are read once, at construction, into the index arrays
     evaluation uses, so mutating an output's ``ScalarLattice`` afterwards is
     not supported.
     """
@@ -80,9 +95,13 @@ class TllNetwork:
         if n < 1 or not outputs:
             raise InvariantViolation("network needs n >= 1 and at least one output")
         self._buckets = []
-        for out in outputs:
+        for j, out in enumerate(outputs):
             if out.W.shape != (out.b.shape[0], n) or out.b.ndim != 1:
                 raise InvariantViolation("bank shapes are inconsistent")
+            finite = np.isfinite(out.W).all(axis=1) & np.isfinite(out.b)
+            if not finite.all():
+                raise FloatingPointError(f"output {j}: bank row {int(np.argmin(finite))} "
+                                         "holds a non-finite coefficient")
             if out.size < 1 or not out.selectors:
                 raise InvariantViolation("bank and selector list must be nonempty")
             sizes = np.fromiter(map(len, out.selectors), dtype=np.intp,
@@ -168,6 +187,47 @@ def _bit_rows(mask: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
+def _prune(walks: list, before: np.ndarray, act: np.ndarray, rows: np.ndarray,
+           full: np.ndarray, sets: list) -> None:
+    """Irredundant sets from covering walks, written to ``sets[s]`` sorted.
+
+    Each walk is ``(s, members)``: simplex s and the members its walk kept
+    after the pinned active piece ``act[s]``, in walk order; ``before`` holds,
+    walk after walk, the walk's cover row just before each member.  All walks
+    step in lockstep from their last member back: step r visits every walk's
+    r-th member from the end and drops it when its ``before`` row, ORed with
+    the later members still kept, covers every simplex.  The pin is never
+    visited.  What stays still covers, and dropping any further member would
+    leave a simplex uncovered.
+    """
+    if not walks:
+        return
+    simplexes = np.array([s for s, _ in walks])
+    counts = np.fromiter((m.size for _, m in walks), dtype=np.intp, count=len(walks))
+    members = np.concatenate([m for _, m in walks])
+    by_count = np.argsort(-counts, kind="stable")     # walks still stepping come first
+    last, left = np.cumsum(counts)[by_count] - 1, counts[by_count]
+    alive = np.searchsorted(-left, -np.arange(left[0]))   # walks that step r visits
+    # the later members' cover, padding bits set so that a full cover is all ones
+    later = np.repeat(~full[None], len(walks), axis=0)
+    keep = np.empty(members.size, dtype=bool)
+    for r, k in enumerate(alive.tolist()):
+        at = last[:k] - r
+        need = np.bitwise_and.reduce(np.take(before, at, axis=0) | later[:k], axis=1) != _ALL_BITS
+        keep[at] = need
+        later[:k] |= np.take(rows, members[at], axis=0) * need[:, None]
+    # pins and kept members, sorted within each walk by a (walk, member) key
+    N = rows.shape[0]
+    walk_of = np.repeat(np.arange(len(walks)), counts)
+    key = np.concatenate((np.arange(len(walks)) * N + act[simplexes],
+                          (walk_of * N + members)[keep]))
+    key.sort()
+    bounds = np.searchsorted(key, np.arange(len(walks) + 1) * N).tolist()
+    flat = key % N
+    for s, lo, hi in zip(simplexes.tolist(), bounds, bounds[1:]):
+        sets[s] = flat[lo:hi]
+
+
 def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     """Bank and selector sets of one interpolant output.
 
@@ -179,10 +239,20 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     same slack): on k, k's own set then attains the active piece and no set
     exceeds it.  So the members are walked in one global order, functions
     below on more simplexes first, and a member is kept only when it is below
-    on a simplex no earlier member covers.  A set whose dominating functions
-    cannot cover every simplex keeps all of them, the all-dominating set of
-    the Tarela-Martinez lattice, which is exact pointwise.  Duplicate sets
-    are stored once.
+    on a simplex no earlier member covers.  ``_prune`` then walks the kept
+    members back and drops each one the others make redundant, in chunks of
+    walks whose cover rows fill ``_CHUNK_VALUES`` words.  The set's own
+    active piece, its pin, always stays, so each simplex keeps a set that
+    attains it.  A set whose dominating functions cannot cover every simplex
+    keeps all of them, the all-dominating set of the Tarela-Martinez lattice,
+    which is exact pointwise; it is not pruned.  Duplicate sets are stored
+    once.
+
+    Pruned sets are also free of lattice absorption with the pins kept (Xu
+    et al.'s irredundant form): no covering set T strictly holds another
+    covering set S that holds T's pins, for then S would cover without the
+    members of T outside S, none of them a pin, and the pruning would have
+    dropped them.
     """
     W, b, act = piece_bank(interp, output)
     dom, below = _vertex_relations(interp, W, b, act, REL_TOL * value_scale(interp, output))
@@ -191,23 +261,34 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     full = _bit_rows(np.ones((1, act.size), dtype=bool))[0]
     order = np.argsort(-below.sum(axis=0), kind="stable")
     dom_in_order = dom[:, order]
+    dom_in_order[np.arange(act.size), np.argsort(order)[act]] = False   # the pin leads each walk
+    del dom, below
 
-    selectors: list[list[int]] = []
-    seen: set[tuple[int, ...]] = set()
+    any_word = np.ones(full.size, dtype=bool)
+    sets: list = [None] * act.size     # each simplex's set, sorted
+    walks: list = []                   # covering walks not yet pruned
+    # their cover rows, walk after walk: _CHUNK_VALUES words, or room for
+    # one walk, which keeps fewer members than there are simplexes or functions
+    before = np.empty((max(_CHUNK_VALUES // full.size, min(act.size, b.size)), full.size),
+                      dtype=np.uint64)
+    used = 0
     for s, a in enumerate(act):
-        members = order[dom_in_order[s]]
-        walk = np.concatenate(([a], members[members != a]))
-        cover = np.bitwise_or.accumulate(rows[walk], axis=0)
+        walk = np.concatenate(([a], order[dom_in_order[s]]))
+        cover = np.bitwise_or.accumulate(np.take(rows, walk, axis=0), axis=0)
         if (cover[-1] != full).any():
-            kept = np.sort(walk)
-        else:
-            new = np.concatenate(([True], (cover[1:] != cover[:-1]).any(axis=1)))
-            kept = np.sort(walk[new])
-        sel = tuple(kept.tolist())
-        if sel not in seen:
-            seen.add(sel)
-            selectors.append(list(sel))
-    return ScalarLattice(W, b, selectors)
+            sets[s] = np.sort(walk)
+            continue
+        # a bool matmul with ones is a row-wise any, twice as fast on narrow rows
+        grew = np.flatnonzero((cover[1:] != cover[:-1]) @ any_word)
+        if used + grew.size > before.shape[0]:
+            _prune(walks, before[:used], act, rows, full, sets)
+            walks, used = [], 0
+        before[used:used + grew.size] = cover[grew]
+        used += grew.size
+        walks.append((s, walk[grew + 1]))
+    _prune(walks, before[:used], act, rows, full, sets)
+    selectors = dict.fromkeys(tuple(sel.tolist()) for sel in sets)
+    return ScalarLattice(W, b, [list(sel) for sel in selectors])
 
 
 def _compile(interp: CpwaInterpolant, outputs, bound_n: int | None) -> TllNetwork:
@@ -496,8 +577,8 @@ def import_network(obj: dict) -> TllNetwork:
     if prov_raw["bound_N"] is not None and not is_int(prov_raw["bound_N"]):
         raise SchemaError("provenance bound_N must be an integer or null")
     prov = {
-        "eta": None if prov_raw["eta"] is None else hex_to_float(prov_raw["eta"]),
-        "k_cont": None if prov_raw["K_cont"] is None else hex_to_float(prov_raw["K_cont"]),
+        "eta": float_or_none(prov_raw["eta"]),
+        "k_cont": float_or_none(prov_raw["K_cont"]),
         "bound_n": prov_raw["bound_N"],
     }
     return TllNetwork(n, outputs, prov)

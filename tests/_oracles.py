@@ -10,9 +10,10 @@ at a time and the pairwise tree expansion below builds ReLU layers one
 neuron at a time, as the library once did; they are the bitwise references
 for the library's array-based interning and array-built layers.  The
 per-simplex LU solve is the reference for the closed-form interpolation
-pieces, the per-simplex dominating sets are the reference for the
-compiled selector sets, and the lattice is evaluated one selector set at a
-time as the reference for the size-bucketed evaluation.
+pieces, the per-simplex dominating sets and a set-based covering walk
+with pruning are the references for the compiled selector sets, and the
+lattice is evaluated one selector set at a time as the reference for the
+size-bucketed evaluation.
 """
 
 import functools
@@ -353,6 +354,57 @@ def all_dominating_selectors(interp, output):
     first occurrence of each distinct set kept, in simplex order."""
     _, _, _, dominating, _ = simplex_relations(interp, output)
     return [list(s) for s in dict.fromkeys(dominating)]
+
+
+def irredundant_selectors(interp, output):
+    """The compiled selector list, rebuilt one simplex at a time with sets.
+
+    Bank functions are ranked by how many simplexes they are below on, most
+    first, ties by index.  Each simplex walks its active piece (its pin) and
+    then its other dominating functions in rank order, keeping a function
+    when it is below on a simplex no earlier one covers.  A walk that cannot
+    cover every simplex keeps its whole dominating set.  A covering walk is
+    pruned from its last kept function back: one goes when the cover before
+    it, with the later functions still kept, covers every simplex; the pin
+    stays.  Equal sets are kept once, in simplex order, each with the pins
+    of every simplex that produced it.  Last, smallest first, a covering set
+    goes when a kept covering set that is a proper subset of it holds all
+    of its pins.  Returns the kept sets, as sorted tuples in simplex order,
+    each mapped to its pins and whether it covers.
+    """
+    _, b, act, dominating, below = simplex_relations(interp, output)
+    below_on = [set() for _ in range(b.size)]
+    for k, functions in enumerate(below):
+        for i in functions:
+            below_on[i].add(k)
+    rank = {i: r for r, i in enumerate(sorted(range(b.size), key=lambda i: -len(below_on[i])))}
+    everything = set(range(len(act)))
+    covers, pins = {}, {}
+    for s, a in enumerate(act.tolist()):
+        walk = [a] + sorted((i for i in dominating[s] if i != a), key=rank.get)
+        kept, befores, cover = [a], [], set(below_on[a])
+        for i in walk[1:]:
+            if not below_on[i] <= cover:
+                kept.append(i)
+                befores.append(set(cover))
+                cover |= below_on[i]
+        if cover != everything:
+            sel = tuple(sorted(walk))
+        else:
+            later, sel = set(), {a}
+            for i, before in zip(reversed(kept[1:]), reversed(befores)):
+                if before | later != everything:
+                    sel.add(i)
+                    later |= below_on[i]
+            sel = tuple(sorted(sel))
+        covers.setdefault(sel, cover == everything)
+        pins.setdefault(sel, set()).add(a)
+    kept = []
+    for T in sorted(covers, key=len):
+        if not (covers[T] and any(covers[S] and set(S) < set(T) and pins[T] <= set(S)
+                                  for S in kept)):
+            kept.append(T)
+    return {T: (pins[T], covers[T]) for T in covers if T in kept}
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,19 @@ def test_build_budget_without_k_cont_is_config_error(tmp_path):
         assert not (tmp_path / "build_report.json").exists()
 
 
+@pytest.mark.parametrize("where", ["config", "budget"])
+def test_build_negative_k_cont_is_config_error(tmp_path, capsys, where):
+    cfg_obj = _affine_build_cfg({"kind": "builtin", "name": "zero"})
+    if where == "budget":
+        cfg_obj["budget"] = {"k_cont": cfg_obj.pop("k_cont")}
+    (cfg_obj["budget"] if where == "budget" else cfg_obj)["k_cont"] = -1.0
+    cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
+    assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'k_cont' must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "interpolant.json").exists()
+    assert not (tmp_path / "build_report.json").exists()
+
+
 def test_build_nonpositive_m_is_config_error(tmp_path):
     for m in (0, -1):
         cfg_obj = _affine_build_cfg({"kind": "builtin", "name": "zero"})
@@ -278,6 +291,38 @@ def test_nonfinite_or_overflowing_pieces_are_numerical_errors(tmp_path):
     for edit in (inf_corner, neighbours_overflow):
         assert _edited_interpolant_exit(tmp_path, edit) == 3
         assert not (tmp_path / "verify_lipschitz_report.json").exists()
+
+
+def test_interpolant_with_negative_k_cont_is_config_error(tmp_path, capsys):
+    def negative(obj):
+        obj["K_cont"] = float.hex(-1.0)
+
+    assert _edited_interpolant_exit(tmp_path, negative) == 2
+    assert "k_cont must be a Lipschitz constant >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "verify_lipschitz_report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["w", "b"])
+def test_nonfinite_bank_coefficient_is_numerical_error(tmp_path, capsys, entry, value):
+    out = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
+    obj = load_json(str(out / "network.json"))
+    bank = obj["outputs"][0]["bank"]
+    if entry == "w":
+        bank[-1]["w"][1] = value
+    else:
+        bank[-1]["b"] = value
+    bad = tmp_path / "bad_network.json"
+    dump_json(obj, str(bad))
+    verify = ["verify", str(out / "interpolant.json"), "--which", "tll-equiv",
+              "--network", str(bad), "--out", str(tmp_path)]
+    assert main(verify) == 3
+    assert main(["export", str(bad), "--expanded", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"output 0: bank row {len(bank) - 1} holds a non-finite") == 2
+    assert not (tmp_path / "relu.json").exists()
+    assert not (tmp_path / "verify_tll_equiv_report.json").exists()
 
 
 def test_verify_regions_rejects_malformed_bound(tmp_path):

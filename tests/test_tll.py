@@ -27,10 +27,12 @@ from tllsynth import (
     to_json_text,
 )
 from tllsynth import tll
+from tllsynth.cpwa import REL_TOL, value_scale
 
 from _oracles import (
     all_dominating_selectors,
     expand_network,
+    irredundant_selectors,
     lattice_values,
     schedule_widths,
     simplex_relations,
@@ -206,6 +208,61 @@ def test_selector_mass_is_at_most_a_fifth_of_the_all_dominating_mass():
     reference = all_dominating_selectors(interp, 0)
     assert sum(map(len, reference)) == 33654
     assert 5 * sum(map(len, compile_tll(interp).outputs[0].selectors)) <= 33654
+
+
+def _pruning_cases():
+    """Random interpolants for n = 1..3 and m = 1..2, then the sinusoid."""
+    rng = np.random.default_rng(149)
+    for n, m, eta in [(1, 1, 0.15), (1, 2, 0.12), (2, 1, 0.3), (2, 2, 0.35),
+                      (3, 1, 0.5), (3, 2, 0.6)]:
+        yield _random_interpolant(rng, n=n, eta=eta, m=m)
+    yield sinusoid_interpolant(1.0)
+
+
+def test_selectors_equal_the_reference_walk_prune_and_absorption():
+    for interp in _pruning_cases():
+        for j, lat in enumerate(compile_tll(interp).outputs):
+            assert lat.selectors == [list(T) for T in irredundant_selectors(interp, j)]
+
+
+def test_covering_selectors_are_irredundant_and_unabsorbed():
+    checked = 0
+    for interp in _pruning_cases():
+        for j, lat in enumerate(compile_tll(interp).outputs):
+            below = [set(k) for k in simplex_relations(interp, j)[4]]
+            reference = irredundant_selectors(interp, j)
+            for T in map(tuple, lat.selectors):
+                pins, covers = reference[T]
+                if not covers:
+                    continue
+                # dropping a member that is not a pin leaves some simplex
+                # with no member below it
+                for x in set(T) - pins:
+                    assert not all((set(T) - {x}) & k for k in below)
+                    checked += 1
+                # no smaller covering set holds all of T's pins
+                for S, (_, s_covers) in reference.items():
+                    assert not (s_covers and set(S) < set(T) and pins <= set(S))
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_selectors_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    interps = list(_pruning_cases())
+    expected = [compile_tll(interp).outputs for interp in interps]
+    monkeypatch.setattr(tll, "_CHUNK_VALUES", chunk)
+    for interp, outputs in zip(interps, expected):
+        got = compile_tll(interp).outputs
+        assert [lat.selectors for lat in got] == [lat.selectors for lat in outputs]
+
+
+def test_pruned_lattice_equals_the_interpolant_within_the_value_scale():
+    rng = np.random.default_rng(151)
+    for interp in _pruning_cases():
+        net = compile_tll(interp)
+        pts = rng.uniform(0.0, 1.0, size=(2000, interp.n))
+        gap = np.abs(net.eval_batch(pts) - interp.eval_batch(pts)).max(axis=0)
+        assert (gap <= [REL_TOL * value_scale(interp, j) for j in range(interp.m)]).all()
 
 
 def test_compile_scalar_output_selection():
