@@ -66,7 +66,7 @@ from .errors import (
 )
 from .geometry import Box, build_eta_grid, extra_corners, interpolation_hypercubes
 from .probes import build_probes
-from .serialize import dump_json, float_to_hex, hex_or_none, load_json, vec_to_hex
+from .serialize import dump_json, float_to_hex, hex_or_none, load_json, rows_to_hex, vec_to_hex
 from .sizing import (
     SpecBudget,
     compute_sizing,
@@ -731,10 +731,10 @@ def cmd_export(args) -> tuple[dict, bool, dict | None]:
             "kind": "relu-layers",
             "shape_convention": "pairwise-tree-v1",
             "layers": [
-                {"W": [vec_to_hex(row) for row in W], "c": vec_to_hex(c)}
+                {"W": rows_to_hex(W), "c": vec_to_hex(c)}
                 for W, c in relu.layers
             ],
-            "out_w": [vec_to_hex(row) for row in relu.out_w],
+            "out_w": rows_to_hex(relu.out_w),
             "out_b": vec_to_hex(relu.out_b),
         }
         path = _write_artifact(args, "relu.json", obj)

@@ -29,7 +29,7 @@ from .geometry import (
     locate_batch,
     simplex_vertices,
 )
-from .serialize import float_or_none, float_to_hex, hex_or_none, hex_to_vec, require_keys
+from .serialize import float_or_none, hex_or_none, hex_to_vec, require_keys, rows_to_hex
 
 _DEDUP_DECIMALS = 12
 REL_TOL = 1e-9  # every value tolerance is REL_TOL times the output's value_scale
@@ -143,8 +143,9 @@ class CpwaInterpolant:
         self.grid = grid
         self.omega = omega
         self.k_cont = None if k_cont is None else float(k_cont)
-        if self.k_cont is not None and not self.k_cont >= 0:
-            raise ValueError(f"k_cont must be a Lipschitz constant >= 0, got {self.k_cont!r}")
+        if self.k_cont is not None and not 0.0 <= self.k_cont < math.inf:
+            raise ValueError(f"k_cont must be a Lipschitz constant >= 0 and finite, "
+                             f"got {self.k_cont!r}")
         self.min_rule_extras = bool(min_rule_extras)
         self.perms = braid_simplices(grid.dimension)
         self.unit = np.stack([simplex_vertices(s) for s in self.perms])  # (n!, n+1, n)
@@ -234,8 +235,8 @@ class CpwaInterpolant:
     def to_json(self) -> dict:
         return {
             "grid": self.grid.to_json(),
-            "omega": [[float_to_hex(v) for v in row] for row in self.omega],
-            "extra_values": [[float_to_hex(v) for v in row] for row in self.extra_values],
+            "omega": rows_to_hex(self.omega),
+            "extra_values": rows_to_hex(self.extra_values),
             "K_cont": hex_or_none(self.k_cont),
             "min_rule_extras": self.min_rule_extras,
         }
@@ -281,9 +282,10 @@ def build_interpolant(grid: EtaGrid, omega: np.ndarray, k_cont: float | None = N
 
 
 def power_of_two_scale(values) -> float:
-    """The power of two nearest to max|values| (1.0 if all zero).  Dividing
-    by it and multiplying back are exact, so values * 2^k keep their digits."""
-    frac, exp = math.frexp(float(np.abs(values).max()))  # frac in [0.5, 1)
+    """The power of two nearest to max|values| (1.0 if all zero or empty).
+    Dividing by it and multiplying back are exact, so values * 2^k keep
+    their digits."""
+    frac, exp = math.frexp(float(np.abs(values).max(initial=0.0)))  # frac in [0.5, 1)
     if frac == 0.0:
         return 1.0
     return math.ldexp(1.0, min(exp if frac >= 0.75 else exp - 1, 1023))  # 2^1024 overflows

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ..cpwa import check_oracle_reply
+from ..cpwa import REL_TOL, check_oracle_reply, power_of_two_scale
 from ..errors import DimensionMismatch, NonPositiveBudget
 from ..geometry import Box
 from ..sizing import gronwall_bound
@@ -24,11 +24,15 @@ from .integrate import rk4_closed_loop
 from .models import ControlSystemModel
 
 _AUDIT_NOTE = "sampling-based audit on finite probe sets, not a proof"
-# slack on the invariance margins and on the deviation bounds, and the most
-# violations one invariance report lists
-_MARGIN_TOL = 1e-9
-_DEVIATION_TOL = 1e-7
+# the most violations one invariance report lists
 _MAX_VIOLATIONS = 10
+
+
+def _slack(*quantities) -> float:
+    """The slack of a comparison: ``REL_TOL`` times the ``power_of_two_scale``
+    of the quantities it compares, so a problem scaled by 2^k gets the same
+    verdict."""
+    return REL_TOL * power_of_two_scale(np.concatenate([np.ravel(q) for q in quantities]))
 
 
 def boundary_margin(box: Box, pts: np.ndarray) -> np.ndarray:
@@ -106,6 +110,7 @@ def check_delta_tau_invariance(model: ControlSystemModel, controller, delta: flo
     edge, core = np.flatnonzero(in_edge), np.flatnonzero(~in_edge)
     times, states, _ = rk4_closed_loop(model, controller, pts, tau, step)
     margin = boundary_margin(box, states) - delta  # (S+1, P)
+    tol = _slack(box.lower, box.upper)
     violations: list[dict] = []
 
     worst_edge = None
@@ -113,7 +118,7 @@ def check_delta_tau_invariance(model: ControlSystemModel, controller, delta: flo
         end_margin = margin[-1, edge]
         worst_edge = float(end_margin.min())
         for idx in np.argsort(end_margin):
-            if end_margin[idx] >= -_MARGIN_TOL or len(violations) >= _MAX_VIOLATIONS:
+            if end_margin[idx] >= -tol or len(violations) >= _MAX_VIOLATIONS:
                 break
             violations.append({
                 "kind": "edge-endpoint",
@@ -127,7 +132,7 @@ def check_delta_tau_invariance(model: ControlSystemModel, controller, delta: flo
     if core.size:
         node_margin = margin[:, core]
         worst_core = float(node_margin.min())
-        bad = np.argwhere(node_margin < -_MARGIN_TOL)
+        bad = np.argwhere(node_margin < -tol)
         order = np.argsort(node_margin[bad[:, 0], bad[:, 1]]) if bad.size else []
         seen: set[int] = set()
         for k in order:
@@ -144,7 +149,7 @@ def check_delta_tau_invariance(model: ControlSystemModel, controller, delta: flo
             })
 
     return InvarianceReport(
-        holds=all(w is None or w >= -_MARGIN_TOL for w in (worst_edge, worst_core)),
+        holds=all(w is None or w >= -tol for w in (worst_edge, worst_core)),
         delta=delta, tau=tau, edge_consumed=False,
         num_edge_starts=int(edge.size),
         num_interior_starts=int(core.size),
@@ -189,19 +194,21 @@ def _compare_loops(kind: str, model: ControlSystemModel, controller, tau: float,
     pass: the starts are stacked twice, and ``model`` with ``controller``
     runs one loop on each half.  The worst endpoint gap is checked against
     the Gronwall bound for ``mu`` (with ``model``'s constants and ``k_lip``)
-    and, when given, ``delta``."""
+    and, when given, ``delta``, each up to the ``_slack`` of the endpoints and
+    that limit."""
     P = probes.shape[0]
     _, states, _ = rk4_closed_loop(model, controller, np.vstack([probes, probes]), tau, step)
-    dev = np.abs(states[-1, :P] - states[-1, P:]).max(axis=1)
+    ends = states[-1]
+    dev = np.abs(ends[:P] - ends[P:]).max(axis=1)
     worst = int(np.argmax(dev))
     bound = gronwall_bound(mu, model.k_x, model.k_u, k_lip, tau)
     max_dev = float(dev[worst])
     return DeviationReport(
         kind=kind, max_deviation=max_dev, worst_start=probes[worst].tolist(),
         mu=mu, mu_source=mu_source,
-        bound=bound, bound_pass=bool(max_dev <= bound + _DEVIATION_TOL),
+        bound=bound, bound_pass=bool(max_dev <= bound + _slack(ends, bound)),
         delta=delta,
-        delta_pass=None if delta is None else bool(max_dev <= delta + _DEVIATION_TOL),
+        delta_pass=None if delta is None else bool(max_dev <= delta + _slack(ends, delta)),
         tau=float(tau), num_probes=P, probe_spec=probe_spec,
     )
 

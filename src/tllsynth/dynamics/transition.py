@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cpwa import power_of_two_scale
+from ..cpwa import REL_TOL, power_of_two_scale
 from ..errors import DimensionMismatch, SchemaError
-from ..serialize import float_to_hex, hex_or_none, hex_to_vec, is_int, require_keys
+from ..serialize import hex_or_none, hex_to_vec, is_int, require_keys, rows_to_hex
 from .integrate import rk4_closed_loop
 from .models import ControlSystemModel
 
@@ -66,8 +66,7 @@ class FiniteTransitionSystem:
     def to_json(self) -> dict:
         return {
             "states": [
-                {"id": i, "coords": [float_to_hex(v) for v in self.coords[i]]}
-                for i in range(self.num_states)
+                {"id": i, "coords": coords} for i, coords in enumerate(rows_to_hex(self.coords))
             ],
             "transitions": [
                 {"src": s, "label": u, "dst": t}
@@ -132,16 +131,18 @@ def _segment_label(controls: np.ndarray) -> str:
 
 def embed_tau_sampled(model: ControlSystemModel, controller, samples: np.ndarray,
                       tau: float, step: float | None = None,
-                      snap_tol: float = 1e-9,
+                      snap_tol: float | None = None,
                       extra_states: np.ndarray | None = None) -> FiniteTransitionSystem:
     """Embed one closed loop as a tau-period transition system.
 
     Every sample becomes a state; each is integrated for one period and the
     endpoint is snapped to the first listed state within ``snap_tol``
-    (infinity norm) or appended as a new state.  The transition label hashes
-    the control segment at the integration nodes.  ``extra_states`` are
-    listed (and deduplicated) but not integrated, so a companion system can
-    share another embedding's target states.
+    (infinity norm) or appended as a new state.  The default ``snap_tol`` is
+    ``REL_TOL`` times the ``power_of_two_scale`` of the samples and extra
+    states, so samples scaled by 2^k embed alike.  The transition label
+    hashes the control segment at the integration nodes.  ``extra_states``
+    are listed (and deduplicated) but not integrated, so a companion system
+    can share another embedding's target states.
     """
     if step is None:
         step = tau / 100.0
@@ -150,6 +151,8 @@ def embed_tau_sampled(model: ControlSystemModel, controller, samples: np.ndarray
               else np.atleast_2d(np.asarray(extra_states, dtype=float)))
     if extras.shape[1] != samples.shape[1]:
         raise DimensionMismatch("extra states need the samples' coordinate dimension")
+    if snap_tol is None:
+        snap_tol = REL_TOL * power_of_two_scale(np.vstack([samples, extras]))
     # every sample, extra state and endpoint fits: at most 2P + E states
     states = np.empty((2 * len(samples) + len(extras), samples.shape[1]))
     count = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, NonPositiveEta, OutsideDomain, SchemaError
-from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys
+from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_keys, vec_to_hex
 
 #: factorial growth guard: n! hypercube dissections above this are refused
 DEFAULT_DIMENSION_CAP = 6
@@ -77,8 +77,8 @@ class Box:
 
     def to_json(self) -> dict:
         return {
-            "lower": [float_to_hex(v) for v in self.lower],
-            "upper": [float_to_hex(v) for v in self.upper],
+            "lower": vec_to_hex(self.lower),
+            "upper": vec_to_hex(self.upper),
         }
 
     @staticmethod
@@ -157,7 +157,7 @@ class EtaGrid:
     def to_json(self) -> dict:
         return {
             "eta": float_to_hex(self.eta),
-            "anchor": [float_to_hex(v) for v in self.anchor],
+            "anchor": vec_to_hex(self.anchor),
             "axis_counts": list(self.axis_counts),
             "domain": self.domain.to_json(),
         }

@@ -1,7 +1,12 @@
 """Bit-exact JSON helpers.
 
 Floats are stored as C99 hex strings (``float.hex()``), so artifacts
-round-trip bitwise and reports are byte-identical across runs.
+round-trip bitwise and reports are byte-identical across runs.  Every
+float array goes through ``vec_to_hex`` or ``rows_to_hex`` (one
+``tolist()``, then ``float.hex``), and every artifact and report through
+``to_json_text``: one sorted-key JSON line from the C encoder, no
+whitespace.  Readers ignore whitespace, so indented files of the older
+layout load unchanged; ``python -m json.tool`` pretty-prints a file.
 """
 
 from __future__ import annotations
@@ -44,7 +49,13 @@ def hex_to_float(s: Any) -> float:
 
 
 def vec_to_hex(v: Iterable[float]) -> list[str]:
-    return [float_to_hex(x) for x in np.asarray(v, dtype=float).ravel()]
+    """Hex strings of the flattened float array ``v``."""
+    return list(map(float.hex, np.asarray(v, dtype=float).ravel().tolist()))
+
+
+def rows_to_hex(rows: Any) -> list[list[str]]:
+    """``vec_to_hex`` of each row of the 2-D float array ``rows``."""
+    return [list(map(float.hex, row)) for row in np.asarray(rows, dtype=float).tolist()]
 
 
 def hex_to_vec(items: Any) -> np.ndarray:
@@ -54,13 +65,15 @@ def hex_to_vec(items: Any) -> np.ndarray:
 
 
 def dump_json(obj: Any, path: str) -> None:
+    # encode first: a failed encode leaves an existing file as it was
+    text = to_json_text(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json_text(obj))
+        fh.write(text)
 
 
 def to_json_text(obj: Any) -> str:
-    # sort_keys keeps byte-identical output for identical content
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """One compact JSON line; sorted keys keep identical content byte-identical."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def load_json(path: str) -> Any:

@@ -19,6 +19,7 @@ side.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,13 @@ from .errors import (
 )
 from .serialize import (
     float_or_none,
-    float_to_hex,
     hex_or_none,
     hex_to_float,
     hex_to_vec,
     is_int,
     require_keys,
+    rows_to_hex,
+    vec_to_hex,
 )
 from .sizing import controller_size
 
@@ -520,10 +522,8 @@ def export_network(net: TllNetwork) -> dict:
         "m": net.m,
         "outputs": [
             {
-                "bank": [
-                    {"w": [float_to_hex(v) for v in lat.W[i]], "b": float_to_hex(lat.b[i])}
-                    for i in range(lat.size)
-                ],
+                "bank": [{"w": w, "b": b}
+                         for w, b in zip(rows_to_hex(lat.W), vec_to_hex(lat.b))],
                 "selectors": [list(map(int, s)) for s in lat.selectors],
             }
             for lat in net.outputs
@@ -574,11 +574,12 @@ def import_network(obj: dict) -> TllNetwork:
         outputs.append(ScalarLattice(np.array(Ws), np.array(bs), [list(s) for s in sels]))
     prov_raw = obj["provenance"]
     require_keys(prov_raw, ("eta", "K_cont", "bound_N"), "provenance")
-    if prov_raw["bound_N"] is not None and not is_int(prov_raw["bound_N"]):
-        raise SchemaError("provenance bound_N must be an integer or null")
-    prov = {
-        "eta": float_or_none(prov_raw["eta"]),
-        "k_cont": float_or_none(prov_raw["K_cont"]),
-        "bound_n": prov_raw["bound_N"],
-    }
-    return TllNetwork(n, outputs, prov)
+    bound_n = prov_raw["bound_N"]
+    if bound_n is not None and not (is_int(bound_n) and bound_n >= 1):
+        raise SchemaError(f"provenance bound_N must be an integer >= 1 or null, got {bound_n!r}")
+    eta, k_cont = float_or_none(prov_raw["eta"]), float_or_none(prov_raw["K_cont"])
+    if eta is not None and not 0.0 < eta < math.inf:
+        raise SchemaError(f"provenance eta must be finite and > 0 or null, got {eta!r}")
+    if k_cont is not None and not 0.0 <= k_cont < math.inf:
+        raise SchemaError(f"provenance K_cont must be finite and >= 0 or null, got {k_cont!r}")
+    return TllNetwork(n, outputs, {"eta": eta, "k_cont": k_cont, "bound_n": bound_n})

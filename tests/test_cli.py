@@ -294,12 +294,11 @@ def test_nonfinite_or_overflowing_pieces_are_numerical_errors(tmp_path):
 
 
 def test_interpolant_with_negative_k_cont_is_config_error(tmp_path, capsys):
-    def negative(obj):
-        obj["K_cont"] = float.hex(-1.0)
-
-    assert _edited_interpolant_exit(tmp_path, negative) == 2
-    assert "k_cont must be a Lipschitz constant >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "verify_lipschitz_report.json").exists()
+    # an infinite K_cont made the lipschitz bound infinite, and any slope passed
+    for value in (float.hex(-1.0), "inf"):
+        assert _edited_interpolant_exit(tmp_path, lambda obj: obj.update(K_cont=value)) == 2
+        assert "k_cont must be a Lipschitz constant >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "verify_lipschitz_report.json").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -333,6 +332,24 @@ def test_verify_regions_rejects_malformed_bound(tmp_path):
     dump_json(net, str(bad))
     assert main(["verify", str(out / "interpolant.json"), "--which", "regions",
                  "--network", str(bad), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bound_N", -5), ("bound_N", 0), ("K_cont", float.hex(-1.0)),
+    ("K_cont", "inf"), ("eta", float.hex(0.0)), ("eta", float.hex(-1.0)), ("eta", "nan"),
+], ids=["bound_N=-5", "bound_N=0", "K_cont=-1", "K_cont=inf", "eta=0", "eta=-1", "eta=nan"])
+def test_network_provenance_out_of_range_is_config_error(tmp_path, capsys, key, value):
+    out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+    net = load_json(str(out / "network.json"))
+    net["provenance"][key] = value
+    bad = tmp_path / "bad_network.json"
+    dump_json(net, str(bad))
+    assert main(["export", str(bad), "--out", str(tmp_path)]) == 2
+    assert main(["verify", str(out / "interpolant.json"), "--which", "regions",
+                 "--network", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count(f"provenance {key} must be") == 2
+    assert not (tmp_path / "export_report.json").exists()
+    assert not (tmp_path / "verify_regions_report.json").exists()
 
 
 def test_affine_chain_and_verifications(tmp_path):
@@ -889,6 +906,50 @@ def test_reports_and_artifacts_deterministic(tmp_path):
         ra.pop("timing"), rb.pop("timing")
         assert ra == rb
         assert ra["seed"] == 11
+
+
+def test_every_written_file_is_one_sorted_compact_line(tmp_path):
+    # the README chain, then a pendulum controller through audit, sysid and
+    # ads-check: every file the commands write is the writer's one line
+    out = tmp_path / "out"
+    readme = _write_cfg(tmp_path / "readme.json", {**_size_cfg(), "m": 1, "oracle": {
+        "kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B}})
+    pend = _write_cfg(tmp_path / "pend.json", {
+        "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "eta": 0.5, "m": 1,
+        "k_cont": 0.5, "oracle": {"kind": "builtin", "name": "affine",
+                                  "W": [[-0.25, -0.25]], "b": [0.0]}})
+    audit = _write_cfg(tmp_path / "audit.json", {
+        "model": "pendulum", "probes": {"per_axis": 3},
+        "budget": {"k_x": 1.5, "k_u": 1.0, "k_cont": 0.5, "tau": 0.25, "delta": 0.8},
+        "oracle": {"kind": "builtin", "name": "affine", "W": [[-0.25, -0.25]], "b": [0.0]}})
+    sysid = _write_cfg(tmp_path / "sysid.json", {"model": "pendulum", "eta": 0.6875})
+    ts = _ts_file(tmp_path / "ts.json", [[0.0, -0.5], [0.25, 1e-300]],
+                  {(0, "go", 1), (1, "go", 1)})
+    net, pout = str(out / "network.json"), tmp_path / "pend"
+    for argv in (
+        ["size", "--config", readme], ["build", "--config", readme],
+        ["compile", str(out / "interpolant.json")],
+        ["verify", str(out / "interpolant.json"), "--which", "tll-equiv", "--network", net],
+        ["export", net, "--expanded"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 0, argv[0]
+    pnet = str(pout / "network.json")
+    for argv in (
+        ["build", "--config", pend], ["compile", str(pout / "interpolant.json")],
+        ["audit", "--which", "gronwall", "--network", pnet, "--config", audit],
+        ["audit", "--which", "invariance", "--network", pnet, "--config", audit],
+        ["sysid", "--config", sysid],
+        ["audit", "--which", "sysid", "--network", str(pout / "sysid_network.json"),
+         "--config", audit],
+        ["ads-check", ts, ts, "--delta", "0.0"],
+    ):
+        assert main(argv + ["--out", str(pout)]) in (0, 1), argv[:3]
+    written = sorted(out.iterdir()) + sorted(pout.iterdir()) + [tmp_path / "ts.json"]
+    assert len(written) == 20
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), separators=(",", ":"),
+                                  sort_keys=True) + "\n", path.name
 
 
 # -- export -----------------------------------------------------------------------

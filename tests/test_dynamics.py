@@ -267,6 +267,25 @@ def test_invariance_edge_consumes_domain():
     assert any("EdgeConsumesDomain" in note for note in report.notes)
 
 
+def test_invariance_verdict_is_scale_free():
+    # x' = -x on [-c, c] with delta 2^-40 c beyond what one period gains
+    # from the faces: the worst edge margin is -9.1e-13 c at every c = 2^k,
+    # inside a slack relative to the box (an absolute 1e-9 failed from k = 11)
+    tau, step = 0.1, 0.01
+    unit = _scalar_model(lambda x, u: -x, x_span=1.0)
+    r = rk4_closed_loop(unit, ZERO, [[1.0]], tau, step)[1][-1, 0, 0]
+    delta = (1.0 - r) + 2.0 ** -40
+    base = check_delta_tau_invariance(unit, ZERO, delta, tau, per_axis=5, step=step)
+    assert base.holds and -1e-12 < base.worst_edge_margin < 0.0
+    for k in range(-40, 41):
+        c = 2.0 ** k
+        model = _scalar_model(lambda x, u: -x, x_span=c)
+        report = check_delta_tau_invariance(model, ZERO, delta * c, tau, per_axis=5, step=step)
+        assert report.holds, k
+        assert report.worst_edge_margin == base.worst_edge_margin * c
+        assert report.worst_interior_margin == base.worst_interior_margin * c
+
+
 def test_invariance_report_serializes():
     model = _scalar_model(lambda x, u: -x, x_span=1.0)
     report = check_delta_tau_invariance(model, ZERO, delta=0.1, tau=0.5,
@@ -332,6 +351,22 @@ def test_deviation_delta_gate():
                              probes=probes, k_upsilon=0.0, mu=0.5, delta=0.05)
     assert report.delta_pass is False
     assert not report.holds
+
+
+@pytest.mark.parametrize("mu_factor, verdict", [(1e-4, False), (1.0, True)],
+                         ids=["mu-too-small", "mu-exact"])
+def test_deviation_verdict_is_scale_free(mu_factor, verdict):
+    # linear_1d with psi = 0 against the constant control c, starts of size
+    # c and mu = mu_factor * c: the problem scaled by c = 2^k.  An absolute
+    # slack of 1e-7 passed the mu-too-small case from c = 2^-23 down
+    model = linear_1d(a=-1.0, b=1.0)
+    for k in range(-40, 41):
+        c = 2.0 ** k
+        upsilon = lambda x, c=c: np.full(x.shape[:-1] + (1,), c)
+        report = deviation_audit(model, ZERO, upsilon, tau=1.0, step=0.01,
+                                 probes=c * np.array([[1.0], [-0.5], [0.0]]),
+                                 k_upsilon=0.0, mu=mu_factor * c, delta=0.7 * c)
+        assert (report.bound_pass, report.delta_pass) == (verdict, True), k
 
 
 def test_sysid_deviation_identical_models():

@@ -124,6 +124,18 @@ def test_embed_deduplicates_coincident_samples():
     assert len(ts.transitions) == 1
 
 
+def test_embed_default_snap_follows_the_states_scale():
+    # 0.25 and 0.25 + 2^-40 merge and 0.5 stays apart, all times 2^k, for
+    # every k (an absolute 1e-9 merged all three at k = -40)
+    model = linear_1d(a=0.0, b=0.0)
+    controller = lambda x: np.zeros_like(x)
+    for k in range(-40, 41):
+        samples = 2.0 ** k * np.array([[0.25], [0.25 + 2.0 ** -40], [0.5]])
+        ts = embed_tau_sampled(model, controller, samples, tau=0.5, step=0.1)
+        assert ts.num_states == 2, k
+    assert embed_tau_sampled(model, controller, np.empty((0, 1)), tau=0.5).num_states == 0
+
+
 def test_embed_labels_hash_control_segments():
     # identical control traces share a label; different ones do not
     model = linear_1d(a=-1.0, b=1.0)
