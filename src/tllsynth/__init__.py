@@ -81,7 +81,6 @@ from .tll import (
     ScalarLattice,
     TllNetwork,
     arch_descriptor,
-    compile_scalar_tll,
     compile_tll,
     expand_relu_layers,
     export_network,

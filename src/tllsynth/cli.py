@@ -76,6 +76,7 @@ from .sizing import (
     sysid_size,
 )
 from .tll import (
+    SHAPE_CONVENTION,
     arch_descriptor,
     compile_tll,
     expand_relu_layers,
@@ -729,7 +730,7 @@ def cmd_export(args) -> tuple[dict, bool, dict | None]:
         relu = expand_relu_layers(net)
         obj = {
             "kind": "relu-layers",
-            "shape_convention": "pairwise-tree-v1",
+            "shape_convention": SHAPE_CONVENTION,
             "layers": [
                 {"W": rows_to_hex(W), "c": vec_to_hex(c)}
                 for W, c in relu.layers

@@ -2,22 +2,25 @@
 
 A scalar network is a bank of N affine functions plus selector sets; its
 value is the max over sets of the min over each set's bank members.  The
-bank is the deduplicated piece list of the interpolant.  Each simplex
-contributes one selector set: its active piece plus bank functions that
+bank is the deduplicated piece list of the interpolant.  Each simplex first
+builds one candidate set: its active piece plus bank functions that
 dominate that piece on the simplex, chosen so that for every simplex some
-member lies at or below that simplex's active piece (a covering rule).  On
-each simplex its own set then attains the interpolant and no set exceeds
-it, so the lattice is exact; both relations are checked at simplex
-vertices, which settles them exactly by linearity.  The sets are
-irredundant: in each, every member but the simplex's own active piece (its
-pin) is the only one at or below some simplex's active piece, so none can
-go without breaking the covering rule, and no set is absorbed by a subset
-that holds its pins.  Multi-output networks stack scalar lattices side by
-side.
+member lies at or below that simplex's active piece (a covering rule).  So
+no set exceeds the interpolant anywhere, and the sets are irredundant: in
+each, every member but the simplex's own active piece (its pin) is the
+only one at or below some simplex's active piece, so none can go without
+breaking the covering rule, and no set is absorbed by a subset that holds
+its pins.  A set attains on a simplex when it holds the simplex's active
+piece and every member dominates there; the network keeps only a greedy
+cover of the simplexes by attaining sets (Chvatal's rule), so on every
+simplex some kept set attains the interpolant and the lattice is exact.
+Every relation is checked at simplex vertices, which settles it exactly
+by linearity.  Multi-output networks stack scalar lattices side by side.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +49,8 @@ from .sizing import controller_size
 
 # floats or words held by one chunk's temporaries: the gathered selector
 # values of TllNetwork.eval_batch, the vertex values of _vertex_relations,
-# the cover rows _scalar_lattice keeps for _prune
+# the cover rows _scalar_lattice keeps for _prune, the member rows _attains
+# gathers
 _CHUNK_VALUES = 1 << 18
 _ALL_BITS = ~np.uint64(0)
 
@@ -151,11 +155,6 @@ class TllNetwork:
         x = np.asarray(x, dtype=float)
         return self.eval_batch(x[None])[0] if x.ndim == 1 else self.eval_batch(x)
 
-    def max_dual_norm(self) -> float:
-        """Largest bank gradient dual norm: a global Lipschitz constant of
-        the network under the infinity norm."""
-        return max(float(np.abs(lat.W).sum(axis=1).max()) for lat in self.outputs)
-
 
 def _vertex_relations(interp: CpwaInterpolant, W: np.ndarray, b: np.ndarray,
                       act: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
@@ -230,36 +229,114 @@ def _prune(walks: list, before: np.ndarray, act: np.ndarray, rows: np.ndarray,
         sets[s] = flat[lo:hi]
 
 
+def _attains(sets: list, dom_rows: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """Packed (M, words) rows, bit k of row t set when set t attains on
+    simplex k: it holds k's active piece and every member dominates on k.
+
+    ``dom_rows`` row i packs the simplexes function i dominates on.  A
+    set's row is the AND of its members' rows, masked by the OR of their
+    active rows (the simplexes whose active piece the set holds).  Sets go
+    in chunks whose gathered rows fill ``_CHUNK_VALUES`` words, or one set.
+    """
+    N, words = dom_rows.shape
+    active = _bit_rows(act == np.arange(N)[:, None])     # row i: where i is the active piece
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    members = _members(sets)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    out = np.empty((len(sets), words), dtype=np.uint64)
+    lo = 0
+    while lo < len(sets):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _CHUNK_VALUES // words, "right")))
+        at = members[starts[lo]:ends[hi - 1]]
+        offsets = starts[lo:hi] - starts[lo]
+        out[lo:hi] = (np.bitwise_and.reduceat(dom_rows[at], offsets)
+                      & np.bitwise_or.reduceat(active[at], offsets))
+        lo = hi
+    return out
+
+
+@dataclass(slots=True)
+class _Gain:
+    """A heap entry of ``_cover``: set ``t`` newly attains on ``gain``
+    simplexes with ``size`` members.  More gain per member comes first,
+    compared by integer cross-products so that ties are exact, and on a tie
+    the lower index."""
+
+    gain: int
+    size: int
+    t: int
+
+    def __lt__(self, other: _Gain) -> bool:
+        mine, theirs = self.gain * other.size, other.gain * self.size
+        return mine > theirs or (mine == theirs and self.t < other.t)
+
+
+def _cover(sets: list, dom_rows: np.ndarray, act: np.ndarray) -> list:
+    """The sets a greedy cover of the simplexes by attaining sets keeps
+    (``_attains``), in their given order.
+
+    Each pick is the set that newly attains on the most simplexes per
+    member (Chvatal's greedy set cover), the lowest index on ties.  Gains
+    only fall as picks attain simplexes, so a heap of stale gains re-scores
+    only its top (Minoux's lazy greedy): a top whose fresh gain equals its
+    stale one is the pick.  The rows are Python integers here, so a
+    re-score is one AND and one bit count.  Each simplex's own set attains
+    on it, so the cover completes.
+    """
+    rows = [int.from_bytes(row.tobytes(), "little") for row in _attains(sets, dom_rows, act)]
+    left = int.from_bytes(_bit_rows(np.ones((1, act.size), dtype=bool)).tobytes(), "little")
+    heap = [_Gain(row.bit_count(), len(T), t) for t, (row, T) in enumerate(zip(rows, sets))]
+    heapq.heapify(heap)
+    picked = []
+    while left:
+        top = heap[0]
+        gain = (rows[top.t] & left).bit_count()
+        if gain == top.gain:
+            heapq.heappop(heap)
+            picked.append(top.t)
+            left &= ~rows[top.t]
+        else:
+            heapq.heapreplace(heap, _Gain(gain, top.size, top.t))
+    return [sets[t] for t in sorted(picked)]
+
+
 def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     """Bank and selector sets of one interpolant output.
 
-    Bank: distinct pieces (``piece_bank``).  Selector sets: one per simplex
-    s, built from its active piece and drawn from the functions that dominate
-    it on s (>= at the n+1 vertices less REL_TOL * ``value_scale``, rounding
-    noise).  The lattice is exact when, besides that, every set holds for
-    every simplex k a member <= k's active piece on k (vertex check with the
-    same slack): on k, k's own set then attains the active piece and no set
-    exceeds it.  So the members are walked in one global order, functions
-    below on more simplexes first, and a member is kept only when it is below
-    on a simplex no earlier member covers.  ``_prune`` then walks the kept
-    members back and drops each one the others make redundant, in chunks of
-    walks whose cover rows fill ``_CHUNK_VALUES`` words.  The set's own
-    active piece, its pin, always stays, so each simplex keeps a set that
-    attains it.  A set whose dominating functions cannot cover every simplex
-    keeps all of them, the all-dominating set of the Tarela-Martinez lattice,
-    which is exact pointwise; it is not pruned.  Duplicate sets are stored
-    once.
+    Bank: distinct pieces (``piece_bank``).  Candidate sets: one per simplex
+    s, built from its active piece and drawn from the functions that
+    dominate it on s (>= at the n+1 vertices less REL_TOL * ``value_scale``,
+    rounding noise).  Every candidate holds for every simplex k a member <=
+    k's active piece on k (vertex check with the same slack), so its min is
+    at or below the interpolant everywhere.  To build it, the members are
+    walked in one global order, functions below on more simplexes first,
+    and a member is kept only when it is below on a simplex no earlier
+    member covers.
+    ``_prune`` then walks the kept members back and drops each one the
+    others make redundant, in chunks of walks whose cover rows fill
+    ``_CHUNK_VALUES`` words.  The set's own active piece, its pin, always
+    stays, so each simplex's set attains on it.  A set whose dominating
+    functions cannot cover every simplex keeps all of them, the
+    all-dominating set of the Tarela-Martinez lattice, whose min is at or
+    below the interpolant pointwise; it is not pruned.
 
     Pruned sets are also free of lattice absorption with the pins kept (Xu
     et al.'s irredundant form): no covering set T strictly holds another
     covering set S that holds T's pins, for then S would cover without the
     members of T outside S, none of them a pin, and the pruning would have
     dropped them.
+
+    The distinct candidates, in simplex order of first appearance, then go
+    to ``_cover``, which keeps a subset that attains on every simplex: on
+    each simplex some kept set equals the interpolant and none exceeds it,
+    so the max of the kept sets is exact.
     """
     W, b, act = piece_bank(interp, output)
     dom, below = _vertex_relations(interp, W, b, act, REL_TOL * value_scale(interp, output))
 
     rows = _bit_rows(below.T)          # row i: the simplexes function i is below on
+    dom_rows = _bit_rows(dom.T)        # row i: the simplexes function i dominates on
     full = _bit_rows(np.ones((1, act.size), dtype=bool))[0]
     order = np.argsort(-below.sum(axis=0), kind="stable")
     dom_in_order = dom[:, order]
@@ -289,14 +366,14 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
         used += grew.size
         walks.append((s, walk[grew + 1]))
     _prune(walks, before[:used], act, rows, full, sets)
-    selectors = dict.fromkeys(tuple(sel.tolist()) for sel in sets)
-    return ScalarLattice(W, b, [list(sel) for sel in selectors])
+    candidates = list(dict.fromkeys(tuple(sel.tolist()) for sel in sets))
+    return ScalarLattice(W, b, [list(sel) for sel in _cover(candidates, dom_rows, act)])
 
 
-def _compile(interp: CpwaInterpolant, outputs, bound_n: int | None) -> TllNetwork:
-    """One network over the lattices of the listed outputs."""
+def compile_tll(interp: CpwaInterpolant, bound_n: int | None = None) -> TllNetwork:
+    """Compile every output into one lattice each, stacked side by side."""
     grid = interp.grid
-    lattices = [_scalar_lattice(interp, j) for j in outputs]
+    lattices = [_scalar_lattice(interp, j) for j in range(interp.m)]
     if bound_n is None:
         bound_n = controller_size(grid.dimension, grid.domain.extent(), grid.eta)
     provenance = {
@@ -305,19 +382,6 @@ def _compile(interp: CpwaInterpolant, outputs, bound_n: int | None) -> TllNetwor
         "bound_n": int(bound_n),
     }
     return TllNetwork(grid.dimension, lattices, provenance)
-
-
-def compile_scalar_tll(interp: CpwaInterpolant, output: int = 0,
-                       bound_n: int | None = None) -> TllNetwork:
-    """Compile one interpolant output into a scalar max-min lattice."""
-    if not (0 <= output < interp.m):
-        raise InvariantViolation(f"output {output} out of range for m={interp.m}")
-    return _compile(interp, [output], bound_n)
-
-
-def compile_tll(interp: CpwaInterpolant, bound_n: int | None = None) -> TllNetwork:
-    """Compile every output into one lattice each, stacked side by side."""
-    return _compile(interp, range(interp.m), bound_n)
 
 
 def parallel_compose(nets: list[TllNetwork]) -> TllNetwork:
@@ -344,18 +408,22 @@ def parallel_compose(nets: list[TllNetwork]) -> TllNetwork:
     return TllNetwork(n, outputs, provenance)
 
 
+# the name of the layer shapes below, in descriptors and expanded exports
+SHAPE_CONVENTION = "pairwise-tree-v1"
+
+
 @dataclass
 class ArchDescriptor:
     """Sizes and ReLU layer shapes of a compiled network.
 
     Layer shapes follow this package's pairwise min/max tree expansion
-    (``shape_convention = "pairwise-tree-v1"``: 3 neurons per binary gadget,
-    2 per carried wire) and are implementation defined, not canonical.
+    (``SHAPE_CONVENTION``: 3 neurons per binary gadget, 2 per carried wire)
+    and are implementation defined, not canonical.
     """
 
     per_output: list[dict]
     bound_n: int
-    shape_convention: str = "pairwise-tree-v1"
+    shape_convention: str = SHAPE_CONVENTION
     implementation_defined: bool = True
 
     def to_json(self) -> dict:
@@ -387,7 +455,8 @@ def _tree_plan(set_sizes) -> list[tuple[np.ndarray, str]]:
 
 
 def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> ArchDescriptor:
-    """Report N, M, and layer shapes per output; enforce the size bound."""
+    """Report N, M, selector mass (total set size) and layer shapes per
+    output; enforce the size bound."""
     if bound_n is None:
         bound_n = net.provenance.get("bound_n")
     if bound_n is None:
@@ -405,6 +474,7 @@ def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> ArchDescript
         per_output.append({
             "N": lat.size,
             "M": len(lat.selectors),
+            "selector_mass": sum(map(len, lat.selectors)),
             "layers": layers,
             "neurons": int(sum(widths)),
         })

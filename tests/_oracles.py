@@ -11,9 +11,11 @@ neuron at a time, as the library once did; they are the bitwise references
 for the library's array-based interning and array-built layers.  The
 per-simplex LU solve is the reference for the closed-form interpolation
 pieces, the per-simplex dominating sets and a set-based covering walk
-with pruning are the references for the compiled selector sets, and the
-lattice is evaluated one selector set at a time as the reference for the
-size-bucketed evaluation.
+with pruning are the references for the compiled selector sets, a
+rescan-every-round greedy is the reference for the cover that keeps only
+the attaining sets, and the lattice is evaluated one selector set at a
+time as the reference for the size-bucketed evaluation.  Two helpers
+compile one output alone and bound the network's Lipschitz constant.
 """
 
 import functools
@@ -405,6 +407,58 @@ def irredundant_selectors(interp, output):
                                   for S in kept)):
             kept.append(T)
     return {T: (pins[T], covers[T]) for T in covers if T in kept}
+
+
+def attaining_simplexes(interp, output, sets):
+    """For each set, the simplexes it attains on: those whose active piece
+    it holds and whose dominating set holds all of it."""
+    _, _, act, dominating, _ = simplex_relations(interp, output)
+    return [{k for k, a in enumerate(act.tolist()) if a in T and set(T) <= set(dominating[k])}
+            for T in sets]
+
+
+def covered_selectors(interp, output):
+    """The compiled selector list: a greedy cover of the simplexes by the
+    sets of ``irredundant_selectors``, rescanning every set each round.
+
+    Each round picks the set that attains on the most simplexes no pick
+    attains yet, per member, comparing gain_t * |T_u| with gain_u * |T_t|
+    over integers; the earliest set wins a tie.  Rounds go on until every
+    simplex is attained.  Returns the picked sets as lists, in the order of
+    ``irredundant_selectors``.
+    """
+    sets = list(irredundant_selectors(interp, output))
+    attains = attaining_simplexes(interp, output, sets)
+    left = set(range(interp.num_simplexes))
+    picked = set()
+    while left:
+        best, best_gain = 0, len(attains[0] & left)
+        for t, T in enumerate(sets):
+            gain = len(attains[t] & left)
+            if gain * len(sets[best]) > best_gain * len(T):
+                best, best_gain = t, gain
+        if best_gain == 0:
+            raise ValueError(f"no set attains on simplexes {sorted(left)}")
+        picked.add(best)
+        left -= attains[best]
+    return [list(sets[t]) for t in sorted(picked)]
+
+
+def compile_scalar_tll(interp, output=0):
+    """One interpolant output compiled alone: ``compile_tll``'s lattice for
+    that output, with the network's provenance."""
+    from tllsynth import InvariantViolation, TllNetwork, compile_tll
+
+    if not 0 <= output < interp.m:
+        raise InvariantViolation(f"output {output} out of range for m={interp.m}")
+    net = compile_tll(interp)
+    return TllNetwork(net.n, [net.outputs[output]], net.provenance)
+
+
+def max_dual_norm(net):
+    """Largest bank gradient dual norm: a global Lipschitz constant of the
+    network under the infinity norm."""
+    return max(float(np.abs(lat.W).sum(axis=1).max()) for lat in net.outputs)
 
 
 # ---------------------------------------------------------------------------

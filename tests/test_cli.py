@@ -352,6 +352,14 @@ def test_network_provenance_out_of_range_is_config_error(tmp_path, capsys, key, 
     assert not (tmp_path / "verify_regions_report.json").exists()
 
 
+def _selector_masses(report, network) -> tuple[list[int], list[int]]:
+    """Per-output selector mass as the report's descriptor gives it, and
+    as counted in the network file the command wrote."""
+    reported = [o["selector_mass"] for o in report["results"]["descriptor"]["per_output"]]
+    written = [sum(map(len, o["selectors"])) for o in load_json(str(network))["outputs"]]
+    return reported, written
+
+
 def test_affine_chain_and_verifications(tmp_path):
     out = _run_affine_chain(
         tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
@@ -362,6 +370,8 @@ def test_affine_chain_and_verifications(tmp_path):
     comp = _report(out, "compile_report.json")
     assert comp["pass"] is True
     assert (out / "network.json").exists()
+    reported, written = _selector_masses(comp, out / "network.json")
+    assert reported == written
 
     vcfg = _write_cfg(tmp_path / "verify.json", {
         "probes": {"per_axis": 7, "random": 50, "seed": 3},
@@ -1077,6 +1087,8 @@ def test_sysid_build_and_audit(tmp_path):
     assert all(size <= res["size_bound"] for size in res["bank_sizes"])
     assert "deviation_budget" in res
     assert (sid / "sysid_network.json").exists()
+    reported, written = _selector_masses(rep, sid / "sysid_network.json")
+    assert reported == written
 
     aud = _write_cfg(tmp_path / "aud.json", {
         "model": "linear_1d",

@@ -17,7 +17,6 @@ from tllsynth import (
     arch_descriptor,
     build_eta_grid,
     build_interpolant,
-    compile_scalar_tll,
     compile_tll,
     controller_size,
     expand_relu_layers,
@@ -31,9 +30,13 @@ from tllsynth.cpwa import REL_TOL, value_scale
 
 from _oracles import (
     all_dominating_selectors,
+    attaining_simplexes,
+    compile_scalar_tll,
+    covered_selectors,
     expand_network,
     irredundant_selectors,
     lattice_values,
+    max_dual_norm,
     schedule_widths,
     simplex_relations,
 )
@@ -179,10 +182,16 @@ def test_selectors_are_vertex_certified_or_all_dominating(n, m, eta):
                 assert any(from_simplex(sel, s) for sel in sels)
 
 
+def _uncovered(sets, dom_rows, act):
+    """``tll._cover`` that keeps every set: the selectors before the cover."""
+    return sets
+
+
 def test_selector_that_cannot_cover_keeps_its_dominating_set(monkeypatch):
     # a below relation with a hole: simplex 0 is covered by its own active
     # piece alone, so every selector without that piece keeps all its
-    # dominating members and the lattice stays exact
+    # dominating members and the lattice stays exact, before the cover and
+    # after it
     rng = np.random.default_rng(139)
     interp = _random_interpolant(rng, n=2, eta=0.3)
     relations = tll._vertex_relations
@@ -193,7 +202,9 @@ def test_selector_that_cannot_cover_keeps_its_dominating_set(monkeypatch):
         return dom, below
 
     monkeypatch.setattr(tll, "_vertex_relations", holed)
-    net = compile_tll(interp)
+    with monkeypatch.context() as patch:
+        patch.setattr(tll, "_cover", _uncovered)
+        net = compile_tll(interp)
     _, _, act, dominating, _ = simplex_relations(interp, 0)
     uncovered = [list(d) for d in dominating if act[0] not in d]
     assert uncovered
@@ -201,6 +212,10 @@ def test_selector_that_cannot_cover_keeps_its_dominating_set(monkeypatch):
         assert sel in net.outputs[0].selectors
     pts = rng.uniform(0, 1, size=(2000, 2))
     assert np.abs(net.eval_batch(pts) - interp.eval_batch(pts)).max() <= 1e-9
+    covered = compile_tll(interp)
+    for sel in covered.outputs[0].selectors:
+        assert act[0] in sel or tuple(sel) in dominating
+    assert np.abs(covered.eval_batch(pts) - interp.eval_batch(pts)).max() <= 1e-9
 
 
 def test_selector_mass_is_at_most_a_fifth_of_the_all_dominating_mass():
@@ -219,10 +234,34 @@ def _pruning_cases():
     yield sinusoid_interpolant(1.0)
 
 
-def test_selectors_equal_the_reference_walk_prune_and_absorption():
+def test_selectors_equal_the_reference_walk_prune_and_absorption(monkeypatch):
+    monkeypatch.setattr(tll, "_cover", _uncovered)
     for interp in _pruning_cases():
         for j, lat in enumerate(compile_tll(interp).outputs):
             assert lat.selectors == [list(T) for T in irredundant_selectors(interp, j)]
+
+
+def test_selectors_equal_the_greedy_cover_reference():
+    for interp in _pruning_cases():
+        for j, lat in enumerate(compile_tll(interp).outputs):
+            assert lat.selectors == covered_selectors(interp, j)
+
+
+def test_cover_breaks_a_tie_by_the_earlier_set():
+    # every function dominates on both simplexes, function 0 is active on
+    # both: each two-member set attains on both, and the earlier one is kept
+    dom_rows = tll._bit_rows(np.ones((3, 2), dtype=bool))
+    act = np.zeros(2, dtype=np.intp)
+    assert tll._cover([(0, 1), (0, 2)], dom_rows, act) == [(0, 1)]
+    assert tll._cover([(0, 2), (0, 1)], dom_rows, act) == [(0, 2)]
+
+
+def test_every_simplex_is_attained_by_a_kept_set():
+    for interp in _pruning_cases():
+        for j, lat in enumerate(compile_tll(interp).outputs):
+            attains = attaining_simplexes(interp, j, lat.selectors)
+            assert all(attains)
+            assert set().union(*attains) == set(range(interp.num_simplexes))
 
 
 def test_covering_selectors_are_irredundant_and_unabsorbed():
@@ -319,7 +358,7 @@ def test_parallel_compose_rejects_dimension_mismatch():
 def test_global_lipschitz_quotient_bounded_by_bank():
     rng = np.random.default_rng(127)
     net = compile_tll(_random_interpolant(rng, n=2, eta=0.4))
-    k = net.max_dual_norm()
+    k = max_dual_norm(net)
     xs = rng.uniform(-2, 3, size=(300, 2))
     ys = rng.uniform(-2, 3, size=(300, 2))
     fx = net.eval_batch(xs)
@@ -440,6 +479,7 @@ def test_descriptor_widths_match_reference_schedule():
             widths = schedule_widths([len(s) for s in lat.selectors])
             assert out["layers"] == [[a, b] for a, b in zip([net.n] + widths, widths + [1])]
             assert out["neurons"] == sum(widths)
+            assert out["selector_mass"] == sum(map(len, lat.selectors))
 
 
 def test_expansion_matches_reference_bitwise():
