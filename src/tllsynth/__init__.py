@@ -53,7 +53,6 @@ from .errors import (
 from .geometry import (
     Box,
     EtaGrid,
-    SimplexId,
     braid_face_dissection,
     braid_simplices,
     build_eta_grid,
@@ -62,7 +61,6 @@ from .geometry import (
     locate_batch,
     permutation_rank_batch,
     simplex_vertices,
-    simplex_world_vertices,
 )
 from .serialize import to_json_text
 from .sizing import (
@@ -73,7 +71,6 @@ from .sizing import (
     gronwall_bound,
     hypercube_count_bound,
     mu_max,
-    sweep_tau,
     sysid_budget,
     sysid_size,
 )

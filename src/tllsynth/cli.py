@@ -632,7 +632,7 @@ def cmd_audit(args) -> tuple[dict, bool, dict | None]:
     model = _model_from(cfg)
     budget = _budget_from(cfg)
     per_axis, random_count, seed = _probe_settings(cfg, args)
-    step = _number(cfg, "step", budget.tau / 100.0)
+    step = _number(cfg, "step")
     if args.which == "invariance":
         with _closing(_controller_from_args(args, cfg, model)) as controller:
             report = check_delta_tau_invariance(

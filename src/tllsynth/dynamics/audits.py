@@ -8,6 +8,10 @@ Three empirical checks over probe lattices — explicitly audits, not proofs:
   within the disturbance-style bound derived from their pointwise gap;
 * surrogate deviation: the same comparison between a plant and an
   identified stand-in field under one shared controller.
+
+A deviation audit integrates its loops at two steps and counts twice the
+endpoint gap between the runs, its integration residual, against every
+limit.
 """
 
 from __future__ import annotations
@@ -20,12 +24,18 @@ from ..cpwa import REL_TOL, check_oracle_reply, power_of_two_scale
 from ..errors import DimensionMismatch, NonPositiveBudget
 from ..geometry import Box
 from ..sizing import gronwall_bound
-from .integrate import rk4_closed_loop
+from .integrate import rk4_closed_loop, step_count
 from .models import ControlSystemModel
 
 _AUDIT_NOTE = "sampling-based audit on finite probe sets, not a proof"
 # the most violations one invariance report lists
 _MAX_VIOLATIONS = 10
+# a deviation audit with no configured step starts at tau/16 and halves its
+# step while the integration residual is at least 1% of the margin to the
+# nearest limit, down to tau/128
+_FIRST_STEPS = 16
+_MAX_STEPS = 128
+_RESIDUAL_SHARE = 0.01
 
 
 def _slack(*quantities) -> float:
@@ -173,6 +183,8 @@ class DeviationReport:
     delta: float | None
     delta_pass: bool | None
     tau: float
+    step: float                  # the RK4 step max_deviation comes from
+    integration_residual: float  # largest endpoint gap to the run at half the steps
     num_probes: int
     notes: list[str] = field(default_factory=lambda: [_AUDIT_NOTE])
     probe_spec: str | None = None
@@ -186,35 +198,64 @@ class DeviationReport:
         return {"audit": f"{fields.pop('kind')}_deviation", "holds": self.holds, **fields}
 
 
+def _loop_ends(model: ControlSystemModel, controller, starts: np.ndarray, tau: float,
+               steps: int) -> np.ndarray:
+    """Endpoints of the closed loop from ``starts`` after ``steps`` RK4 steps."""
+    return rk4_closed_loop(model, controller, starts, tau, tau / steps)[1][-1]
+
+
 def _compare_loops(kind: str, model: ControlSystemModel, controller, tau: float,
-                   step: float, probes: np.ndarray, *, k_lip: float, mu: float,
+                   step: float | None, probes: np.ndarray, *, k_lip: float, mu: float,
                    mu_source: str, delta: float | None,
                    probe_spec: str | None) -> DeviationReport:
-    """Integrate a pair of closed loops from ``probes`` for one period in one
-    pass: the starts are stacked twice, and ``model`` with ``controller``
-    runs one loop on each half.  The worst endpoint gap is checked against
-    the Gronwall bound for ``mu`` (with ``model``'s constants and ``k_lip``)
-    and, when given, ``delta``, each up to the ``_slack`` of the endpoints and
-    that limit."""
+    """Integrate a pair of closed loops from ``probes`` for one period: the
+    starts are stacked twice, and ``model`` with ``controller`` runs one loop
+    on each half.  The pair runs at step h and again with half as many
+    steps, rounded up; the largest endpoint gap between the two runs is the
+    integration residual.  The worst gap between the loops at step h plus
+    twice the residual is checked against the Gronwall bound for ``mu``
+    (with ``model``'s constants and ``k_lip``) and, when given, ``delta``,
+    each up to the ``_slack`` of the endpoints and that limit.
+
+    A configured ``step`` is h.  With none, h starts at tau/16 and halves,
+    the last run at h becoming the coarse one, while the residual is at
+    least 1% of the margin from the worst gap to the nearest limit, down to
+    tau/128.
+    """
     P = probes.shape[0]
-    _, states, _ = rk4_closed_loop(model, controller, np.vstack([probes, probes]), tau, step)
-    ends = states[-1]
-    dev = np.abs(ends[:P] - ends[P:]).max(axis=1)
-    worst = int(np.argmax(dev))
+    starts = np.vstack([probes, probes])
     bound = gronwall_bound(mu, model.k_x, model.k_u, k_lip, tau)
-    max_dev = float(dev[worst])
+    limits = [bound] + ([] if delta is None else [delta])
+    steps = _FIRST_STEPS if step is None else step_count(tau, step)
+    coarse = _loop_ends(model, controller, starts, tau, -(-steps // 2))
+    ends = _loop_ends(model, controller, starts, tau, steps)
+    while True:
+        dev = np.abs(ends[:P] - ends[P:]).max(axis=1)
+        max_dev = float(dev.max())
+        residual = float(np.abs(ends - coarse).max())
+        margin = min(limit - max_dev for limit in limits)
+        if (step is not None or steps >= _MAX_STEPS
+                or residual < _RESIDUAL_SHARE * abs(margin)):
+            break
+        coarse, steps = ends, 2 * steps
+        ends = _loop_ends(model, controller, starts, tau, steps)
+    worst = int(np.argmax(dev))
+    reach = max_dev + 2.0 * residual
+
+    def fits(limit):
+        return bool(reach <= limit + _slack(ends, limit))
+
     return DeviationReport(
         kind=kind, max_deviation=max_dev, worst_start=probes[worst].tolist(),
-        mu=mu, mu_source=mu_source,
-        bound=bound, bound_pass=bool(max_dev <= bound + _slack(ends, bound)),
-        delta=delta,
-        delta_pass=None if delta is None else bool(max_dev <= delta + _slack(ends, delta)),
-        tau=float(tau), num_probes=P, probe_spec=probe_spec,
+        mu=mu, mu_source=mu_source, bound=bound, bound_pass=fits(bound),
+        delta=delta, delta_pass=None if delta is None else fits(delta),
+        tau=float(tau), step=tau / steps, integration_residual=residual,
+        num_probes=P, probe_spec=probe_spec,
     )
 
 
 def deviation_audit(model: ControlSystemModel, psi, upsilon, tau: float,
-                    step: float, probes: np.ndarray, *, k_upsilon: float,
+                    step: float | None, probes: np.ndarray, *, k_upsilon: float,
                     mu: float | None = None,
                     mu_probes: np.ndarray | None = None,
                     delta: float | None = None,
@@ -226,7 +267,9 @@ def deviation_audit(model: ControlSystemModel, psi, upsilon, tau: float,
     controllers' pointwise gap, supplied or measured on ``mu_probes``
     (falling back to the trajectory probes) — with ``k_upsilon`` the
     Lipschitz constant of the second controller.  When ``delta`` is given
-    the gap is additionally checked against it.
+    the gap is additionally checked against it.  Each check counts twice
+    the integration residual; ``step`` None picks the step
+    (``_compare_loops``).
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     mu_source = "supplied"
@@ -250,7 +293,7 @@ def deviation_audit(model: ControlSystemModel, psi, upsilon, tau: float,
 
 def sysid_deviation_audit(model_true: ControlSystemModel,
                           model_surrogate: ControlSystemModel, psi, tau: float,
-                          step: float, probes: np.ndarray, *, k_psi: float,
+                          step: float | None, probes: np.ndarray, *, k_psi: float,
                           mu: float | None = None,
                           mu_probes: np.ndarray | None = None,
                           delta: float | None = None,
@@ -262,7 +305,7 @@ def sysid_deviation_audit(model_true: ControlSystemModel,
     probes (``mu_probes`` of shape (P, n+m); defaults to the trajectory
     probes paired with the controller's own inputs).  The bound uses the
     true plant's constants and ``k_psi``, the controller's Lipschitz
-    constant.
+    constant.  Step and residual as in ``deviation_audit``.
     """
     if (model_true.n, model_true.m) != (model_surrogate.n, model_surrogate.m):
         raise DimensionMismatch(

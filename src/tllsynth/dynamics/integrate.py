@@ -3,7 +3,7 @@
 Classical fourth-order Runge-Kutta on the closed loop g(x) = f(x, psi(x)):
 the controller is re-evaluated at every stage state.  Steps are fixed and
 deterministic; if the requested step does not divide the horizon it is
-shrunk to the nearest exact divisor.
+shrunk to the nearest exact divisor (``step_count``).
 """
 
 from __future__ import annotations
@@ -17,6 +17,21 @@ from ..errors import NonFiniteState, StepInvalid
 from .models import ControlSystemModel
 
 
+def step_count(tau: float, step: float) -> int:
+    """The number of RK4 steps over horizon ``tau`` for a requested ``step``:
+    tau/step rounded up, less a relative 1e-12 of rounding noise, so that
+    ``step = tau / k`` gives k steps.  Raises ``StepInvalid`` for a bad
+    horizon or step, or a step so small that the count is not finite."""
+    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
+        raise StepInvalid(f"horizon must be positive, got {tau!r}")
+    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0):
+        raise StepInvalid(f"step must be positive, got {step!r}")
+    ratio = tau / step
+    if not math.isfinite(ratio):
+        raise StepInvalid(f"step {step!r} gives no finite step count over horizon {tau!r}")
+    return max(1, math.ceil(ratio * (1.0 - 1e-12)))
+
+
 def rk4_closed_loop(model: ControlSystemModel, controller, X0: np.ndarray,
                     tau: float, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch RK4 over horizon tau.
@@ -26,13 +41,9 @@ def rk4_closed_loop(model: ControlSystemModel, controller, X0: np.ndarray,
     a non-finite control is an ``OracleFailure`` naming the point.  Returns
     (times, states, controls) with states of shape (S+1, P, n).  Raises
     ``NonFiniteState`` the moment any stage stops being finite, and
-    ``StepInvalid`` for a bad step size.
+    ``StepInvalid`` for a bad step size (``step_count``).
     """
-    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
-        raise StepInvalid(f"horizon must be positive, got {tau!r}")
-    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0):
-        raise StepInvalid(f"step must be positive, got {step!r}")
-    steps = max(1, math.ceil(tau / step - 1e-12))
+    steps = step_count(tau, step)
     h = tau / steps
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     if X0.ndim != 2 or X0.shape[1] != model.n:

@@ -48,12 +48,6 @@ class FiniteTransitionSystem:
     def labels(self) -> set[str]:
         return {u for (_, u, _) in self.transitions}
 
-    def successors(self, state: int, label: str | None = None) -> list[tuple[str, int]]:
-        return sorted(
-            (u, t) for (s, u, t) in self.transitions
-            if s == state and (label is None or u == label)
-        )
-
     def distance(self, i: int, j: int) -> float:
         return float(np.abs(self.coords[i] - self.coords[j]).max())
 

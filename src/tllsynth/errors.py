@@ -58,7 +58,8 @@ class NonFiniteState(TllSynthError):
 
 
 class StepInvalid(TllSynthError, ValueError):
-    """Integrator step must be strictly positive and at most the horizon."""
+    """Integrator horizon or step is not a positive finite number, or the
+    step leaves no finite step count over the horizon."""
 
 
 class ConfigError(TllSynthError, ValueError):

@@ -217,19 +217,6 @@ def extra_corners(grid: EtaGrid) -> np.ndarray:
     return corners[((corners < 0) | (corners >= counts)).any(axis=1)]
 
 
-@dataclass(frozen=True)
-class SimplexId:
-    """A braid simplex inside one hypercube.
-
-    ``cell`` names the hypercube (minimal corner offsets) and ``sigma`` is
-    the ascending sorting permutation of the normalized coordinates:
-    the simplex is {t in [0,1]^n : t[sigma[0]] <= ... <= t[sigma[n-1]]}.
-    """
-
-    cell: tuple[int, ...]
-    sigma: tuple[int, ...]
-
-
 def braid_simplices(n: int) -> list[tuple[int, ...]]:
     """Sorting permutations indexing the n! braid simplexes of the unit cube.
 
@@ -258,13 +245,6 @@ def simplex_vertices(sigma: tuple[int, ...]) -> np.ndarray:
         verts[t] = verts[t - 1]
         verts[t, sigma[n - t]] = 1
     return verts
-
-
-def simplex_world_vertices(simplex: SimplexId, grid: EtaGrid) -> np.ndarray:
-    """Real-coordinate vertices of a located simplex, shape (n+1, n)."""
-    unit = simplex_vertices(simplex.sigma)
-    cell = np.asarray(simplex.cell, dtype=float)
-    return grid.anchor + grid.eta * (cell + unit)
 
 
 def braid_face_dissection(n: int, axis: int, side: int) -> set[frozenset[tuple[int, ...]]]:

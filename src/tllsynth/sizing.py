@@ -128,18 +128,6 @@ def sysid_budget(mu: float, k_x: float, k_u: float, k_cont: float, tau: float) -
     return gronwall_bound(mu, k_x, k_u, k_cont, tau)
 
 
-def sweep_tau(budget: SpecBudget, taus) -> tuple[float, float, list[tuple[float, float]]]:
-    """Evaluate mu_max across sampling periods; returns (best_tau, best_mu,
-    table).  Useful because mu_max is not monotone in tau."""
-    table = []
-    for tau in taus:
-        b = SpecBudget(budget.k_x, budget.k_u, budget.k_cont, float(tau), budget.delta,
-                       budget.exponent_multiplier)
-        table.append((float(tau), mu_max(b)))
-    best_tau, best_mu = max(table, key=lambda p: p[1])
-    return best_tau, best_mu, table
-
-
 @dataclass
 class SizingResult:
     """Resolved budgets and exact sizes for one synthesis configuration.

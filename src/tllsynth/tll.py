@@ -283,8 +283,14 @@ def _cover(sets: list, dom_rows: np.ndarray, act: np.ndarray) -> list:
     stale one is the pick.  The rows are Python integers here, so a
     re-score is one AND and one bit count.  Each simplex's own set attains
     on it, so the cover completes.
+
+    A reverse pass then visits the picks from the last one back and drops
+    each one the other kept picks make redundant: every simplex it attains
+    on is attained by another kept pick.  So every kept set attains on
+    some simplex no other kept set attains on.
     """
-    rows = [int.from_bytes(row.tobytes(), "little") for row in _attains(sets, dom_rows, act)]
+    attains = _attains(sets, dom_rows, act)
+    rows = [int.from_bytes(row.tobytes(), "little") for row in attains]
     left = int.from_bytes(_bit_rows(np.ones((1, act.size), dtype=bool)).tobytes(), "little")
     heap = [_Gain(row.bit_count(), len(T), t) for t, (row, T) in enumerate(zip(rows, sets))]
     heapq.heapify(heap)
@@ -298,7 +304,15 @@ def _cover(sets: list, dom_rows: np.ndarray, act: np.ndarray) -> list:
             left &= ~rows[top.t]
         else:
             heapq.heapreplace(heap, _Gain(gain, top.size, top.t))
-    return [sets[t] for t in sorted(picked)]
+    hits = np.unpackbits(attains[picked].view(np.uint8), axis=1, count=act.size).view(bool)
+    counts = hits.sum(axis=0)          # kept picks attaining on each simplex
+    kept = []
+    for t, hit in zip(picked[::-1], hits[::-1]):
+        if counts[hit].min() > 1:
+            counts -= hit
+        else:
+            kept.append(t)
+    return [sets[t] for t in sorted(kept)]
 
 
 def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:

@@ -12,15 +12,19 @@ for the library's array-based interning and array-built layers.  The
 per-simplex LU solve is the reference for the closed-form interpolation
 pieces, the per-simplex dominating sets and a set-based covering walk
 with pruning are the references for the compiled selector sets, a
-rescan-every-round greedy is the reference for the cover that keeps only
-the attaining sets, and the lattice is evaluated one selector set at a
-time as the reference for the size-bucketed evaluation.  Two helpers
-compile one output alone and bound the network's Lipschitz constant.
+rescan-every-round greedy with a set-based reverse pass is the reference
+for the cover that keeps only the attaining sets, and the lattice is
+evaluated one selector set at a time as the reference for the
+size-bucketed evaluation.  Two helpers compile one output alone and bound
+the network's Lipschitz constant, and a few small ones locate a
+simplex's vertices, sweep the sampling period and list a transition
+system's successors.
 """
 
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +55,41 @@ def exact_sysid_size(n: int, m: int, ext_xu: float, eta: float) -> int:
 
 def expected_mu(delta, k_x, k_u, k_cont, tau, c) -> float:
     return delta / (k_u * tau * math.exp((k_x + c * k_u * k_cont) * tau))
+
+
+def sweep_tau(budget, taus):
+    """``mu_max`` across sampling periods: (best_tau, best_mu, table) with
+    table the (tau, mu) pairs in the given order."""
+    from tllsynth import SpecBudget, mu_max
+
+    table = [(float(tau), mu_max(SpecBudget(budget.k_x, budget.k_u, budget.k_cont,
+                                            float(tau), budget.delta,
+                                            budget.exponent_multiplier)))
+             for tau in taus]
+    best_tau, best_mu = max(table, key=lambda p: p[1])
+    return best_tau, best_mu, table
+
+
+# ---------------------------------------------------------------------------
+# located simplexes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SimplexId:
+    """A braid simplex inside one hypercube: ``cell`` is the hypercube's
+    minimal corner offset and ``sigma`` the ascending sorting permutation,
+    the simplex {t in [0,1]^n : t[sigma[0]] <= ... <= t[sigma[n-1]]}."""
+
+    cell: tuple
+    sigma: tuple
+
+
+def simplex_world_vertices(simplex, grid):
+    """Real-coordinate vertices of a located simplex, shape (n+1, n)."""
+    from tllsynth import simplex_vertices
+
+    cell = np.asarray(simplex.cell, dtype=float)
+    return grid.anchor + grid.eta * (cell + simplex_vertices(simplex.sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +149,13 @@ def brute_force_greatest(num_a, trans_a, num_b, trans_b, seed_pairs,
     closed = masks[~bad]
     union = int(np.bitwise_or.reduce(closed)) if closed.size else 0
     return {pairs[i] for i in range(K) if (union >> i) & 1}
+
+
+def successors(ts, state, label=None):
+    """Sorted (label, target) pairs of the transitions leaving ``state``,
+    only those with ``label`` when it is given."""
+    return sorted((u, t) for (s, u, t) in ts.transitions
+                  if s == state and (label is None or u == label))
 
 
 def brute_force_simulation(ts_a, ts_b, max_pair_distance=None):
@@ -424,13 +470,15 @@ def covered_selectors(interp, output):
     Each round picks the set that attains on the most simplexes no pick
     attains yet, per member, comparing gain_t * |T_u| with gain_u * |T_t|
     over integers; the earliest set wins a tie.  Rounds go on until every
-    simplex is attained.  Returns the picked sets as lists, in the order of
-    ``irredundant_selectors``.
+    simplex is attained.  Then the picks are visited from the last one back,
+    and a pick is dropped when every simplex it attains on is attained by
+    another pick still kept.  Returns the kept sets as lists, in the order
+    of ``irredundant_selectors``.
     """
     sets = list(irredundant_selectors(interp, output))
     attains = attaining_simplexes(interp, output, sets)
     left = set(range(interp.num_simplexes))
-    picked = set()
+    picked = []
     while left:
         best, best_gain = 0, len(attains[0] & left)
         for t, T in enumerate(sets):
@@ -439,8 +487,12 @@ def covered_selectors(interp, output):
                 best, best_gain = t, gain
         if best_gain == 0:
             raise ValueError(f"no set attains on simplexes {sorted(left)}")
-        picked.add(best)
+        picked.append(best)
         left -= attains[best]
+    for t in reversed(picked[:]):
+        others = [attains[u] for u in picked if u != t]
+        if attains[t] <= set().union(*others):
+            picked.remove(t)
     return [list(sets[t]) for t in sorted(picked)]
 
 

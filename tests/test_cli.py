@@ -1059,6 +1059,44 @@ def test_audit_gronwall_exact_reproduction(tmp_path):
     assert res["max_deviation"] <= 0.01
 
 
+@pytest.mark.parametrize("step, steps", [(None, 16), (0.05, 10)], ids=["automatic", "configured"])
+def test_audit_gronwall_reports_its_step_and_residual(tmp_path, step, steps):
+    # with no step the audit stops at tau/16 on this smooth loop; a
+    # configured step is used as it is
+    net = _linear_controller_chain(tmp_path)
+    cfg = _write_cfg(tmp_path / "aud.json", {
+        "model": "linear_1d",
+        "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 0.5, "tau": 0.5, "delta": 0.5},
+        "oracle": {"kind": "builtin", "name": "affine", "W": [[-0.5]], "b": [0.0]},
+        "probes": {"per_axis": 9},
+        "step": step,
+    })
+    assert main(["audit", "--which", "gronwall", "--network", str(net),
+                 "--config", cfg, "--out", str(tmp_path)]) == 0
+    res = _report(tmp_path, "audit_gronwall_report.json")["results"]
+    assert res["step"] == 0.5 / steps
+    margin = min(res["bound"], res["delta"]) - res["max_deviation"]
+    assert 0.0 < res["integration_residual"] < 0.01 * margin
+
+
+@pytest.mark.parametrize("which", ["gronwall", "invariance"])
+def test_audit_step_with_no_finite_step_count_is_config_error(tmp_path, capsys, which):
+    # tau / 5e-324 overflows to inf: the step is rejected before any integration
+    net = _linear_controller_chain(tmp_path)
+    cfg = _write_cfg(tmp_path / "aud.json", {
+        "model": "linear_1d",
+        "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 0.5, "tau": 0.5, "delta": 0.1},
+        "oracle": {"kind": "builtin", "name": "zero"},
+        "step": 5e-324,
+    })
+    capsys.readouterr()
+    assert main(["audit", "--which", which, "--network", str(net),
+                 "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no finite step count" in err
+    assert not (tmp_path / f"audit_{which}_report.json").exists()
+
+
 def test_audit_gronwall_requires_network(tmp_path):
     cfg = _write_cfg(tmp_path / "aud.json", {
         "model": "linear_1d",

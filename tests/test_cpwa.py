@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    SimplexId,
     brute_force_extra_values,
     dict_piece_bank,
     lu_pieces,
     nearest_power_of_two,
+    simplex_world_vertices,
 )
 from tllsynth import (
     Box,
@@ -18,7 +20,6 @@ from tllsynth import (
     DiscontinuityDetected,
     OracleFailure,
     SchemaError,
-    SimplexId,
     build_eta_grid,
     build_interpolant,
     compile_tll,
@@ -29,7 +30,6 @@ from tllsynth import (
     locate_batch,
     region_count,
     sample_controller,
-    simplex_world_vertices,
 )
 from tllsynth.cpwa import BatchOracle, check_oracle_reply, piece_bank, value_scale
 

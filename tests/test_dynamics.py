@@ -30,8 +30,8 @@ INVARIANCE_KEYS = {"audit", "holds", "delta", "tau", "edge_consumed", "num_edge_
                    "num_interior_starts", "worst_edge_margin", "worst_interior_margin",
                    "violations", "notes", "probe_spec"}
 DEVIATION_KEYS = {"audit", "holds", "max_deviation", "worst_start", "mu", "mu_source",
-                  "bound", "bound_pass", "delta", "delta_pass", "tau", "num_probes",
-                  "notes", "probe_spec"}
+                  "bound", "bound_pass", "delta", "delta_pass", "tau", "step",
+                  "integration_residual", "num_probes", "notes", "probe_spec"}
 
 
 def _scalar_model(f, name="toy", k_x=1.0, k_u=1.0, x_span=5.0):
@@ -152,12 +152,15 @@ def test_controller_reply_must_be_finite_p_by_m(controller, says):
 
 @pytest.mark.parametrize("audit", ["invariance", "deviation", "sysid"])
 def test_each_audit_integrates_once(audit, monkeypatch):
+    # once per step: every pass carries all the audit's starts, and a
+    # deviation audit at a configured step makes one pass at that step and
+    # one at half as many steps
     from tllsynth.dynamics import audits
 
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2].shape)
+        calls.append((args[2].shape, round(args[3] / args[4])))
         return rk4_closed_loop(*args, **kwargs)
 
     monkeypatch.setattr(audits, "rk4_closed_loop", counting)
@@ -173,7 +176,10 @@ def test_each_audit_integrates_once(audit, monkeypatch):
     else:
         sysid_deviation_audit(model, model, ZERO, tau=0.5, step=0.01, probes=probes,
                               k_psi=0.0)
-    assert len(calls) == 1
+    if audit == "invariance":
+        assert [steps for _, steps in calls] == [50]
+    else:
+        assert sorted(calls) == [((6, 1), 25), ((6, 1), 50)]
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +373,71 @@ def test_deviation_verdict_is_scale_free(mu_factor, verdict):
                                  probes=c * np.array([[1.0], [-0.5], [0.0]]),
                                  k_upsilon=0.0, mu=mu_factor * c, delta=0.7 * c)
         assert (report.bound_pass, report.delta_pass) == (verdict, True), k
+
+
+def test_configured_step_deviation_is_one_rk4_pair_at_that_step():
+    model = pendulum()
+    psi = lambda x: (-0.5 * (x[..., 0] + x[..., 1]))[..., None]
+    upsilon = lambda x: np.clip(-0.6 * x[..., :1] - 0.4 * x[..., 1:], -0.3, 0.3)
+    probes = np.array([[0.2, 0.1], [-0.4, 0.3], [0.7, -0.5]])
+    tau, step = 0.5, 0.5 / 7
+    report = deviation_audit(model, psi, upsilon, tau=tau, step=step, probes=probes,
+                             k_upsilon=1.0, mu=0.1)
+    ends = [rk4_closed_loop(model, c, probes, tau, step)[1][-1] for c in (psi, upsilon)]
+    assert report.max_deviation == np.abs(ends[0] - ends[1]).max()
+    assert report.step == tau / 7
+    assert report.integration_residual > 0.0
+
+
+def test_automatic_step_on_a_linear_loop_stops_at_a_sixteenth():
+    # x' = -x + u from x0 under u = 0 and u = eps: the endpoints are
+    # x0 e^{-tau} and x0 e^{-tau} + eps (1 - e^{-tau})
+    eps, tau = 0.125, 1.0
+    model = linear_1d(a=-1.0, b=1.0)
+    upsilon = lambda x: np.full(x.shape[:-1] + (1,), eps)
+    probes = np.array([[0.5], [-0.25], [0.0]])
+    report = deviation_audit(model, ZERO, upsilon, tau=tau, step=None, probes=probes,
+                             k_upsilon=0.0, mu=eps)
+    assert report.step == tau / 16
+    exact = probes[:, 0] * math.exp(-tau) + np.array([[0.0], [eps * (1 - math.exp(-tau))]])
+    ends = [rk4_closed_loop(model, c, probes, tau, report.step)[1][-1, :, 0]
+            for c in (ZERO, upsilon)]
+    error = np.abs(np.array(ends) - exact).max()
+    assert 0.0 < error <= report.integration_residual
+    assert report.integration_residual < 0.01 * (report.bound - report.max_deviation)
+    assert report.holds
+
+
+def test_residual_counts_against_the_bound():
+    # at tau/2 the gap is under the bound, but not with twice the residual
+    model = linear_1d(a=-1.0, b=1.0)
+    upsilon = lambda x: np.full(x.shape[:-1] + (1,), 0.125)
+    probes = np.array([[0.5], [0.0]])
+    kwargs = dict(tau=1.0, step=0.5, probes=probes, k_upsilon=0.0)
+    first = deviation_audit(model, ZERO, upsilon, mu=0.125, **kwargs)
+    assert first.integration_residual > 1e-4
+    per_mu = first.bound / 0.125
+    for share, verdict in [(1.0, False), (3.0, True)]:
+        limit = first.max_deviation + share * first.integration_residual
+        report = deviation_audit(model, ZERO, upsilon, mu=limit / per_mu, **kwargs)
+        assert report.max_deviation == first.max_deviation
+        assert report.max_deviation < report.bound
+        assert (report.bound_pass, report.holds) == (verdict, verdict)
+
+
+def test_stiff_loop_stops_at_the_step_floor_and_reports_its_residual():
+    # x' = -300 x + u: RK4 is unstable down to tau/64 and stable at tau/128,
+    # so the runs at tau/64 and tau/128 still disagree by far more than 1%
+    # of the margin
+    model = linear_1d(a=-300.0, b=1.0)
+    upsilon = lambda x: np.full(x.shape[:-1] + (1,), 0.125)
+    report = deviation_audit(model, ZERO, upsilon, tau=1.0, step=None,
+                             probes=np.array([[0.5], [0.0]]), k_upsilon=0.0, mu=0.125,
+                             delta=0.5)
+    assert report.step == 1.0 / 128
+    assert report.max_deviation == pytest.approx(0.125 / 300, rel=1e-9)
+    assert report.integration_residual > 0.01 * (0.5 - report.max_deviation)
+    assert report.delta_pass is False and not report.holds
 
 
 def test_sysid_deviation_identical_models():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import permutation_rank
+from _oracles import SimplexId, permutation_rank, simplex_world_vertices
 from tllsynth import (
     Box,
     DimensionTooLarge,
@@ -14,7 +14,6 @@ from tllsynth import (
     NonPositiveEta,
     OutsideDomain,
     SchemaError,
-    SimplexId,
     braid_face_dissection,
     braid_simplices,
     build_eta_grid,
@@ -23,7 +22,6 @@ from tllsynth import (
     locate_batch,
     permutation_rank_batch,
     simplex_vertices,
-    simplex_world_vertices,
 )
 
 

@@ -15,12 +15,11 @@ from tllsynth import (
     gronwall_bound,
     hypercube_count_bound,
     mu_max,
-    sweep_tau,
     sysid_budget,
     sysid_size,
 )
 
-from _oracles import exact_controller_size, exact_sysid_size, expected_mu
+from _oracles import exact_controller_size, exact_sysid_size, expected_mu, sweep_tau
 
 
 REFERENCE_BUDGET = SpecBudget(k_x=1.0, k_u=2.0, k_cont=1.0, tau=0.1, delta=0.05,

@@ -264,6 +264,22 @@ def test_every_simplex_is_attained_by_a_kept_set():
             assert set().union(*attains) == set(range(interp.num_simplexes))
 
 
+def test_every_kept_set_attains_where_no_other_kept_set_does():
+    # the cover's reverse pass leaves no pick that the others make redundant
+    rng = np.random.default_rng(157)
+    for n, eta in [(1, 0.1), (1, 0.07), (2, 0.3), (2, 0.25), (3, 0.5), (3, 0.45)]:
+        interp = _random_interpolant(rng, n=n, eta=eta, m=2)
+        net = compile_tll(interp)
+        for j, lat in enumerate(net.outputs):
+            attains = attaining_simplexes(interp, j, lat.selectors)
+            for t, mine in enumerate(attains):
+                others = set().union(*(a for u, a in enumerate(attains) if u != t))
+                assert mine - others, (n, j, lat.selectors[t])
+        pts = rng.uniform(0.0, 1.0, size=(2000, n))
+        gap = np.abs(net.eval_batch(pts) - interp.eval_batch(pts)).max(axis=0)
+        assert (gap <= [REL_TOL * value_scale(interp, j) for j in range(interp.m)]).all()
+
+
 def test_covering_selectors_are_irredundant_and_unabsorbed():
     checked = 0
     for interp in _pruning_cases():

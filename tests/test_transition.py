@@ -22,6 +22,7 @@ from _oracles import (
     brute_force_simulation,
     linear_scan_embed,
     random_transition_system,
+    successors,
 )
 
 
@@ -37,8 +38,8 @@ def test_basic_accessors():
     ts = _ts([[0.0], [1.0], [2.0]], {(0, "a", 1), (1, "a", 2), (1, "b", 0)})
     assert ts.num_states == 3
     assert ts.labels == {"a", "b"}
-    assert ts.successors(1) == [("a", 2), ("b", 0)]
-    assert ts.successors(1, "b") == [("b", 0)]
+    assert successors(ts, 1) == [("a", 2), ("b", 0)]
+    assert successors(ts, 1, "b") == [("b", 0)]
     assert ts.distance(0, 2) == 2.0
 
 
