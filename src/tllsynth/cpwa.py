@@ -32,6 +32,12 @@ from .geometry import (
 from .serialize import float_or_none, hex_or_none, hex_to_vec, require_keys, rows_to_hex
 
 _DEDUP_DECIMALS = 12
+# floats or words held by one chunk's temporaries: the vertex values and
+# coordinates of _vertex_chunks here, and in tll.py the gathered selector
+# values of TllNetwork.eval_batch, the vertex values of _vertex_relations,
+# the cover rows _scalar_lattice keeps for _prune, the member rows _attains
+# gathers
+_CHUNK_VALUES = 1 << 18
 REL_TOL = 1e-9  # every value tolerance is REL_TOL times the output's value_scale
 
 
@@ -166,36 +172,56 @@ class CpwaInterpolant:
         table[extra] = self.extra_values.T
         return table.reshape(-1, self.m)
 
-    def _vertex_values(self) -> np.ndarray:
-        """Corner values at every simplex vertex, shape (C, n!, n+1, m),
-        simplexes in (cell, permutation) order."""
+    def _vertex_chunks(self):
+        """Corner values at every simplex vertex, cell chunk by cell chunk:
+        yields (lo, hi, values), values (hi - lo, n!, n+1, m) for cells
+        lo:hi, simplexes in (cell, permutation) order.  A chunk holds about
+        ``_CHUNK_VALUES`` values counting the (.., n) vertex coordinates a
+        caller may pair with them, and is gathered one vertex column at a
+        time: a vertex's corner is cell + unit vertex, so their flat
+        indices add."""
         dims = tuple(c + 2 for c in self.grid.axis_counts)
-        # a vertex's corner is cell + unit vertex, so their flat indices add
-        lin = (np.ravel_multi_index((self.cells + 1).T, dims)[:, None, None]
-               + np.ravel_multi_index(tuple(np.moveaxis(self.unit, -1, 0)), dims))
-        return self._corner_table()[lin]
+        table = self._corner_table()
+        cell_lin = np.ravel_multi_index((self.cells + 1).T, dims)
+        unit_lin = np.ravel_multi_index(tuple(np.moveaxis(self.unit, -1, 0)), dims)  # (n!, n+1)
+        F, V = unit_lin.shape
+        step = max(1, _CHUNK_VALUES // (F * V * (self.n + self.m)))
+        for lo in range(0, len(cell_lin), step):
+            hi = min(lo + step, len(cell_lin))
+            values = np.empty((hi - lo, F, V, self.m))
+            for t in range(V):
+                values[:, :, t] = table[cell_lin[lo:hi, None] + unit_lin[:, t]]
+            yield lo, hi, values
 
     def _build_pieces(self) -> None:
-        """Closed form on Kuhn simplexes: vertex t adds axis sigma[n-t], so
-        that axis's slope is (v_t - v_{t-1}) / eta, and b = v_0 - w.x_0 at
-        the cube's minimal corner x_0."""
+        """Closed form on Kuhn simplexes: vertex t+1 adds axis a, so that
+        axis's slope is (v_{t+1} - v_t) / eta, written straight into W, and
+        b = v_0 - w.x_0 at the cube's minimal corner x_0."""
         grid = self.grid
         self.cells = interpolation_hypercubes(grid)
         self.cell_dims = tuple(c + 1 for c in grid.axis_counts)
-        values = self._vertex_values()                              # (C, n!, n+1, m)
-        step = np.argmax(np.diff(self.unit, axis=1), axis=1)        # (n!, n): step adding each axis
+        added = np.argmax(np.diff(self.unit, axis=1), axis=2)       # (n!, n): axis vertex t+1 adds
+        self.W = np.empty((len(self.cells), len(self.perms), self.m, self.n))
         with np.errstate(over="ignore", invalid="ignore"):
-            slopes = np.diff(values, axis=2) / grid.eta              # (C, n!, n, m)
-            W = np.take_along_axis(slopes, step[None, :, :, None], axis=2)
-            self.W = np.ascontiguousarray(np.swapaxes(W, 2, 3))      # (C, n!, m, n)
+            for lo, hi, values in self._vertex_chunks():
+                for f, axes in enumerate(added.tolist()):
+                    for t, a in enumerate(axes):
+                        self.W[lo:hi, f, :, a] = (values[:, f, t + 1] - values[:, f, t]) / grid.eta
             x0 = grid.anchor + grid.eta * self.cells
-            self.B = values[:, :, 0, :] - np.einsum("cfmn,cn->cfm", self.W, x0)  # (C, n!, m)
+            self.B = np.einsum("cfmn,cn->cfm", self.W, x0)             # (C, n!, m)
+            np.subtract(self._corner_values()[:, None, :], self.B, out=self.B)
         bad = ~(np.isfinite(self.W).all(axis=(2, 3)) & np.isfinite(self.B).all(axis=2))
         if bad.any():
             c, f = np.argwhere(bad)[0]
             raise FloatingPointError(
                 f"piece at cell {self.cells[c].tolist()}, permutation {self.perms[f]} is not "
                 "finite: its corner values are non-finite or too large")
+
+    def _corner_values(self) -> np.ndarray:
+        """Values at every cell's minimal corner, vertex 0 of each of its
+        simplexes: shape (C, m)."""
+        dims = tuple(c + 2 for c in self.grid.axis_counts)
+        return self._corner_table()[np.ravel_multi_index((self.cells + 1).T, dims)]
 
     # -- shape and lookup -------------------------------------------------
 
@@ -297,6 +323,55 @@ def value_scale(interp: CpwaInterpolant, output: int) -> float:
     return power_of_two_scale(interp.omega[output])
 
 
+def _piece_classes(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dedup behind ``piece_bank``: the first simplex of every distinct
+    piece of one output, ascending, and each simplex's class (its index in
+    that list), simplexes in (cell, permutation) order.
+
+    The key rows are sorted and compared one column at a time, so only a
+    few (C * n!,) arrays are held, never the whole key.  A column is the
+    gradient entry, or the corner value plus w_i * (-eta * cell_i) added
+    axis by axis, divided by the value scale, rounded and -0 folded, read
+    as uint64 words.  Stable sorts from the last column to the first order
+    the rows lexicographically with equal rows in simplex order, and
+    adjacent-row comparisons find the classes: two pieces are one when
+    their rounded keys agree byte for byte.
+    """
+    grid, n = interp.grid, interp.n
+    C, F = interp.W.shape[:2]
+    w = interp.W[:, :, output]                                      # (C, n!, n)
+    scale = value_scale(interp, output)
+
+    def column(i: int) -> np.ndarray:
+        if i < n:
+            col = w[..., i] / scale
+        else:
+            col = np.empty((C, F))
+            col[...] = interp._corner_values()[:, output, None]
+            for a in range(n):
+                col += w[..., a] * (-grid.eta * interp.cells[:, a])[:, None]
+            col /= scale
+        np.round(col, _DEDUP_DECIMALS, out=col)
+        col += 0.0                                                  # folds -0 into +0
+        return col.reshape(-1).view(np.uint64)
+
+    order = np.arange(C * F)
+    for i in reversed(range(n + 1)):
+        order = order[np.argsort(column(i)[order], kind="stable")]
+    same = np.ones(C * F - 1, dtype=bool)                           # row k+1 equals row k, sorted
+    for i in range(n + 1):
+        sorted_col = column(i)[order]
+        same &= sorted_col[1:] == sorted_col[:-1]
+    new = np.concatenate(([True], ~same))
+    starts = order[new]                                             # first simplex per class
+    by_first = np.argsort(starts)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = rank[np.cumsum(new) - 1]
+    return starts[by_first], inverse
+
+
 def piece_bank(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct affine pieces of one output, in first-occurrence order.
 
@@ -311,29 +386,14 @@ def piece_bank(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np.nda
     rounding then follows the domain's extent, not its distance from the
     origin.
     """
-    grid, F = interp.grid, len(interp.perms)
-    w = interp.W[:, :, output].reshape(-1, interp.n)
-    b = interp.B[:, :, output].reshape(-1)
-    corners = np.ravel_multi_index((interp.cells + 1).T, tuple(c + 2 for c in grid.axis_counts))
-    to_anchor = np.repeat(-grid.eta * interp.cells, F, axis=0)       # (S, n)
-    key = np.empty((b.size, interp.n + 1))
-    key[:, :-1] = w
-    key[:, -1] = np.repeat(interp._corner_table()[corners, output], F)
-    for i in range(interp.n):
-        key[:, -1] += w[:, i] * to_anchor[:, i]
-    key = np.round(key / value_scale(interp, output), _DEDUP_DECIMALS) + 0.0  # +0.0 folds -0
-    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    keep = first[order]
-    return w[keep], b[keep], rank[inverse]
+    first, inverse = _piece_classes(interp, output)
+    cell, perm = np.divmod(first, len(interp.perms))
+    return interp.W[cell, perm, output], interp.B[cell, perm, output], inverse
 
 
 def region_count(interp: CpwaInterpolant) -> list[int]:
     """Number of distinct affine pieces per output (the ``piece_bank`` sizes)."""
-    return [len(piece_bank(interp, j)[1]) for j in range(interp.m)]
+    return [len(_piece_classes(interp, j)[0]) for j in range(interp.m)]
 
 
 @dataclass
@@ -373,16 +433,29 @@ def continuity_audit(interp: CpwaInterpolant) -> float:
     corners, so at each shared vertex their pieces differ by at most twice
     the largest residual, and by linearity so they do on the whole face.
     That relative bound is returned; above ``REL_TOL`` (or NaN) it raises
-    ``DiscontinuityDetected`` naming the worst simplex and output.
+    ``DiscontinuityDetected`` naming the first worst simplex and output.
+    The residuals are taken in the cell chunks of ``_vertex_chunks``.
     """
     grid = interp.grid
-    world = grid.anchor + grid.eta * (interp.cells[:, None, None, :] + interp.unit)
-    fitted = np.einsum("cfmn,cftn->cftm", interp.W, world) + interp.B[:, :, None, :]
     scale = [value_scale(interp, j) for j in range(interp.m)]
-    resid = np.abs(fitted - interp._vertex_values()) / scale   # (C, n!, n+1, m)
-    c, f, _, j = np.unravel_index(np.argmax(resid), resid.shape)
-    bound = 2.0 * float(resid.max())
+    worst, where = -np.inf, None
+    for lo, hi, values in interp._vertex_chunks():
+        world = grid.anchor + grid.eta * (interp.cells[lo:hi, None, None, :] + interp.unit)
+        resid = np.einsum("cfmn,cftn->cftm", interp.W[lo:hi], world)   # (c, n!, n+1, m)
+        resid += interp.B[lo:hi, :, None, :]
+        resid -= values
+        np.abs(resid, out=resid)
+        resid /= scale
+        k = int(np.argmax(resid))
+        top = resid.flat[k]
+        # the first maximum (or NaN) over the whole table, as one argmax finds it
+        if top > worst or (np.isnan(top) and not np.isnan(worst)):
+            worst = top
+            c, f, _, j = np.unravel_index(k, resid.shape)
+            where = (lo + c, f, j)
+    bound = 2.0 * float(worst)
     if not bound <= REL_TOL:
+        c, f, j = where
         raise DiscontinuityDetected(
             f"vertex residuals bound the face jump by {bound:.3e} scales (> {REL_TOL:.1e}) "
             f"at cell {interp.cells[c].tolist()}, permutation {interp.perms[f]}, output {j}")

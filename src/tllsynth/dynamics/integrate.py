@@ -39,7 +39,9 @@ def rk4_closed_loop(model: ControlSystemModel, controller, X0: np.ndarray,
     ``X0`` has shape (P, n); the controller maps (P, n) to finite (P, m),
     and ``cpwa.check_oracle_reply`` checks every reply: any other shape or
     a non-finite control is an ``OracleFailure`` naming the point.  Returns
-    (times, states, controls) with states of shape (S+1, P, n).  Raises
+    (times, states, controls): times (S+1,) and states (S+1, P, n) at the
+    step starts and the endpoint, controls (S, P, m) applied at each step
+    start (the controller is not asked at the endpoint).  Raises
     ``NonFiniteState`` the moment any stage stops being finite, and
     ``StepInvalid`` for a bad step size (``step_count``).
     """
@@ -59,7 +61,7 @@ def rk4_closed_loop(model: ControlSystemModel, controller, X0: np.ndarray,
 
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, P, n))
-    controls = np.empty((steps + 1, P, model.m))
+    controls = np.empty((steps, P, model.m))
     x = X0.copy()
     for k in range(steps):
         times[k] = k * h
@@ -74,7 +76,5 @@ def rk4_closed_loop(model: ControlSystemModel, controller, X0: np.ndarray,
             raise NonFiniteState(f"state blew up at t={times[k] + h:.6g}")
     times[steps] = tau
     states[steps] = x
-    _, u_last = g(x)
-    controls[steps] = u_last
     return times, states, controls
 

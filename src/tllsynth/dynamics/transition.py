@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cpwa import REL_TOL, power_of_two_scale
+from ..cpwa import REL_TOL, check_oracle_reply, power_of_two_scale
 from ..errors import DimensionMismatch, SchemaError
 from ..serialize import hex_or_none, hex_to_vec, is_int, require_keys, rows_to_hex
 from .integrate import rk4_closed_loop
@@ -134,9 +134,10 @@ def embed_tau_sampled(model: ControlSystemModel, controller, samples: np.ndarray
     (infinity norm) or appended as a new state.  The default ``snap_tol`` is
     ``REL_TOL`` times the ``power_of_two_scale`` of the samples and extra
     states, so samples scaled by 2^k embed alike.  The transition label
-    hashes the control segment at the integration nodes.  ``extra_states``
-    are listed (and deduplicated) but not integrated, so a companion system
-    can share another embedding's target states.
+    hashes the control segment at the integration nodes, the endpoint
+    included.  ``extra_states`` are listed (and deduplicated) but not
+    integrated, so a companion system can share another embedding's target
+    states.
     """
     if step is None:
         step = tau / 100.0
@@ -164,6 +165,9 @@ def embed_tau_sampled(model: ControlSystemModel, controller, samples: np.ndarray
     for x in extras:
         intern(x)
     _, traj, controls = rk4_closed_loop(model, controller, states[sources], tau, step)
+    # the integrator asks for no control at the endpoints: one batch closes every segment
+    ends = check_oracle_reply(controller(traj[-1]), traj[-1], model.m)
+    controls = np.concatenate([controls, ends[None]])
     transitions = set()
     for col, src in enumerate(sources):
         label = _segment_label(controls[:, col, :])

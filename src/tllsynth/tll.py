@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpwa import REL_TOL, CpwaInterpolant, piece_bank, value_scale
+from .cpwa import _CHUNK_VALUES, REL_TOL, CpwaInterpolant, piece_bank, value_scale
 from .errors import (
     BoundViolated,
     DimensionMismatch,
@@ -47,11 +47,6 @@ from .serialize import (
 )
 from .sizing import controller_size
 
-# floats or words held by one chunk's temporaries: the gathered selector
-# values of TllNetwork.eval_batch, the vertex values of _vertex_relations,
-# the cover rows _scalar_lattice keeps for _prune, the member rows _attains
-# gathers
-_CHUNK_VALUES = 1 << 18
 _ALL_BITS = ~np.uint64(0)
 
 

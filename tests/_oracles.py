@@ -10,8 +10,10 @@ at a time and the pairwise tree expansion below builds ReLU layers one
 neuron at a time, as the library once did; they are the bitwise references
 for the library's array-based interning and array-built layers.  The
 per-simplex LU solve is the reference for the closed-form interpolation
-pieces, the per-simplex dominating sets and a set-based covering walk
-with pruning are the references for the compiled selector sets, a
+pieces to a tolerance, and that closed form over whole-table arrays is
+their bitwise reference and the continuity certificate's.  The
+per-simplex dominating sets and a set-based covering walk with pruning
+are the references for the compiled selector sets, a
 rescan-every-round greedy with a set-based reverse pass is the reference
 for the cover that keeps only the attaining sets, and the lattice is
 evaluated one selector set at a time as the reference for the
@@ -216,6 +218,8 @@ def linear_scan_embed(model, controller, samples, tau, step=None, snap_tol=1e-9,
             intern(x)
     origins = np.array([state_list[i] for i in sources])
     _, states, controls = rk4_closed_loop(model, controller, origins, tau, step)
+    # the controls at the endpoints, asked in one batch, close every segment
+    controls = np.concatenate([controls, np.asarray(controller(states[-1]), dtype=float)[None]])
     transitions = set()
     for col, src in enumerate(sources):
         label = _segment_label(controls[:, col, :])
@@ -558,6 +562,43 @@ def lu_pieces(interp):
     shape = (-1, math.factorial(n)) + sol.shape[1:]
     sol = sol.reshape(shape)
     return np.swapaxes(sol[:, :, :n, :], 2, 3), sol[:, :, n, :]
+
+
+def closed_form_pieces(interp):
+    """Kuhn-simplex pieces from whole-table arrays, as the library once built
+    them: every simplex's (n+1) corner values gathered at once, slopes
+    ``np.diff / eta`` put on their axes by ``take_along_axis``, and
+    ``b = v_0 - einsum(W, x_0)``.  The bitwise reference for the library's
+    chunked build.  Returns W (C, n!, m, n), B (C, n!, m) and the vertex
+    values (C, n!, n+1, m)."""
+    grid = interp.grid
+    dims = tuple(c + 2 for c in grid.axis_counts)
+    lin = (np.ravel_multi_index((interp.cells + 1).T, dims)[:, None, None]
+           + np.ravel_multi_index(tuple(np.moveaxis(interp.unit, -1, 0)), dims))
+    values = interp._corner_table()[lin]                            # (C, n!, n+1, m)
+    step = np.argmax(np.diff(interp.unit, axis=1), axis=1)          # (n!, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(values, axis=2) / grid.eta
+        W = np.take_along_axis(slopes, step[None, :, :, None], axis=2)
+        W = np.ascontiguousarray(np.swapaxes(W, 2, 3))
+        x0 = grid.anchor + grid.eta * interp.cells
+        B = values[:, :, 0, :] - np.einsum("cfmn,cn->cfm", W, x0)
+    return W, B, values
+
+
+def whole_table_continuity(interp):
+    """Twice the largest vertex residual over the whole piece table at once,
+    with the first worst (cell index, permutation index, output), as the
+    library once computed it; the bitwise reference for the chunked audit."""
+    from tllsynth.cpwa import value_scale
+
+    grid = interp.grid
+    world = grid.anchor + grid.eta * (interp.cells[:, None, None, :] + interp.unit)
+    fitted = np.einsum("cfmn,cftn->cftm", interp.W, world) + interp.B[:, :, None, :]
+    scale = [value_scale(interp, j) for j in range(interp.m)]
+    resid = np.abs(fitted - closed_form_pieces(interp)[2]) / scale
+    c, f, _, j = np.unravel_index(np.argmax(resid), resid.shape)
+    return 2.0 * float(resid.max()), (int(c), int(f), int(j))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Sampling, corner extension, and the piecewise-affine interpolant."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from _oracles import (
     SimplexId,
     brute_force_extra_values,
+    closed_form_pieces,
     dict_piece_bank,
     lu_pieces,
     nearest_power_of_two,
     simplex_world_vertices,
+    whole_table_continuity,
 )
 from tllsynth import (
     Box,
@@ -31,6 +34,7 @@ from tllsynth import (
     region_count,
     sample_controller,
 )
+from tllsynth import cpwa
 from tllsynth.cpwa import BatchOracle, check_oracle_reply, piece_bank, value_scale
 
 
@@ -410,6 +414,48 @@ def test_region_count_equals_compiled_bank_sizes():
         assert region_count(interp) == [lat.size for lat in net.outputs]
 
 
+def _random_interpolants(rng):
+    """Min-rule interpolants on 1- to 4-D grids with 1 to 3 outputs, their
+    samples at scales 1e-12 to 1e9, one output of each rounded to whole
+    multiples of its scale so that many pieces coincide."""
+    for n, eta in ((1, 0.07), (2, 0.12), (3, 0.25), (4, 0.35)):
+        grid = build_eta_grid(Box(np.zeros(n), rng.uniform(0.5, 1.0, size=n)), eta)
+        for m in (1, 2, 3):
+            for scale in (1e-12, 1e-3, 1.0, 1e9):
+                omega = rng.normal(size=(m, grid.num_points))
+                omega[-1] = np.round(omega[-1])
+                yield build_interpolant(grid, omega * scale)
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 3000])
+def test_pieces_are_bitwise_the_whole_table_closed_form(monkeypatch, chunk):
+    monkeypatch.setattr(cpwa, "_CHUNK_VALUES", chunk)   # 3000: several chunks per grid
+    for interp in _random_interpolants(np.random.default_rng(227)):
+        W, B, _ = closed_form_pieces(interp)
+        assert interp.W.shape == W.shape and interp.W.tobytes() == W.tobytes()
+        assert interp.B.shape == B.shape and interp.B.tobytes() == B.tobytes()
+        assert region_count(interp) == [len(piece_bank(interp, j)[1]) for j in range(interp.m)]
+
+
+def test_dedup_and_continuity_hold_a_small_multiple_of_the_piece_table(monkeypatch):
+    # 4-D unit cube at eta 0.25: 625 cells, 15,000 simplexes, 600 kB of
+    # pieces.  The certificate's chunks are cut to 2^14 values (131 kB) so
+    # that a whole-table temporary would show next to the table.
+    grid = build_eta_grid(Box(np.zeros(4), np.ones(4)), 0.25)
+    interp = build_interpolant(grid, np.sin(3.0 * grid.points).sum(axis=1)[None])
+    assert interp.num_simplexes == 15000
+    table = interp.W.nbytes + interp.B.nbytes
+    monkeypatch.setattr(cpwa, "_CHUNK_VALUES", 1 << 14)
+    for audit in (region_count, continuity_audit):
+        tracemalloc.start()
+        try:
+            audit(interp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * table, (audit.__name__, peak / table)
+
+
 def test_min_rule_matches_per_corner_neighbor_minimum():
     rng = np.random.default_rng(89)
     cases = [
@@ -469,6 +515,36 @@ def test_continuity_exact_in_one_dimension():
     interp = build_interpolant(grid, omega)
     # breakpoints meet to solver precision
     assert continuity_audit(interp) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 500, 1 << 18])
+def test_continuity_audit_is_bitwise_the_whole_table_certificate(monkeypatch, chunk):
+    interps = list(_random_interpolants(np.random.default_rng(229)))
+    monkeypatch.setattr(cpwa, "_CHUNK_VALUES", chunk)   # 1: one cell per chunk
+    for interp in interps:
+        got = continuity_audit(interp)
+        assert type(got) is float and got == whole_table_continuity(interp)[0]
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 1 << 18])
+def test_continuity_audit_names_the_first_worst_simplex_at_any_chunk(monkeypatch, chunk):
+    # a zero interpolant with two equally bad pieces, then a NaN one after
+    # them: the first maximum over the whole table is named, a NaN first
+    grid = build_eta_grid(Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 0.3)
+    monkeypatch.setattr(cpwa, "_CHUNK_VALUES", chunk)
+    for bad in ([(3, 2, 1), (40, 0, 1)], [(3, 2, 1), (40, 0, 1), (52, 4, 0)]):
+        interp = build_interpolant(grid, np.zeros((2, grid.num_points)))
+        for c, f, j in bad:
+            interp.B[c, f, j] = 1.0
+        if len(bad) == 3:
+            interp.B[bad[-1]] = np.nan
+        bound, (c, f, j) = whole_table_continuity(interp)
+        assert (c, f, j) == bad[-1 if len(bad) == 3 else 0]
+        with pytest.raises(DiscontinuityDetected) as info:
+            continuity_audit(interp)
+        assert (f"{bound:.3e} scales" in str(info.value)
+                and f"cell {interp.cells[c].tolist()}, permutation {interp.perms[f]}, "
+                    f"output {j}" in str(info.value))
 
 
 def test_continuity_audit_catches_corruption():

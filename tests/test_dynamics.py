@@ -136,7 +136,23 @@ def test_single_start_reaches_analytic_endpoint():
     times, states, controls = rk4_closed_loop(model, ZERO, np.array([[1.0]]),
                                               tau=1.0, step=0.01)
     assert states[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
-    assert states.shape[0] == times.shape[0] == controls.shape[0]
+    assert states.shape[0] == times.shape[0] == controls.shape[0] + 1
+
+
+def test_controller_is_asked_once_per_stage_and_never_at_the_endpoint():
+    # 4 stages per step; controls[k] is the control at step k's start state
+    model = linear_1d(a=-1.0, b=1.0)
+    asked = []
+
+    def controller(x):
+        asked.append(x.copy())
+        return -0.5 * x
+
+    _, states, controls = rk4_closed_loop(model, controller, np.array([[1.0], [-2.0]]),
+                                          tau=1.0, step=0.25)
+    assert len(asked) == 4 * 4 and controls.shape == (4, 2, 1)
+    assert all(np.array_equal(asked[4 * k], states[k]) for k in range(4))
+    assert controls.tobytes() == (-0.5 * states[:-1]).tobytes()
 
 
 @pytest.mark.parametrize("controller, says", [

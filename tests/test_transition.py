@@ -15,6 +15,7 @@ from tllsynth import (
     embed_tau_sampled,
     linear_1d,
     perturb,
+    rk4_closed_loop,
 )
 
 from _oracles import (
@@ -149,6 +150,21 @@ def test_embed_labels_hash_control_segments():
     # re-embedding reproduces the exact same labels (determinism)
     again = embed_tau_sampled(model, controller, samples, tau=0.5, step=0.05)
     assert {u for (_, u, _) in again.transitions} == labels
+
+
+def test_embed_labels_hash_the_controls_at_every_node_and_the_endpoint():
+    # the integrator returns the controls at the step starts; the embedding
+    # asks for the endpoint's itself, so each label covers all steps + 1 nodes
+    from tllsynth.dynamics.transition import _segment_label
+
+    model = linear_1d(a=-1.0, b=1.0)
+    controller = lambda x: -0.5 * x
+    samples = np.array([[0.5], [-0.25]])
+    ts = embed_tau_sampled(model, controller, samples, tau=0.5, step=0.125)
+    _, states, controls = rk4_closed_loop(model, controller, samples, 0.5, 0.125)
+    assert controls.shape == (4, 2, 1) and states.shape == (5, 2, 1)
+    want = {_segment_label(-0.5 * states[:, col]) for col in range(2)}
+    assert {u for (_, u, _) in ts.transitions} == want
 
 
 def test_embed_labels_follow_the_controls_own_scale():
