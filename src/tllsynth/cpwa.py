@@ -129,19 +129,23 @@ class CpwaInterpolant:
     Pieces are indexed by (hypercube cell, sorting permutation); evaluation
     locates the simplex and applies its affine function.  ``omega`` (m, P)
     holds the grid values and ``extra_values`` (m, E) the values at the
-    non-grid corners, columns in ``extra_corners(grid)`` order.
-    ``min_rule_extras`` records whether those values came from the eta-ball
-    minimum rule (the guarantee-carrying construction) or were supplied by
-    the caller (e.g. affine-consistent test data).
+    non-grid corners, columns in ``extra_corners(grid)`` order.  With
+    ``extra_values`` None they follow from omega by the eta-ball minimum
+    rule (the guarantee-carrying construction, ``extend_extra_corners``);
+    otherwise the caller's values are kept (e.g. affine-consistent test
+    data).  ``min_rule_extras`` records which.
     """
 
-    def __init__(self, grid: EtaGrid, omega: np.ndarray, extra_values: np.ndarray,
-                 k_cont: float | None = None, min_rule_extras: bool = True):
+    def __init__(self, grid: EtaGrid, omega: np.ndarray, extra_values: np.ndarray | None = None,
+                 k_cont: float | None = None):
         omega = np.asarray(omega, dtype=float)
         if omega.ndim != 2 or omega.shape[1] != grid.num_points:
             raise ValueError(f"omega must have shape (m, {grid.num_points})")
         if not np.isfinite(omega).all():
             raise OracleFailure("omega holds non-finite values")
+        self.min_rule_extras = extra_values is None
+        if self.min_rule_extras:
+            extra_values = extend_extra_corners(omega, grid)
         self.extra_values = np.asarray(extra_values, dtype=float)
         num_extra = math.prod(c + 2 for c in grid.axis_counts) - grid.num_points
         if self.extra_values.shape != (omega.shape[0], num_extra):
@@ -152,7 +156,6 @@ class CpwaInterpolant:
         if self.k_cont is not None and not 0.0 <= self.k_cont < math.inf:
             raise ValueError(f"k_cont must be a Lipschitz constant >= 0 and finite, "
                              f"got {self.k_cont!r}")
-        self.min_rule_extras = bool(min_rule_extras)
         self.perms = braid_simplices(grid.dimension)
         self.unit = np.stack([simplex_vertices(s) for s in self.perms])  # (n!, n+1, n)
         self._build_pieces()
@@ -259,25 +262,34 @@ class CpwaInterpolant:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
+        """What fixes the interpolant: min-rule extra values are left out,
+        since ``from_json`` derives them from omega."""
+        obj = {
             "grid": self.grid.to_json(),
             "omega": rows_to_hex(self.omega),
-            "extra_values": rows_to_hex(self.extra_values),
             "K_cont": hex_or_none(self.k_cont),
             "min_rule_extras": self.min_rule_extras,
         }
+        if not self.min_rule_extras:
+            obj["extra_values"] = rows_to_hex(self.extra_values)
+        return obj
 
     @staticmethod
     def from_json(obj: dict) -> "CpwaInterpolant":
-        require_keys(obj, ("grid", "omega", "extra_values", "min_rule_extras"), "interpolant")
-        if not isinstance(obj["min_rule_extras"], bool):
+        require_keys(obj, ("grid", "omega", "min_rule_extras"), "interpolant")
+        min_rule = obj["min_rule_extras"]
+        if not isinstance(min_rule, bool):
             raise SchemaError("interpolant min_rule_extras must be true or false")
+        if min_rule and "extra_values" in obj:
+            raise SchemaError("interpolant with min_rule_extras true stores no extra_values: "
+                              "they follow from omega (older files stored them)")
+        if not min_rule and "extra_values" not in obj:
+            raise SchemaError("interpolant with min_rule_extras false must store extra_values")
         return CpwaInterpolant(
             EtaGrid.from_json(obj["grid"]),
             _hex_rows(obj["omega"], "omega"),
-            _hex_rows(obj["extra_values"], "extra_values"),
+            None if min_rule else _hex_rows(obj["extra_values"], "extra_values"),
             float_or_none(obj.get("K_cont")),
-            obj["min_rule_extras"],
         )
 
 
@@ -299,12 +311,12 @@ def build_interpolant(grid: EtaGrid, omega: np.ndarray, k_cont: float | None = N
     affine-consistent corner data in tests.
     """
     if extra_values is None:
-        return CpwaInterpolant(grid, omega, extend_extra_corners(omega, grid), k_cont, True)
+        return CpwaInterpolant(grid, omega, k_cont=k_cont)
     corners = list(map(tuple, extra_corners(grid).tolist()))
     if sorted(extra_values) != corners:
         raise ValueError("extra corner offsets must be exactly the non-grid hypercube corners")
     values = np.array([extra_values[c] for c in corners], dtype=float).T
-    return CpwaInterpolant(grid, omega, values, k_cont, False)
+    return CpwaInterpolant(grid, omega, values, k_cont)
 
 
 def power_of_two_scale(values) -> float:

@@ -36,9 +36,11 @@ class FiniteTransitionSystem:
 
     def __post_init__(self):
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        for (s, _, t) in self.transitions:
-            if not (0 <= s < self.num_states and 0 <= t < self.num_states):
-                raise ValueError(f"transition ({s},..,{t}) references unknown states")
+        k = self.num_states
+        bad = [tr for tr in self.transitions if not (0 <= tr[0] < k and 0 <= tr[2] < k)]
+        if bad:   # the smallest, so the message does not follow set order
+            raise ValueError(f"{len(bad)} transitions reference unknown states (there are "
+                             f"{k}), the smallest {min(bad)}")
 
     @property
     def num_states(self) -> int:

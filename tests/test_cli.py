@@ -10,9 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from _oracles import brute_force_extra_values
 from test_tll import sinusoid_interpolant
 from tllsynth import (
     Box,
+    CpwaInterpolant,
     ScalarLattice,
     TllNetwork,
     build_eta_grid,
@@ -29,7 +31,7 @@ from tllsynth.cli import main
 from tllsynth.dynamics import FiniteTransitionSystem
 from tllsynth.errors import OracleFailure
 from tllsynth.geometry import EtaGrid
-from tllsynth.serialize import dump_json, load_json
+from tllsynth.serialize import dump_json, load_json, rows_to_hex
 
 AFFINE_W = [[0.5, -0.25]]
 AFFINE_B = [0.1]
@@ -254,8 +256,19 @@ def _edited_interpolant_exit(tmp_path, edit):
     return main(["verify", str(bad), "--which", "lipschitz", "--out", str(tmp_path)])
 
 
+def _caller_supplied(edit):
+    """``edit`` applied to the file turned caller-supplied: min_rule_extras
+    false and the loaded min-rule values stored as extra_values."""
+    def apply(obj):
+        obj["extra_values"] = rows_to_hex(CpwaInterpolant.from_json(obj).extra_values)
+        obj["min_rule_extras"] = False
+        edit(obj)
+    return apply
+
+
 def test_interpolant_extra_corners_must_be_the_non_grid_corners(tmp_path):
-    # the test grid has 2 x 2 points, so extra_values is one row of 16 - 4 = 12
+    # the test grid has 2 x 2 points, so extra_values is one row of 16 - 4 = 12;
+    # only a caller-supplied file stores them
     five = float.hex(5.0)
 
     def old_records(obj):   # the older format: one offset/values record per corner
@@ -277,11 +290,37 @@ def test_interpolant_extra_corners_must_be_the_non_grid_corners(tmp_path):
         old_records,
         old_grid,
     ):
-        assert _edited_interpolant_exit(tmp_path, edit) == 2
+        assert _edited_interpolant_exit(tmp_path, _caller_supplied(edit)) == 2
         assert not (tmp_path / "verify_lipschitz_report.json").exists()
 
 
+def test_interpolant_min_rule_flag_must_match_stored_extra_values(tmp_path, capsys):
+    def stored_min_rule_values(obj):   # the older min-rule format
+        obj["extra_values"] = rows_to_hex(CpwaInterpolant.from_json(obj).extra_values)
+
+    def caller_supplied_without_values(obj):
+        obj["min_rule_extras"] = False
+
+    for edit in (stored_min_rule_values, caller_supplied_without_values):
+        assert _edited_interpolant_exit(tmp_path, edit) == 2
+        assert "extra_values" in capsys.readouterr().err
+        assert not (tmp_path / "verify_lipschitz_report.json").exists()
+
+
+def test_min_rule_values_follow_the_edited_omega(tmp_path):
+    # min-rule corner values cannot be forged: they are recomputed from omega
+    out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+    obj = load_json(str(out / "interpolant.json"))
+    assert obj["min_rule_extras"] is True and "extra_values" not in obj
+    obj["omega"][0][2] = float.hex(-3.0)
+    interp = CpwaInterpolant.from_json(obj)
+    want = brute_force_extra_values(interp.omega, interp.grid)
+    assert interp.extra_values.tobytes() == np.array(list(want.values())).T.tobytes()
+    assert (interp.extra_values == -3.0).sum() == 5   # the corners next to grid point (1, 0)
+
+
 def test_nonfinite_or_overflowing_pieces_are_numerical_errors(tmp_path):
+    @_caller_supplied
     def inf_corner(obj):
         obj["extra_values"][0][0] = float.hex(float("inf"))
 

@@ -595,6 +595,8 @@ def test_interpolant_json_roundtrip_every_dimension():
             for interp in (build_interpolant(grid, omega, k_cont=0.7), caller):
                 obj = interp.to_json()
                 assert "offsets" not in obj["grid"] and "extra_corners" not in obj
+                # min-rule values are derived on load, only the caller's are stored
+                assert ("extra_values" in obj) is not interp.min_rule_extras
                 back = CpwaInterpolant.from_json(obj)
                 assert back.extra_values.shape == (m, len(extras))
                 for name in ("omega", "extra_values", "W", "B"):
@@ -604,8 +606,10 @@ def test_interpolant_json_roundtrip_every_dimension():
 
 
 def test_interpolant_json_requires_keys():
+    # a caller-supplied file, the one kind that stores extra_values
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
-    interp = build_interpolant(grid, np.array([[0.0, 1.0]]))
+    interp = build_interpolant(grid, np.array([[0.0, 1.0]]),
+                               extra_values={(-1,): [0.0], (2,): [0.0]})
     obj = interp.to_json()
     for key in ("omega", "extra_values", "min_rule_extras"):
         with pytest.raises(SchemaError, match=key):
@@ -613,6 +617,8 @@ def test_interpolant_json_requires_keys():
     for flag in ("false", 0, None):   # a JSON boolean, not a truthy stand-in
         with pytest.raises(SchemaError):
             CpwaInterpolant.from_json({**obj, "min_rule_extras": flag})
+    with pytest.raises(SchemaError, match="extra_values"):   # min-rule values are derived
+        CpwaInterpolant.from_json({**obj, "min_rule_extras": True})
 
 
 def test_interpolant_rejects_uncovered_corner():
@@ -627,7 +633,7 @@ def test_interpolant_rejects_uncovered_corner():
     for values in ([[0.0]], [[0.0, 0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]):
         with pytest.raises(ValueError):   # one value per output and extra corner
             CpwaInterpolant(grid, omega, np.array(values))
-    obj = build_interpolant(grid, omega).to_json()
+    obj = build_interpolant(grid, omega, extra_values={(-1,): [0.0], (2,): [0.0]}).to_json()
     for values in ([["0x0.0p+0"]], [["0x0.0p+0"] * 3], [["0x0.0p+0"] * 2] * 2,
                    [["0x0.0p+0", "0x0.0p+0"], ["0x0.0p+0"]]):
         with pytest.raises(ValueError):

@@ -51,6 +51,15 @@ def test_transitions_validated():
         _ts([[0.0]], {(-1, "a", 0)})
 
 
+def test_unknown_states_error_names_the_smallest_bad_transition():
+    # set order follows the string hashes, which vary from run to run
+    bad = {(3, "b", 0), (0, "z", 7), (0, "a", 9), (-2, "a", 1), (2, "a", -1)}
+    with pytest.raises(ValueError) as info:
+        _ts([[0.0], [1.0], [2.0]], bad | {(0, "a", 1), (2, "c", 2)})
+    assert str(info.value) == ("5 transitions reference unknown states (there are 3), "
+                               "the smallest (-2, 'a', 1)")
+
+
 def test_relabeled_unifies_labels():
     ts = _ts([[0.0], [1.0]], {(0, "a", 1), (1, "b", 0)})
     flat = ts.relabeled()
