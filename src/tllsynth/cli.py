@@ -89,13 +89,13 @@ EXIT_AUDIT_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
+# a guarantee that does not hold: the command's report fails with the message
 _AUDIT_ERRORS = (BudgetExceeded, DiscontinuityDetected, BoundViolated)
 
-# what ends a command early, as (exceptions, exit code, stderr prefix); the
-# first match wins, so the numerical row must precede ValueError, which
+# what else ends a command early, as (exceptions, exit code, stderr prefix);
+# the first match wins, so the numerical row must precede ValueError, which
 # OutsideDomain is
 _EXIT_TABLE = (
-    (_AUDIT_ERRORS, EXIT_AUDIT_FAILURE, "audit failure"),
     ((NonFiniteState, OracleFailure, OutsideDomain, FloatingPointError),
      EXIT_NUMERICAL_ERROR, "numerical error"),
     ((ValueError, OSError, EmptySelector, InvariantViolation), EXIT_CONFIG_ERROR, "config error"),
@@ -106,10 +106,18 @@ _EXIT_TABLE = (
 # -- configuration ------------------------------------------------------------
 
 
-def _load_config(args) -> dict:
-    if not args.config:
-        raise ConfigError("this command needs --config <file.json>")
-    obj = load_json(args.config)
+# subcommands that cannot run without --config
+_NEEDS_CONFIG = frozenset({"size", "grid", "build", "audit", "sysid"})
+
+
+def _load_config(args) -> dict | None:
+    """The ``--config`` object; None when the command was run without one."""
+    path = getattr(args, "config", None)
+    if not path:
+        if args.command in _NEEDS_CONFIG:
+            raise ConfigError("this command needs --config <file.json>")
+        return None
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
     return obj
@@ -364,12 +372,6 @@ def _builtin_oracle(name: str, params: dict, n: int, m: int):
         if W.ndim != 2 or W.shape != (m, n) or b.shape != (m,):
             raise ConfigError(f"affine oracle needs W of shape ({m}, {n}) and b of shape ({m},)")
         return lambda x: np.asarray(x, dtype=float) @ W.T + b
-    if name == "pendulum_damping":
-        # u = -0.5 (x1 + x2): the shipped stabilizing feedback for the pendulum
-        if (n, m) != (2, 1):
-            raise ConfigError(f"pendulum_damping maps 2 -> 1, not {n} -> {m}")
-        return lambda x: np.asarray(x, dtype=float) @ np.array([[-0.5], [-0.5]]) \
-            + np.zeros(1)
     raise ConfigError(f"unknown builtin oracle '{name}'")
 
 
@@ -407,28 +409,33 @@ def _resolve_oracle(cfg: dict, n: int, m: int):
 def _emit(args, results: dict, passed: bool, config_echo: dict | None,
           started: float) -> int:
     """Write the command's report into ``--out``; its exit code.  The file
-    is named by the command and, for ``verify`` and ``audit``, the check."""
+    is named by the command and, for ``verify`` and ``audit``, the check,
+    which the results then carry as ``which``."""
+    stem = args.command
+    if hasattr(args, "which"):
+        stem = f"{stem}_{args.which}"
+        results = {"which": args.which, **results}
     report = {
         "command": args.command,
         "version": __version__,
         "pass": bool(passed),
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "config": config_echo,
         "results": results,
         "timing": {"seconds": round(time.monotonic() - started, 6)},
     }
-    stem = f"{args.command}_{args.which}" if hasattr(args, "which") else args.command
-    path = _write_artifact(args, f"{stem.replace('-', '_')}_report.json", report)
+    name = _write_artifact(args, f"{stem.replace('-', '_')}_report.json", report)
     status = "PASS" if passed else "FAIL"
-    print(f"[{status}] {args.command}: report written to {path}")
+    print(f"[{status}] {args.command}: report written to {os.path.join(args.out, name)}")
     return EXIT_PASS if passed else EXIT_AUDIT_FAILURE
 
 
 def _write_artifact(args, name: str, obj: dict) -> str:
+    """Write ``obj`` as ``name`` into ``--out``; ``name``, which reports
+    carry so that they do not depend on where ``--out`` is."""
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    dump_json(obj, path)
-    return path
+    dump_json(obj, os.path.join(args.out, name))
+    return name
 
 
 def _load_interpolant(path: str) -> CpwaInterpolant:
@@ -447,26 +454,23 @@ def _load_network(path: str, n: int, m: int, what: str):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_size(args) -> tuple[dict, bool, dict | None]:
-    cfg = _load_config(args)
+def cmd_size(args, cfg: dict) -> tuple[dict, bool]:
     budget = _budget_from(cfg)
     domain = _box_from(cfg, "domain")
     sizing = compute_sizing(budget, domain, _optional_box(cfg, "input_box", None),
                             _number(cfg, "eta"))
     results = sizing.to_json()
     holds = all(entry.get("holds", True) for entry in sizing.audit)
-    return results, holds, cfg
+    return results, holds
 
 
-def cmd_grid(args) -> tuple[dict, bool, dict | None]:
-    cfg = _load_config(args)
+def cmd_grid(args, cfg: dict) -> tuple[dict, bool]:
     domain = _box_from(cfg, "domain")
     eta = _resolve_eta(cfg, domain)
     grid = build_eta_grid(domain, eta)
     cubes = interpolation_hypercubes(grid)
     extras = extra_corners(grid)
     bound = hypercube_count_bound(grid.dimension, domain.extent(), eta)
-    path = _write_artifact(args, "grid.json", grid.to_json())
     results = {
         "eta": float_to_hex(eta),
         "axis_counts": list(grid.axis_counts),
@@ -474,13 +478,12 @@ def cmd_grid(args) -> tuple[dict, bool, dict | None]:
         "num_hypercubes": len(cubes),
         "hypercube_count_bound": bound,
         "num_extra_corners": len(extras),
-        "grid_file": path,
+        "grid_file": _write_artifact(args, "grid.json", grid.to_json()),
     }
-    return results, len(cubes) <= bound, cfg
+    return results, len(cubes) <= bound
 
 
-def cmd_build(args) -> tuple[dict, bool, dict | None]:
-    cfg = _load_config(args)
+def cmd_build(args, cfg: dict) -> tuple[dict, bool]:
     domain = _box_from(cfg, "domain")
     eta = _resolve_eta(cfg, domain)
     m = _number(cfg, "m", 1, int)
@@ -497,7 +500,6 @@ def cmd_build(args) -> tuple[dict, bool, dict | None]:
     with _closing(_resolve_oracle(cfg, grid.dimension, m)) as oracle:
         omega = sample_controller(BatchOracle(oracle), grid, m)
     interp = build_interpolant(grid, omega, k_cont)
-    path = _write_artifact(args, "interpolant.json", interp.to_json())
     results = {
         "eta": float_to_hex(eta),
         "num_grid_points": grid.num_points,
@@ -505,34 +507,25 @@ def cmd_build(args) -> tuple[dict, bool, dict | None]:
         "outputs": m,
         "region_counts": region_count(interp),
         "k_cont": hex_or_none(k_cont),
-        "interpolant_file": path,
+        "interpolant_file": _write_artifact(args, "interpolant.json", interp.to_json()),
     }
-    return results, True, cfg
+    return results, True
 
 
-def cmd_compile(args) -> tuple[dict, bool, dict | None]:
+def cmd_compile(args, cfg: dict) -> tuple[dict, bool]:
     interp = _load_interpolant(args.artifact)
-    bound_n = None
-    cfg = None
-    if args.config:
-        cfg = _load_config(args)
-        bound_n = _number(cfg, "bound_n", kind=int)
-    try:
-        net = compile_tll(interp, bound_n)
-        desc = arch_descriptor(net)
-    except _AUDIT_ERRORS as exc:
-        return {"error": str(exc)}, False, cfg
-    path = _write_artifact(args, "network.json", export_network(net))
+    net = compile_tll(interp, _number(cfg, "bound_n", kind=int))
+    desc = arch_descriptor(net)
     results = {
         "descriptor": desc.to_json(),
-        "network_file": path,
+        "network_file": _write_artifact(args, "network.json", export_network(net)),
         "provenance": {
             "eta": hex_or_none(net.provenance.get("eta")),
             "k_cont": hex_or_none(net.provenance.get("k_cont")),
             "bound_n": net.provenance.get("bound_n"),
         },
     }
-    return results, True, cfg
+    return results, True
 
 
 def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
@@ -559,8 +552,7 @@ def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
     }, passed
 
 
-def cmd_verify(args) -> tuple[dict, bool, dict | None]:
-    cfg = _load_config(args) if args.config else {}
+def cmd_verify(args, cfg: dict) -> tuple[dict, bool]:
     if "tolerances" in cfg:
         raise ConfigError(f"'tolerances' is no longer read: every verify bound is {REL_TOL:g} "
                           "times each output's power-of-two value scale")
@@ -569,24 +561,14 @@ def cmd_verify(args) -> tuple[dict, bool, dict | None]:
     if which == "approx":
         results, passed = _verify_approx(args, cfg, interp)
     elif which == "lipschitz":
-        try:
-            rep = lipschitz_audit(interp, _bound(cfg, "lipschitz_bound"))
-            results = {"metric": "max piece gradient dual norm",
-                       "value": rep.value, "bound": rep.bound, "pass": True}
-            passed = True
-        except BudgetExceeded as exc:
-            results = {"metric": "max piece gradient dual norm",
-                       "error": str(exc), "pass": False}
-            passed = False
+        rep = lipschitz_audit(interp, _bound(cfg, "lipschitz_bound"))
+        results = {"metric": "max piece gradient dual norm",
+                   "value": rep.value, "bound": rep.bound, "pass": True}
+        passed = True
     elif which == "continuity":
-        metric = "face jump bound (2 x max vertex residual) / value scale"
-        try:
-            results = {"metric": metric, "value": continuity_audit(interp),
-                       "bound": REL_TOL, "pass": True}
-            passed = True
-        except DiscontinuityDetected as exc:
-            results = {"metric": metric, "error": str(exc), "bound": REL_TOL, "pass": False}
-            passed = False
+        results = {"metric": "face jump bound (2 x max vertex residual) / value scale",
+                   "value": continuity_audit(interp), "bound": REL_TOL, "pass": True}
+        passed = True
     elif which == "tll-equiv":
         if not args.network:
             raise ConfigError("tll-equiv verification needs --network <file>")
@@ -613,7 +595,7 @@ def cmd_verify(args) -> tuple[dict, bool, dict | None]:
         results = {"metric": "distinct affine regions per output",
                    "value": counts, "bank_sizes": bank_sizes,
                    "bound": bound, "pass": passed}
-    return {"which": which, **results}, passed, cfg or None
+    return results, passed
 
 
 def _controller_from_args(args, cfg, model):
@@ -627,8 +609,7 @@ def _controller_from_args(args, cfg, model):
     raise ConfigError("audit needs --network or an 'oracle' in the config")
 
 
-def cmd_audit(args) -> tuple[dict, bool, dict | None]:
-    cfg = _load_config(args)
+def cmd_audit(args, cfg: dict) -> tuple[dict, bool]:
     model = _model_from(cfg)
     budget = _budget_from(cfg)
     per_axis, random_count, seed = _probe_settings(cfg, args)
@@ -667,10 +648,10 @@ def cmd_audit(args) -> tuple[dict, bool, dict | None]:
                     k_psi=_number(cfg, "k_psi", budget.k_cont), mu_probes=mu_pts.points,
                     delta=budget.delta, probe_spec=probes.spec,
                 )
-    return {"which": args.which, **report.to_json()}, report.holds, cfg
+    return report.to_json(), report.holds
 
 
-def cmd_ads_check(args) -> tuple[dict, bool, dict | None]:
+def cmd_ads_check(args, cfg: dict) -> tuple[dict, bool]:
     ts_a = FiniteTransitionSystem.from_json(load_json(args.ts_a))
     ts_b = FiniteTransitionSystem.from_json(load_json(args.ts_b))
     if not (math.isfinite(args.delta) and args.delta >= 0):
@@ -678,11 +659,10 @@ def cmd_ads_check(args) -> tuple[dict, bool, dict | None]:
     verdict = check_ads(ts_a, ts_b, args.delta)
     results = verdict.to_json()
     results["num_states"] = [ts_a.num_states, ts_b.num_states]
-    return results, verdict.holds, None
+    return results, verdict.holds
 
 
-def cmd_sysid(args) -> tuple[dict, bool, dict | None]:
-    cfg = _load_config(args)
+def cmd_sysid(args, cfg: dict) -> tuple[dict, bool]:
     model = _model_from(cfg)
     xu = _optional_box(cfg, "domain", model.x_box).product(
         _optional_box(cfg, "input_box", model.u_box))
@@ -697,13 +677,8 @@ def cmd_sysid(args) -> tuple[dict, bool, dict | None]:
     omega = sample_controller(BatchOracle(field_oracle), grid, n)
     interp = build_interpolant(grid, omega, k_field)
     bound = sysid_size(n, m, xu.extent(), eta)
-    try:
-        net = compile_tll(interp, bound)
-        desc = arch_descriptor(net)
-    except _AUDIT_ERRORS as exc:
-        return {"error": str(exc)}, False, cfg
-    ipath = _write_artifact(args, "sysid_interpolant.json", interp.to_json())
-    npath = _write_artifact(args, "sysid_network.json", export_network(net))
+    net = compile_tll(interp, bound)
+    desc = arch_descriptor(net)
     budget = _budget_from(cfg) if "budget" in cfg else None
     results = {
         "model": model.name,
@@ -712,19 +687,18 @@ def cmd_sysid(args) -> tuple[dict, bool, dict | None]:
         "size_bound": bound,
         "bank_sizes": [lat.size for lat in net.outputs],
         "descriptor": desc.to_json(),
-        "interpolant_file": ipath,
-        "network_file": npath,
+        "interpolant_file": _write_artifact(args, "sysid_interpolant.json", interp.to_json()),
+        "network_file": _write_artifact(args, "sysid_network.json", export_network(net)),
     }
     if budget is not None:
         results["deviation_budget"] = float_to_hex(
             sysid_budget(compute_sizing(budget, xu).mu, budget.k_x, budget.k_u,
                          budget.k_cont, budget.tau)
         )
-    passed = all(lat.size <= bound for lat in net.outputs)
-    return results, passed, cfg
+    return results, True
 
 
-def cmd_export(args) -> tuple[dict, bool, dict | None]:
+def cmd_export(args, cfg: dict) -> tuple[dict, bool]:
     net = import_network(load_json(args.artifact))
     if args.expanded:
         relu = expand_relu_layers(net)
@@ -738,31 +712,32 @@ def cmd_export(args) -> tuple[dict, bool, dict | None]:
             "out_w": rows_to_hex(relu.out_w),
             "out_b": vec_to_hex(relu.out_b),
         }
-        path = _write_artifact(args, "relu.json", obj)
         results = {
             "expanded": True,
             "shapes": relu.shapes(),
             "neurons": int(sum(W.shape[0] for W, _ in relu.layers)),
-            "file": path,
+            "file": _write_artifact(args, "relu.json", obj),
         }
     else:
-        path = _write_artifact(args, "network_canonical.json", export_network(net))
         results = {
             "expanded": False,
             "outputs": net.m,
             "bank_sizes": [lat.size for lat in net.outputs],
-            "file": path,
+            "file": _write_artifact(args, "network_canonical.json", export_network(net)),
         }
-    return results, True, None
+    return results, True
 
 
 # -- entry point ----------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON configuration file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the probe seed from the config")
+def _add_common(sub: argparse.ArgumentParser, config: bool = True, seed: bool = False) -> None:
+    """``--out``, plus ``--config`` and ``--seed`` for a subcommand that reads them."""
+    if config:
+        sub.add_argument("--config", help="JSON configuration file")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the probe seed from the config")
     sub.add_argument("--out", default=".", help="output directory for artifacts/reports")
 
 
@@ -796,20 +771,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["approx", "lipschitz", "continuity", "tll-equiv", "regions"])
     p.add_argument("--network", help="network JSON file (tll-equiv, regions)")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("audit", help="closed-loop audits on a model")
     p.add_argument("--which", required=True, choices=["invariance", "gronwall", "sysid"])
     p.add_argument("--network", help="compiled network JSON file")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_audit)
 
     p = subs.add_parser("ads-check", help="approximate simulation between two systems")
     p.add_argument("ts_a", help="left transition-system JSON file")
     p.add_argument("ts_b", help="right transition-system JSON file")
     p.add_argument("--delta", type=float, required=True, help="disturbance bound")
-    _add_common(p)
+    _add_common(p, config=False)
     p.set_defaults(func=cmd_ads_check)
 
     p = subs.add_parser("sysid", help="build a field surrogate over the state-input box")
@@ -820,20 +795,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("artifact", help="network JSON file")
     p.add_argument("--expanded", action="store_true",
                    help="materialize explicit ReLU layers")
-    _add_common(p)
+    _add_common(p, config=False)
     p.set_defaults(func=cmd_export)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: its report and exit code, or the ``_EXIT_TABLE``
-    code and a one-line message for what ended it early."""
+    """Run one subcommand on its ``--config``: its report and exit code, a
+    failing report with the ``error`` for an ``_AUDIT_ERRORS`` guarantee
+    that does not hold, or the ``_EXIT_TABLE`` code and a one-line message
+    for what else ended it early."""
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        results, passed, config_echo = args.func(args)
-        return _emit(args, results, passed, config_echo, started)
+        cfg = _load_config(args)
+        try:
+            results, passed = args.func(args, cfg or {})
+        except _AUDIT_ERRORS as exc:
+            results, passed = {"error": str(exc)}, False
+        return _emit(args, results, passed, cfg, started)
     except Exception as exc:
         for kinds, code, prefix in _EXIT_TABLE:
             if isinstance(exc, kinds):

@@ -22,6 +22,10 @@ from .serialize import float_to_hex, hex_to_float, hex_to_vec, is_int, require_k
 #: factorial growth guard: n! hypercube dissections above this are refused
 DEFAULT_DIMENSION_CAP = 6
 
+#: how far, in lattice units, ``locate_batch`` accepts a point past the
+#: hypercube union's outer faces as float dust
+LOCATE_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Box:
@@ -59,14 +63,6 @@ class Box:
     def extent(self) -> float:
         """Largest side length (the quantity the size formulas consume)."""
         return float(np.max(self.widths))
-
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        """Elementwise membership test for points of shape (..., n)."""
-        x = np.asarray(x, dtype=float)
-        return np.logical_and(
-            (x >= self.lower - tol).all(axis=-1),
-            (x <= self.upper + tol).all(axis=-1),
-        )
 
     def product(self, other: "Box") -> "Box":
         """Cartesian product box (state box times input box)."""
@@ -278,7 +274,7 @@ def permutation_rank_batch(sigmas: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def locate_batch(X: np.ndarray, grid: EtaGrid, slack: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def locate_batch(X: np.ndarray, grid: EtaGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized location of many points.
 
     Returns (cells, perm_ranks, t): integer cells (P, n), lexicographic
@@ -286,16 +282,17 @@ def locate_batch(X: np.ndarray, grid: EtaGrid, slack: float = 1e-9) -> tuple[np.
     shared face go to the cell with the smaller minimal corner (exact
     integer lattice coordinates step down), clamped into the union; ranks
     come from the ascending stable argsort, so ties break by ascending
-    index.  ``slack`` (in lattice units) absorbs float dust at the outer
-    boundary; beyond it the point is outside the union.
+    index.  ``LOCATE_SLACK`` (in lattice units) absorbs float dust at the
+    outer boundary; beyond it the point is outside the union.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != grid.dimension:
         raise OutsideDomain("batch must have shape (P, n)")
     c = (X - grid.anchor) / grid.eta
     counts = np.asarray(grid.axis_counts)
-    if (c < -1.0 - slack).any() or (c > counts + slack).any():
-        bad = np.where((c < -1.0 - slack).any(axis=1) | (c > counts + slack).any(axis=1))[0]
+    lo, hi = -1.0 - LOCATE_SLACK, counts + LOCATE_SLACK
+    if (c < lo).any() or (c > hi).any():
+        bad = np.where((c < lo).any(axis=1) | (c > hi).any(axis=1))[0]
         raise OutsideDomain(f"{bad.size} points leave the hypercube union (first: {X[bad[0]].tolist()})")
     cells = np.floor(c).astype(np.int64)
     cells[c == cells] -= 1  # face points take the lower cell

@@ -16,6 +16,10 @@ from .errors import NonPositiveBudget
 from .geometry import Box
 from .serialize import float_to_hex
 
+#: relative amount by which the sizing audit shrinks mu before re-deriving
+#: the defining inequality, to record that the strict bound holds
+STRICT_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class SpecBudget:
@@ -142,7 +146,6 @@ class SizingResult:
     n: int
     control_size: int
     hypercube_bound: int
-    margin: float
     sysid: dict | None = None
     audit: list[dict] = field(default_factory=list)
 
@@ -154,7 +157,7 @@ class SizingResult:
             "dimension": self.n,
             "controller_size": self.control_size,
             "hypercube_count_bound": self.hypercube_bound,
-            "strict_margin": float_to_hex(self.margin),
+            "strict_margin": float_to_hex(STRICT_MARGIN),
             "audit": self.audit,
         }
         if self.sysid is not None:
@@ -167,13 +170,12 @@ def compute_sizing(
     domain: Box,
     sysid_box: Box | None = None,
     eta_override: float | None = None,
-    margin: float = 1e-9,
 ) -> SizingResult:
     """Run the full sizing chain for a domain box.
 
     mu and eta come from the budget (eta optionally overridden), sizes from
     the exact counting formulas.  The audit trail re-derives the defining
-    inequality at mu*(1-margin) to record that the strict bound holds.
+    inequality at mu*(1-STRICT_MARGIN) to record that the strict bound holds.
     """
     n = domain.dimension
     mu = mu_max(budget)
@@ -206,7 +208,7 @@ def compute_sizing(
         "value": size,
     })
     if math.isfinite(mu):
-        recheck = gronwall_bound(mu * (1.0 - margin), budget.k_x, budget.k_u,
+        recheck = gronwall_bound(mu * (1.0 - STRICT_MARGIN), budget.k_x, budget.k_u,
                                  budget.exponent_multiplier * budget.k_cont, budget.tau)
         audit.append({
             "quantity": "defining_inequality",
@@ -228,4 +230,4 @@ def compute_sizing(
             "formula": "(n+m)! * ceil(ext_xu/eta + 2)^(n+m)",
         }
         audit.append({"quantity": "sysid_size", "formula": sysid["formula"], "value": s_size})
-    return SizingResult(budget, mu, eta, n, size, bound_cubes, margin, sysid, audit)
+    return SizingResult(budget, mu, eta, n, size, bound_cubes, sysid, audit)

@@ -3,9 +3,12 @@ report determinism, and exit codes."""
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from tllsynth import (
 )
 from tllsynth.cli import main
 from tllsynth.dynamics import FiniteTransitionSystem
-from tllsynth.errors import OracleFailure
+from tllsynth.errors import DiscontinuityDetected, OracleFailure
 from tllsynth.geometry import EtaGrid
 from tllsynth.serialize import dump_json, load_json, rows_to_hex
 
@@ -115,8 +118,10 @@ def test_size_nonpositive_delta_is_config_error(tmp_path):
     assert not (tmp_path / "size_report.json").exists()
 
 
-def test_missing_and_malformed_config(tmp_path):
-    assert main(["size", "--out", str(tmp_path)]) == 2
+def test_missing_and_malformed_config(tmp_path, capsys):
+    for argv in (["size"], ["grid"], ["build"], ["audit", "--which", "invariance"], ["sysid"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2, argv[0]
+        assert "needs --config" in capsys.readouterr().err
     assert main(["size", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
     broken = tmp_path / "broken.json"
@@ -232,15 +237,6 @@ def test_build_nonpositive_m_is_config_error(tmp_path):
     for m in (0, -1):
         cfg_obj = _affine_build_cfg({"kind": "builtin", "name": "zero"})
         cfg_obj["m"] = m
-        cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
-        assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert not (tmp_path / "build_report.json").exists()
-
-
-def test_pendulum_damping_oracle_needs_two_inputs_one_output(tmp_path):
-    for extra in ({"m": 2}, {"domain": {"lower": [0.0] * 3, "upper": [1.0] * 3}}):
-        cfg_obj = _affine_build_cfg({"kind": "builtin", "name": "pendulum_damping"})
-        cfg_obj.update(extra)
         cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
         assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "build_report.json").exists()
@@ -460,7 +456,18 @@ def test_constant_chain_approximates_exactly(tmp_path):
     assert rep["results"]["value"] <= 1e-9
 
 
-def test_verify_failures_exit_one(tmp_path):
+def _assert_audit_error_report(out, name, capsys, which=None):
+    """The report a guarantee that does not hold leaves: failing, with the
+    error (and the check), and nothing on stderr."""
+    rep = _report(out, name)
+    assert rep["pass"] is False
+    assert set(rep["results"]) == ({"error"} if which is None else {"error", "which"})
+    assert rep["results"].get("which") == which
+    assert rep["results"]["error"]
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_failures_exit_one(tmp_path, capsys):
     out = _run_affine_chain(
         tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
     interp = str(out / "interpolant.json")
@@ -476,9 +483,10 @@ def test_verify_failures_exit_one(tmp_path):
     assert rep["pass"] is False and rep["results"]["value"] > 1e-3
     # gradient dual norm 0.75 exceeds a 0.5 budget
     tight = _write_cfg(tmp_path / "tight.json", {"lipschitz_bound": 0.5})
+    capsys.readouterr()
     assert main(["verify", interp, "--which", "lipschitz",
                  "--config", tight, "--out", str(out)]) == 1
-    assert _report(out, "verify_lipschitz_report.json")["pass"] is False
+    _assert_audit_error_report(out, "verify_lipschitz_report.json", capsys, "lipschitz")
     # tll-equiv without a network file is a config error
     assert main(["verify", interp, "--which", "tll-equiv",
                  "--out", str(out)]) == 2
@@ -584,7 +592,21 @@ def test_verify_rejects_the_tolerances_section(tmp_path, capsys):
     assert "value scale" in capsys.readouterr().err
 
 
-def test_compile_bound_gate(tmp_path):
+def test_verify_continuity_failure_writes_a_failing_report(tmp_path, capsys, monkeypatch):
+    # no interpolant the library builds is discontinuous, so the check is made to fail
+    out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+
+    def discontinuous(interp):
+        raise DiscontinuityDetected("cell (0, 0), sigma (0, 1), output 0: jump 1")
+
+    monkeypatch.setattr(cli, "continuity_audit", discontinuous)
+    capsys.readouterr()
+    assert main(["verify", str(out / "interpolant.json"), "--which", "continuity",
+                 "--out", str(out)]) == 1
+    _assert_audit_error_report(out, "verify_continuity_report.json", capsys, "continuity")
+
+
+def test_compile_bound_gate(tmp_path, capsys):
     out = _run_affine_chain(
         tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
     interp = str(out / "interpolant.json")
@@ -594,8 +616,11 @@ def test_compile_bound_gate(tmp_path):
     assert rep["results"]["provenance"]["bound_n"] == 32
     # a bank of one affine piece cannot satisfy a zero budget
     zero = _write_cfg(tmp_path / "bound0.json", {"bound_n": 0})
+    (out / "network.json").unlink()
+    capsys.readouterr()
     assert main(["compile", interp, "--config", zero, "--out", str(out)]) == 1
-    assert _report(out, "compile_report.json")["pass"] is False
+    _assert_audit_error_report(out, "compile_report.json", capsys)
+    assert not (out / "network.json").exists()
 
 
 # -- external oracles ------------------------------------------------------------
@@ -919,6 +944,48 @@ def test_every_command_writes_its_named_report(tmp_path, command_inputs, argv, r
     assert _report(out, report)["command"] == argv[0]
 
 
+# a flag each subcommand does not read, after the arguments it needs
+_UNREAD_FLAGS = [
+    ["size", "--seed", "1"],
+    ["grid", "--seed", "1"],
+    ["build", "--seed", "1"],
+    ["compile", "interpolant.json", "--seed", "1"],
+    ["sysid", "--seed", "1"],
+    ["ads-check", "a.json", "b.json", "--delta", "0", "--config", "x.json"],
+    ["ads-check", "a.json", "b.json", "--delta", "0", "--seed", "1"],
+    ["export", "network.json", "--config", "x.json"],
+    ["export", "network.json", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD_FLAGS,
+                         ids=[f"{argv[0]}{argv[-2]}" for argv in _UNREAD_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    # every `tllsynth ...` line of README's sh blocks, continuations joined
+    # and comments stripped, is a command line the parser accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line.split("#", 1)[0].split()
+             for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["tllsynth"]]
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: tllsynth {shlex.join(argv)}")
+
+
 def test_out_under_a_regular_file_is_config_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "cfg.json", _size_cfg())
     assert main(["size", "--config", cfg, "--out", str(tmp_path / "cfg.json" / "run")]) == 2
@@ -937,10 +1004,8 @@ def test_reports_and_artifacts_deterministic(tmp_path):
     names = ("interpolant.json", "network.json", "build_report.json",
              "compile_report.json", "verify_tll_equiv_report.json")
     for round_two in (False, True):
-        assert main(["build", "--config", cfg, "--seed", "11",
-                     "--out", str(out)]) == 0
-        assert main(["compile", str(out / "interpolant.json"),
-                     "--seed", "11", "--out", str(out)]) == 0
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["compile", str(out / "interpolant.json"), "--out", str(out)]) == 0
         assert main(["verify", str(out / "interpolant.json"), "--which",
                      "tll-equiv", "--network", str(out / "network.json"),
                      "--seed", "11", "--out", str(out)]) == 0
@@ -954,7 +1019,31 @@ def test_reports_and_artifacts_deterministic(tmp_path):
         ra, rb = _report(out, name), _report(stash, name)
         ra.pop("timing"), rb.pop("timing")
         assert ra == rb
-        assert ra["seed"] == 11
+        # only verify and audit read --seed; the other reports carry null
+        assert ra["seed"] == (11 if name.startswith("verify") else None)
+
+
+def test_reports_do_not_depend_on_the_out_path(tmp_path):
+    # the same chain into two --out directories whose paths differ in length
+    cfg = _write_cfg(tmp_path / "cfg.json", _affine_build_cfg(
+        {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B}))
+    sysid = _write_cfg(tmp_path / "sysid.json", {"model": "linear_1d", "eta": 0.5})
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "a_longer_output_directory" / "b"):
+        interp, net = str(out / "interpolant.json"), str(out / "network.json")
+        for argv in (["grid", "--config", cfg], ["build", "--config", cfg],
+                     ["compile", interp],
+                     ["verify", interp, "--which", "tll-equiv", "--network", net],
+                     ["sysid", "--config", sysid], ["export", net, "--expanded"]):
+            assert main(argv + ["--out", str(out)]) == 0, argv[0]
+        reports = {path.name: _report(out, path.name) for path in out.glob("*_report.json")}
+        for rep in reports.values():
+            rep.pop("timing")
+        runs.append(reports)
+    assert len(runs[0]) == 6
+    assert runs[0] == runs[1]
+    assert runs[0]["build_report.json"]["results"]["interpolant_file"] == "interpolant.json"
+    assert runs[0]["export_report.json"]["results"]["file"] == "relu.json"
 
 
 def test_every_written_file_is_one_sorted_compact_line(tmp_path):
@@ -1179,6 +1268,16 @@ def test_sysid_build_and_audit(tmp_path):
                  "--config", aud, "--out", str(tmp_path)]) == 0
     rep = _report(tmp_path, "audit_sysid_report.json")
     assert rep["pass"] is True
+
+
+def test_sysid_bound_violation_writes_a_failing_report(tmp_path, capsys, monkeypatch):
+    # the sysid bank never outgrows its size bound, so the bound is made too small
+    monkeypatch.setattr(cli, "sysid_size", lambda n, m, ext, eta: 0)
+    cfg = _write_cfg(tmp_path / "sid.json", {"model": "linear_1d", "eta": 0.5})
+    capsys.readouterr()
+    assert main(["sysid", "--config", cfg, "--out", str(tmp_path)]) == 1
+    _assert_audit_error_report(tmp_path, "sysid_report.json", capsys)
+    assert not list(tmp_path.glob("sysid_*network.json"))
 
 
 @pytest.mark.parametrize("domain", [{}, None], ids=["empty", "null"])

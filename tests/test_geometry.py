@@ -46,12 +46,6 @@ def test_box_validation_and_roundtrip():
     assert np.array_equal(back.upper, box.upper)
 
 
-def test_box_contains_batch():
-    box = Box([0.0, 0.0], [1.0, 1.0])
-    pts = np.array([[0.5, 0.5], [1.2, 0.5], [0.0, 1.0]])
-    assert np.array_equal(box.contains(pts), [True, False, True])
-
-
 # ---------------------------------------------------------------------------
 # eta grids
 # ---------------------------------------------------------------------------
