@@ -109,6 +109,17 @@ _EXIT_TABLE = (
 # subcommands that cannot run without --config
 _NEEDS_CONFIG = frozenset({"size", "grid", "build", "audit", "sysid"})
 
+# config keys no longer read, each with the derived value that replaced it; a
+# config naming one exits 2, so no check runs other than the file asks
+_RETIRED_KEYS = {
+    "tolerances": f"each verify bound is {REL_TOL:g} times the output's value scale",
+    "bound_n": "compile and verify regions use N of the interpolant's grid",
+    "lipschitz_bound": "verify lipschitz checks 3 * K_cont of the interpolant",
+    "k_upsilon": "the gronwall audit uses 3 * the budget's k_cont",
+    "k_psi": "the sysid audit uses the budget's k_cont",
+    "k_field": "sysid uses the model's k_x + k_u",
+}
+
 
 def _load_config(args) -> dict | None:
     """The ``--config`` object; None when the command was run without one."""
@@ -120,6 +131,9 @@ def _load_config(args) -> dict | None:
     obj = load_json(path)
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
+    for key, replacement in _RETIRED_KEYS.items():
+        if key in obj:
+            raise ConfigError(f"'{key}' is no longer read: {replacement}")
     return obj
 
 
@@ -505,7 +519,6 @@ def cmd_build(args, cfg: dict) -> tuple[dict, bool]:
         "num_grid_points": grid.num_points,
         "num_simplexes": interp.num_simplexes,
         "outputs": m,
-        "region_counts": region_count(interp),
         "k_cont": hex_or_none(k_cont),
         "interpolant_file": _write_artifact(args, "interpolant.json", interp.to_json()),
     }
@@ -514,7 +527,7 @@ def cmd_build(args, cfg: dict) -> tuple[dict, bool]:
 
 def cmd_compile(args, cfg: dict) -> tuple[dict, bool]:
     interp = _load_interpolant(args.artifact)
-    net = compile_tll(interp, _number(cfg, "bound_n", kind=int))
+    net = compile_tll(interp)
     desc = arch_descriptor(net)
     results = {
         "descriptor": desc.to_json(),
@@ -553,15 +566,14 @@ def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
 
 
 def cmd_verify(args, cfg: dict) -> tuple[dict, bool]:
-    if "tolerances" in cfg:
-        raise ConfigError(f"'tolerances' is no longer read: every verify bound is {REL_TOL:g} "
-                          "times each output's power-of-two value scale")
     interp = _load_interpolant(args.artifact)
     which = args.which
     if which == "approx":
         results, passed = _verify_approx(args, cfg, interp)
     elif which == "lipschitz":
-        rep = lipschitz_audit(interp, _bound(cfg, "lipschitz_bound"))
+        if interp.k_cont is None:
+            raise ConfigError("lipschitz verification needs an interpolant with K_cont")
+        rep = lipschitz_audit(interp)
         results = {"metric": "max piece gradient dual norm",
                    "value": rep.value, "bound": rep.bound, "pass": True}
         passed = True
@@ -584,14 +596,12 @@ def cmd_verify(args, cfg: dict) -> tuple[dict, bool]:
                    "seed": probes.seed}
     else:  # regions
         counts = region_count(interp)
+        bound = controller_size(interp.n, interp.grid.domain.extent(), interp.grid.eta)
+        bank_sizes = None
         if args.network:
             net = _load_network(args.network, interp.n, interp.m, "the interpolant")
-            bound = net.provenance.get("bound_n")
             bank_sizes = [lat.size for lat in net.outputs]
-        else:
-            bound = controller_size(interp.n, interp.grid.domain.extent(), interp.grid.eta)
-            bank_sizes = None
-        passed = bound is None or all(c <= bound for c in counts)
+        passed = all(c <= bound for c in counts + (bank_sizes or []))
         results = {"metric": "distinct affine regions per output",
                    "value": counts, "bank_sizes": bank_sizes,
                    "bound": bound, "pass": passed}
@@ -637,7 +647,7 @@ def cmd_audit(args, cfg: dict) -> tuple[dict, bool]:
             if args.which == "gronwall":
                 report = deviation_audit(
                     model, psi, net, budget.tau, step, probes.points,
-                    k_upsilon=_number(cfg, "k_upsilon", 3.0 * budget.k_cont),
+                    k_upsilon=3.0 * budget.k_cont,
                     delta=budget.delta, probe_spec=probes.spec,
                 )
             else:
@@ -645,7 +655,7 @@ def cmd_audit(args, cfg: dict) -> tuple[dict, bool]:
                                       random_count, seed)
                 report = sysid_deviation_audit(
                     model, surrogate, psi, budget.tau, step, probes.points,
-                    k_psi=_number(cfg, "k_psi", budget.k_cont), mu_probes=mu_pts.points,
+                    k_psi=budget.k_cont, mu_probes=mu_pts.points,
                     delta=budget.delta, probe_spec=probes.spec,
                 )
     return report.to_json(), report.holds
@@ -667,7 +677,6 @@ def cmd_sysid(args, cfg: dict) -> tuple[dict, bool]:
     xu = _optional_box(cfg, "domain", model.x_box).product(
         _optional_box(cfg, "input_box", model.u_box))
     eta = _resolve_eta(cfg, xu)
-    k_field = _number(cfg, "k_field", model.k_x + model.k_u)
     grid = build_eta_grid(xu, eta)
     n, m = model.n, model.m
 
@@ -675,7 +684,7 @@ def cmd_sysid(args, cfg: dict) -> tuple[dict, bool]:
         return model.field(z[..., :n], z[..., n:])
 
     omega = sample_controller(BatchOracle(field_oracle), grid, n)
-    interp = build_interpolant(grid, omega, k_field)
+    interp = build_interpolant(grid, omega, model.k_x + model.k_u)
     bound = sysid_size(n, m, xu.extent(), eta)
     net = compile_tll(interp, bound)
     desc = arch_descriptor(net)
@@ -763,7 +772,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compile", help="compile an interpolant into a lattice network")
     p.add_argument("artifact", help="interpolant JSON file")
-    _add_common(p)
+    _add_common(p, config=False)
     p.set_defaults(func=cmd_compile)
 
     p = subs.add_parser("verify", help="audit a built artifact")

@@ -120,42 +120,25 @@ def check_delta_tau_invariance(model: ControlSystemModel, controller, delta: flo
     edge, core = np.flatnonzero(in_edge), np.flatnonzero(~in_edge)
     times, states, _ = rk4_closed_loop(model, controller, pts, tau, step)
     margin = boundary_margin(box, states) - delta  # (S+1, P)
+    margin[:-1, edge] = np.inf     # an edge start is judged at tau only
+    node = margin.argmin(axis=0)   # each start's worst node
+    worst = margin[node, np.arange(len(pts))]
+    worst_edge = float(worst[edge].min()) if edge.size else None
+    worst_core = float(worst[core].min()) if core.size else None
     tol = _slack(box.lower, box.upper)
-    violations: list[dict] = []
 
-    worst_edge = None
-    if edge.size:
-        end_margin = margin[-1, edge]
-        worst_edge = float(end_margin.min())
-        for idx in np.argsort(end_margin):
-            if end_margin[idx] >= -tol or len(violations) >= _MAX_VIOLATIONS:
+    # the worst starts below -tol, edge starts first; ties in start order
+    violations: list[dict] = []
+    for kind, group in (("edge-endpoint", edge), ("core-node", core)):
+        for p in group[np.argsort(worst[group], kind="stable")]:
+            if worst[p] >= -tol or len(violations) >= _MAX_VIOLATIONS:
                 break
             violations.append({
-                "kind": "edge-endpoint",
-                "start": pts[edge[idx]].tolist(),
-                "time": float(times[-1]),
-                "state": states[-1, edge[idx]].tolist(),
-                "shortfall": float(-end_margin[idx]),
-            })
-
-    worst_core = None
-    if core.size:
-        node_margin = margin[:, core]
-        worst_core = float(node_margin.min())
-        bad = np.argwhere(node_margin < -tol)
-        order = np.argsort(node_margin[bad[:, 0], bad[:, 1]]) if bad.size else []
-        seen: set[int] = set()
-        for k in order:
-            s, p = map(int, bad[k])
-            if p in seen or len(violations) >= _MAX_VIOLATIONS:
-                continue
-            seen.add(p)
-            violations.append({
-                "kind": "core-node",
-                "start": pts[core[p]].tolist(),
-                "time": float(times[s]),
-                "state": states[s, core[p]].tolist(),
-                "shortfall": float(-node_margin[s, p]),
+                "kind": kind,
+                "start": pts[p].tolist(),
+                "time": float(times[node[p]]),
+                "state": states[node[p], p].tolist(),
+                "shortfall": float(-worst[p]),
             })
 
     return InvarianceReport(

@@ -29,6 +29,7 @@ from tllsynth import (
     lipschitz_audit,
     sample_controller,
     sysid_size,
+    tll,
 )
 from tllsynth.cli import main
 from tllsynth.dynamics import FiniteTransitionSystem
@@ -149,21 +150,17 @@ _ZERO_APPROX = {"mu": 1e-9, "oracle": {"kind": "builtin", "name": "zero"}}
     ("verify", dict(_ZERO_APPROX, mu=float("inf"))),   # JSON Infinity
     ("verify", dict(_ZERO_APPROX, mu=float("nan"))),   # JSON NaN
     ("verify", dict(_ZERO_APPROX, mu=-1)),             # a bound nothing meets
-    ("compile", {"bound_n": {}}),
-    ("compile", {"bound_n": 31.9}),
 ], ids=["size-null-k_x", "size-list-eta", "grid-list-eta", "grid-string-eta", "grid-bool-eta",
         "grid-huge-int-eta", "verify-scalar-tolerances", "verify-list-tolerance",
-        "verify-list-per_axis", "verify-infinite-mu", "verify-nan-mu", "verify-negative-mu",
-        "compile-object-bound_n", "compile-float-bound_n"])
+        "verify-list-per_axis", "verify-infinite-mu", "verify-nan-mu", "verify-negative-mu"])
 def test_wrong_config_value_types_are_config_errors(tmp_path, command, cfg_obj):
     cfg = _write_cfg(tmp_path / "cfg.json", cfg_obj)
     argv = [command, "--config", cfg, "--out", str(tmp_path)]
-    if command in ("verify", "compile"):
+    if command == "verify":
         out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
-        argv[1:1] = [str(out / "interpolant.json")]
-        if command == "verify":
-            # only approx of these checks reads probes, and it needs mu and an oracle
-            argv[2:2] = ["--which", "approx" if "mu" in cfg_obj else "continuity"]
+        # only approx of these checks reads probes, and it needs mu and an oracle
+        argv[1:1] = [str(out / "interpolant.json"), "--which",
+                     "approx" if "mu" in cfg_obj else "continuity"]
     assert main(argv) == 2
     assert not list(tmp_path.glob("*_report.json"))
 
@@ -199,9 +196,10 @@ def test_constant_oracle_gives_one_region(tmp_path):
     cfg = _write_cfg(tmp_path / "cfg.json",
                      _affine_build_cfg({"kind": "builtin", "name": "zero"}))
     assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 0
-    rep = _report(tmp_path, "build_report.json")
-    assert rep["results"]["region_counts"] == [1]
-    assert rep["results"]["num_grid_points"] == 4
+    assert _report(tmp_path, "build_report.json")["results"]["num_grid_points"] == 4
+    assert main(["verify", str(tmp_path / "interpolant.json"), "--which", "regions",
+                 "--out", str(tmp_path)]) == 0
+    assert _report(tmp_path, "verify_regions_report.json")["results"]["value"] == [1]
 
 
 def test_build_without_oracle_is_config_error(tmp_path):
@@ -398,10 +396,6 @@ def _selector_masses(report, network) -> tuple[list[int], list[int]]:
 def test_affine_chain_and_verifications(tmp_path):
     out = _run_affine_chain(
         tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
-    build = _report(out, "build_report.json")
-    # boundary corners take the min over neighboring grid values, which sits
-    # below a non-constant plane, so edge cells split off their own regions
-    assert build["results"]["region_counts"] == [12]
     comp = _report(out, "compile_report.json")
     assert comp["pass"] is True
     assert (out / "network.json").exists()
@@ -436,6 +430,8 @@ def test_affine_chain_and_verifications(tmp_path):
     assert main(["verify", interp, "--which", "regions",
                  "--config", vcfg, "--out", str(out)]) == 0
     reg = _report(out, "verify_regions_report.json")
+    # boundary corners take the min over neighboring grid values, which sits
+    # below a non-constant plane, so edge cells split off their own regions
     assert reg["results"]["value"] == [12]
     assert reg["results"]["bound"] == 32  # 2! * ceil(1/0.5 + 2)^2
 
@@ -481,11 +477,15 @@ def test_verify_failures_exit_one(tmp_path, capsys):
                  "--config", mism, "--out", str(out)]) == 1
     rep = _report(out, "verify_approx_report.json")
     assert rep["pass"] is False and rep["results"]["value"] > 1e-3
-    # gradient dual norm 0.75 exceeds a 0.5 budget
-    tight = _write_cfg(tmp_path / "tight.json", {"lipschitz_bound": 0.5})
+    # gradient dual norm 0.75 exceeds 3 K_cont = 0.5
+    tight = _write_cfg(tmp_path / "tight.json", dict(
+        _affine_build_cfg({"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B}),
+        k_cont=0.5 / 3.0))
+    tout = tmp_path / "tight"
+    assert main(["build", "--config", tight, "--out", str(tout)]) == 0
     capsys.readouterr()
-    assert main(["verify", interp, "--which", "lipschitz",
-                 "--config", tight, "--out", str(out)]) == 1
+    assert main(["verify", str(tout / "interpolant.json"), "--which", "lipschitz",
+                 "--out", str(out)]) == 1
     _assert_audit_error_report(out, "verify_lipschitz_report.json", capsys, "lipschitz")
     # tll-equiv without a network file is a config error
     assert main(["verify", interp, "--which", "tll-equiv",
@@ -505,30 +505,15 @@ def test_verify_approx_checks_the_oracle_reply_like_build(tmp_path):
     assert not (out / "verify_approx_report.json").exists()
 
 
-def _steep_affine_interpolant(tmp_path):
-    """An interpolant of x -> 100 x + 100 y, whose gradient dual norm is 200."""
-    out = _run_affine_chain(
-        tmp_path, {"kind": "builtin", "name": "affine", "W": [[100.0, 100.0]], "b": [0.0]})
-    return str(out / "interpolant.json"), str(out)
-
-
-def test_verify_lipschitz_nan_bound_is_config_error(tmp_path):
-    interp, out = _steep_affine_interpolant(tmp_path)
-    one = _write_cfg(tmp_path / "one.json", {"lipschitz_bound": 1.0})
-    assert main(["verify", interp, "--which", "lipschitz", "--config", one, "--out", out]) == 1
-    for bad in (float("nan"), -1):
-        cfg = _write_cfg(tmp_path / "bad.json", {"lipschitz_bound": bad})
-        assert main(["verify", interp, "--which", "lipschitz", "--config", cfg,
-                     "--out", out]) == 2
-
-
 @pytest.mark.parametrize("where", ["K_cont", "eta"])
 def test_integer_beyond_float_range_in_interpolant_is_schema_error(tmp_path, capsys, where):
-    interp, out = _steep_affine_interpolant(tmp_path)
+    out = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": [[100.0, 100.0]], "b": [0.0]})
+    interp = str(out / "interpolant.json")
     obj = load_json(interp)
     (obj if where == "K_cont" else obj["grid"])[where] = 10 ** 400
     dump_json(obj, interp)
-    assert main(["verify", interp, "--which", "lipschitz", "--out", out]) == 2
+    assert main(["verify", interp, "--which", "lipschitz", "--out", str(out)]) == 2
     assert "too large for a float" in capsys.readouterr().err
 
 
@@ -584,6 +569,33 @@ def test_verify_lipschitz_slack_follows_the_bound(tmp_path):
     assert _report(tmp_path, "verify_lipschitz_report.json")["pass"] is False
 
 
+def test_verify_lipschitz_needs_k_cont(tmp_path, capsys):
+    # with no K_cont there is no bound to check the slopes against
+    _, it, _ = _sinusoid_artifacts(tmp_path, 1.0)
+    assert main(["verify", it, "--which", "lipschitz", "--out", str(tmp_path)]) == 2
+    assert "needs an interpolant with K_cont" in capsys.readouterr().err
+    assert not (tmp_path / "verify_lipschitz_report.json").exists()
+
+
+def test_verify_regions_checks_the_network_banks_against_n(tmp_path):
+    out = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
+    regions = ["verify", str(out / "interpolant.json"), "--which", "regions",
+               "--out", str(out)]
+    assert main(regions + ["--network", str(out / "network.json")]) == 0
+    rep = _report(out, "verify_regions_report.json")["results"]
+    assert rep["value"] == rep["bank_sizes"] == [12] and rep["bound"] == 32
+    # a network compiled on a finer grid holds more pieces than this grid's N,
+    # whatever bound_N its own provenance names
+    (tmp_path / "fine").mkdir()
+    _, _, fine = _sinusoid_artifacts(tmp_path / "fine", 1.0)
+    assert load_json(fine)["provenance"]["bound_N"] > 32
+    assert main(regions + ["--network", fine]) == 1
+    rep = _report(out, "verify_regions_report.json")["results"]
+    assert rep["value"] == [12] and rep["bound"] == 32 < rep["bank_sizes"][0]
+    assert rep["pass"] is False
+
+
 def test_verify_rejects_the_tolerances_section(tmp_path, capsys):
     out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
     cfg = _write_cfg(tmp_path / "cfg.json", {"tolerances": {"eval": 1e-6}})
@@ -606,19 +618,17 @@ def test_verify_continuity_failure_writes_a_failing_report(tmp_path, capsys, mon
     _assert_audit_error_report(out, "verify_continuity_report.json", capsys, "continuity")
 
 
-def test_compile_bound_gate(tmp_path, capsys):
+def test_compile_bound_gate(tmp_path, capsys, monkeypatch):
     out = _run_affine_chain(
         tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
     interp = str(out / "interpolant.json")
-    ok = _write_cfg(tmp_path / "bound32.json", {"bound_n": 32})
-    assert main(["compile", interp, "--config", ok, "--out", str(out)]) == 0
-    rep = _report(out, "compile_report.json")
-    assert rep["results"]["provenance"]["bound_n"] == 32
-    # a bank of one affine piece cannot satisfy a zero budget
-    zero = _write_cfg(tmp_path / "bound0.json", {"bound_n": 0})
+    # N of the interpolant's grid: 2! * ceil(1/0.5 + 2)^2
+    assert _report(out, "compile_report.json")["results"]["provenance"]["bound_n"] == 32
+    # no compiled bank fits in N, so N is made too small
+    monkeypatch.setattr(tll, "controller_size", lambda n, ext, eta: 0)
     (out / "network.json").unlink()
     capsys.readouterr()
-    assert main(["compile", interp, "--config", zero, "--out", str(out)]) == 1
+    assert main(["compile", interp, "--out", str(out)]) == 1
     _assert_audit_error_report(out, "compile_report.json", capsys)
     assert not (out / "network.json").exists()
 
@@ -910,7 +920,7 @@ def command_inputs(tmp_path_factory):
             "model": "linear_1d",
             "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 0.5, "tau": 0.5, "delta": 0.5},
             "oracle": {"kind": "builtin", "name": "affine", "W": [[-0.5]], "b": [0.0]},
-            "k_psi": 0.5, "probes": {"per_axis": 3}}),
+            "probes": {"per_axis": 3}}),
         "ts": _ts_file(tmp / "ts.json", [[0.0]], {(0, "go", 0)}),
         "sysid": sysid,
     }
@@ -949,6 +959,7 @@ _UNREAD_FLAGS = [
     ["size", "--seed", "1"],
     ["grid", "--seed", "1"],
     ["build", "--seed", "1"],
+    ["compile", "interpolant.json", "--config", "x.json"],
     ["compile", "interpolant.json", "--seed", "1"],
     ["sysid", "--seed", "1"],
     ["ads-check", "a.json", "b.json", "--delta", "0", "--config", "x.json"],
@@ -967,6 +978,48 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, 
     assert exc.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
     assert not out.exists()
+
+
+# each retired config key, with a command that read it and the fixture
+# config that command passes with
+_RETIRED = [
+    ("tolerances", ["verify", "{interp}", "--which", "continuity"], "verify"),
+    ("bound_n", ["verify", "{interp}", "--which", "regions"], "verify"),
+    ("lipschitz_bound", ["verify", "{interp}", "--which", "lipschitz"], "verify"),
+    ("k_upsilon", ["audit", "--which", "gronwall", "--network", "{ctrl}"], "audit"),
+    ("k_psi", ["audit", "--which", "sysid", "--network", "{surrogate}"], "audit"),
+    ("k_field", ["sysid"], "sysid"),
+]
+
+
+def test_every_retired_key_has_a_case():
+    assert [key for key, _, _ in _RETIRED] == list(cli._RETIRED_KEYS)
+
+
+@pytest.mark.parametrize("key, argv, base", _RETIRED, ids=[key for key, _, _ in _RETIRED])
+def test_a_retired_config_key_is_config_error(tmp_path, capsys, command_inputs, key, argv,
+                                              base):
+    # the derived value that replaced the key is named, and nothing is written
+    cfg = _write_cfg(tmp_path / "cfg.json", {**load_json(command_inputs[base]), key: 1.0})
+    out = tmp_path / "out"
+    argv = [arg.format(**command_inputs) for arg in argv]
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' is no longer read: {cli._RETIRED_KEYS[key]}" in err
+    assert not out.exists()
+
+
+def test_readme_names_every_config_key_cli_reads():
+    # the top-level keys cli.py reads, collected from its source
+    source = Path(cli.__file__).read_text()
+    keys = set(re.findall(r'(?:_number|_bound|_box_from|_optional_box)\(cfg, "(\w+)"', source))
+    keys |= set(re.findall(r'cfg\.get\("(\w+)"', source))
+    keys |= set(re.findall(r'"(\w+)" in cfg\b', source))
+    assert {"budget", "domain", "input_box", "eta", "mu", "step", "oracle", "probes"} <= keys
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for key in keys:
+        assert f"`{key}`" in readme or f'`"{key}"`' in readme, key
+        assert key not in cli._RETIRED_KEYS, key
 
 
 def test_readme_command_lines_parse():
@@ -1240,7 +1293,6 @@ def test_sysid_build_and_audit(tmp_path):
     cfg = _write_cfg(tmp_path / "sid.json", {
         "model": "linear_1d",
         "eta": 0.5,
-        "k_field": 2.0,
         "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 0.5, "tau": 0.5, "delta": 0.5},
     })
     assert main(["sysid", "--config", cfg, "--out", str(sid)]) == 0
@@ -1260,7 +1312,6 @@ def test_sysid_build_and_audit(tmp_path):
         "model": "linear_1d",
         "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 0.5, "tau": 0.5, "delta": 0.5},
         "oracle": {"kind": "builtin", "name": "affine", "W": [[-0.5]], "b": [0.0]},
-        "k_psi": 0.5,
         "probes": {"per_axis": 5},
     })
     assert main(["audit", "--which", "sysid",

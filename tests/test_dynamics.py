@@ -280,6 +280,16 @@ def test_invariance_interior_node_violations_detected():
     assert any(v["kind"] == "core-node" for v in report.violations)
 
 
+def test_invariance_lists_tied_violations_in_start_order():
+    # the unforced pendulum is odd-symmetric, so mirrored starts tie exactly;
+    # edge starts come first, each group worst first, ties by start index
+    report = check_delta_tau_invariance(pendulum(), ZERO, delta=0.05, tau=0.25, per_axis=5)
+    listed = [(v["kind"] == "core-node", -v["shortfall"], v["start"]) for v in report.violations]
+    assert len(listed) == 10
+    assert listed == sorted(listed)
+    assert sum(a[:2] == b[:2] for a, b in zip(listed, listed[1:])) >= 4
+
+
 def test_invariance_edge_consumes_domain():
     model = _scalar_model(lambda x, u: -x, x_span=1.0)
     report = check_delta_tau_invariance(model, ZERO, delta=1.2, tau=0.5,
