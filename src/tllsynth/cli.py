@@ -72,8 +72,7 @@ from .sizing import (
     compute_sizing,
     controller_size,
     hypercube_count_bound,
-    sysid_budget,
-    sysid_size,
+    mu_max,
 )
 from .tll import (
     SHAPE_CONVENTION,
@@ -528,9 +527,8 @@ def cmd_build(args, cfg: dict) -> tuple[dict, bool]:
 def cmd_compile(args, cfg: dict) -> tuple[dict, bool]:
     interp = _load_interpolant(args.artifact)
     net = compile_tll(interp)
-    desc = arch_descriptor(net)
     results = {
-        "descriptor": desc.to_json(),
+        "descriptor": arch_descriptor(net),
         "network_file": _write_artifact(args, "network.json", export_network(net)),
         "provenance": {
             "eta": hex_or_none(net.provenance.get("eta")),
@@ -546,7 +544,7 @@ def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
     if mu is None:
         if "budget" not in cfg:
             raise ConfigError("approx verification needs 'mu' or a 'budget'")
-        mu = compute_sizing(_budget_from(cfg), interp.grid.domain).mu
+        mu = mu_max(_budget_from(cfg))
     oracle = _resolve_oracle(cfg, interp.n, interp.m)
     per_axis, random_count, seed = _probe_settings(cfg, args)
     probes = build_probes(interp.grid.domain, per_axis, random_count, seed)
@@ -571,8 +569,6 @@ def cmd_verify(args, cfg: dict) -> tuple[dict, bool]:
     if which == "approx":
         results, passed = _verify_approx(args, cfg, interp)
     elif which == "lipschitz":
-        if interp.k_cont is None:
-            raise ConfigError("lipschitz verification needs an interpolant with K_cont")
         rep = lipschitz_audit(interp)
         results = {"metric": "max piece gradient dual norm",
                    "value": rep.value, "bound": rep.bound, "pass": True}
@@ -674,36 +670,32 @@ def cmd_ads_check(args, cfg: dict) -> tuple[dict, bool]:
 
 def cmd_sysid(args, cfg: dict) -> tuple[dict, bool]:
     model = _model_from(cfg)
-    xu = _optional_box(cfg, "domain", model.x_box).product(
-        _optional_box(cfg, "input_box", model.u_box))
+    x_box = _optional_box(cfg, "domain", model.x_box)
+    u_box = _optional_box(cfg, "input_box", model.u_box)
+    xu = x_box.product(u_box)
     eta = _resolve_eta(cfg, xu)
     grid = build_eta_grid(xu, eta)
-    n, m = model.n, model.m
+    n = model.n
 
     def field_oracle(z):
         return model.field(z[..., :n], z[..., n:])
 
     omega = sample_controller(BatchOracle(field_oracle), grid, n)
     interp = build_interpolant(grid, omega, model.k_x + model.k_u)
-    bound = sysid_size(n, m, xu.extent(), eta)
-    net = compile_tll(interp, bound)
-    desc = arch_descriptor(net)
-    budget = _budget_from(cfg) if "budget" in cfg else None
+    net = compile_tll(interp)
+    sizing = compute_sizing(_budget_from(cfg), x_box, u_box, eta) if "budget" in cfg else None
     results = {
         "model": model.name,
         "eta": float_to_hex(eta),
         "grid_points": grid.num_points,
-        "size_bound": bound,
+        "size_bound": net.provenance["bound_n"],
         "bank_sizes": [lat.size for lat in net.outputs],
-        "descriptor": desc.to_json(),
+        "descriptor": arch_descriptor(net),
         "interpolant_file": _write_artifact(args, "sysid_interpolant.json", interp.to_json()),
         "network_file": _write_artifact(args, "sysid_network.json", export_network(net)),
     }
-    if budget is not None:
-        results["deviation_budget"] = float_to_hex(
-            sysid_budget(compute_sizing(budget, xu).mu, budget.k_x, budget.k_u,
-                         budget.k_cont, budget.tau)
-        )
+    if sizing is not None:
+        results["deviation_budget"] = sizing.sysid["deviation_bound"]
     return results, True
 
 

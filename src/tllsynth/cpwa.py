@@ -413,21 +413,25 @@ class LipschitzReport:
     """Gradient dual-norm audit of all pieces."""
 
     value: float
-    bound: float | None
+    bound: float
 
 
 def lipschitz_audit(interp: CpwaInterpolant, bound: float | None = None) -> LipschitzReport:
     """Max over pieces of sum_i |w_i|, checked against the bound.
 
-    The default bound is 3 * k_cont when the interpolant declares k_cont.
+    The default bound is 3 * k_cont of the interpolant; with neither a
+    bound nor k_cont there is nothing to check, which raises ``ValueError``.
     Exceeding ``bound * (1 + REL_TOL)`` raises ``BudgetExceeded`` naming
     the offending simplex and output.
     """
-    if bound is None and interp.k_cont is not None:
+    if bound is None:
+        if interp.k_cont is None:
+            raise ValueError(
+                "lipschitz audit needs an interpolant with K_cont or an explicit bound")
         bound = 3.0 * interp.k_cont
     dual = np.abs(interp.W).sum(axis=3)          # (C, n!, m)
     report = LipschitzReport(float(dual.max()), bound)
-    if bound is not None and report.value > bound * (1.0 + REL_TOL):
+    if report.value > bound * (1.0 + REL_TOL):
         c, f, j = np.unravel_index(int(np.argmax(dual)), dual.shape)
         raise BudgetExceeded(
             f"piece gradient dual norm {report.value:.6g} exceeds bound {bound:.6g} at cell "

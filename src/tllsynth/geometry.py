@@ -92,7 +92,7 @@ def _lattice(dims: tuple[int, ...]) -> np.ndarray:
 class EtaGrid:
     """Rectangular lattice of spacing ``eta`` covering a box domain.
 
-    Points are stored as integer offset vectors against a real anchor
+    Points are a real anchor plus eta times integer offset vectors
     (``point = anchor + eta * offset``), so lattice relations stay exact:
     any two points differ by integer multiples of eta per coordinate.
     Closed eta-balls around the points cover the domain and all points lie
@@ -105,6 +105,8 @@ class EtaGrid:
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (domain.dimension,):
             raise ValueError("anchor dimension does not match domain")
+        if not np.isfinite(anchor).all():
+            raise ValueError(f"grid anchor must be finite, got {anchor.tolist()}")
         if len(axis_counts) != domain.dimension or any(c < 1 for c in axis_counts):
             raise ValueError("axis_counts must hold a positive count per axis")
         self.eta = float(eta)
@@ -112,8 +114,7 @@ class EtaGrid:
         self.axis_counts = tuple(int(c) for c in axis_counts)
         self.domain = domain
         self.validate()
-        self._offsets = _lattice(self.axis_counts)
-        self._points = self.anchor + self.eta * self._offsets
+        self._points = self.anchor + self.eta * _lattice(self.axis_counts)
 
     @property
     def dimension(self) -> int:
@@ -122,11 +123,6 @@ class EtaGrid:
     @property
     def num_points(self) -> int:
         return self._points.shape[0]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Integer offset vectors, shape (num_points, n)."""
-        return self._offsets
 
     @property
     def points(self) -> np.ndarray:

@@ -421,31 +421,8 @@ def parallel_compose(nets: list[TllNetwork]) -> TllNetwork:
 SHAPE_CONVENTION = "pairwise-tree-v1"
 
 
-@dataclass
-class ArchDescriptor:
-    """Sizes and ReLU layer shapes of a compiled network.
-
-    Layer shapes follow this package's pairwise min/max tree expansion
-    (``SHAPE_CONVENTION``: 3 neurons per binary gadget, 2 per carried wire)
-    and are implementation defined, not canonical.
-    """
-
-    per_output: list[dict]
-    bound_n: int
-    shape_convention: str = SHAPE_CONVENTION
-    implementation_defined: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "per_output": self.per_output,
-            "bound_n": self.bound_n,
-            "shape_convention": self.shape_convention,
-            "implementation_defined": self.implementation_defined,
-        }
-
-
-def _tree_plan(set_sizes) -> list[tuple[np.ndarray, str]]:
-    """ReLU levels of the pairwise tree for one output: (group sizes, mode).
+def _tree_plan(set_sizes) -> list[tuple[np.ndarray, bool]]:
+    """ReLU levels of the pairwise tree for one output: (group sizes, max?).
 
     Min levels reduce every selector set pairwise until each holds one
     wire; max levels then reduce the per-set wires as one group.  A level
@@ -454,18 +431,23 @@ def _tree_plan(set_sizes) -> list[tuple[np.ndarray, str]]:
     plan = []
     sizes = np.asarray(set_sizes, dtype=np.int64)
     while (sizes > 1).any():
-        plan.append((sizes, "min"))
+        plan.append((sizes, False))
         sizes = (sizes + 1) // 2
     sizes = np.array([sizes.size])
     while sizes[0] > 1:
-        plan.append((sizes, "max"))
+        plan.append((sizes, True))
         sizes = (sizes + 1) // 2
     return plan
 
 
-def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> ArchDescriptor:
+def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> dict:
     """Report N, M, selector mass (total set size) and layer shapes per
-    output; enforce the size bound."""
+    output; enforce the size bound.
+
+    Layer shapes follow this package's pairwise min/max tree expansion
+    (``SHAPE_CONVENTION``: 3 neurons per binary gadget, 2 per carried wire)
+    and are implementation defined, not canonical.
+    """
     if bound_n is None:
         bound_n = net.provenance.get("bound_n")
     if bound_n is None:
@@ -487,7 +469,12 @@ def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> ArchDescript
             "layers": layers,
             "neurons": int(sum(widths)),
         })
-    return ArchDescriptor(per_output, int(bound_n))
+    return {
+        "per_output": per_output,
+        "bound_n": int(bound_n),
+        "shape_convention": SHAPE_CONVENTION,
+        "implementation_defined": True,
+    }
 
 
 # -- explicit ReLU expansion -------------------------------------------------
@@ -520,74 +507,60 @@ class ReluNetwork:
         return [[dims[i], dims[i + 1]] for i in range(len(dims) - 1)]
 
 
-def _tree_level(A: np.ndarray, beta: np.ndarray, sizes: np.ndarray, mode: str):
+def _tree_level(A: np.ndarray, beta: np.ndarray, sizes: np.ndarray, is_max: np.ndarray):
     """One ReLU layer of the tree over wires ``A z + beta``.
 
-    Wires are grouped consecutively by ``sizes``.  Each pair (a, b) takes
-    the rows a-b (min) or b-a (max), a and -a; an odd last wire a takes a
-    and -a.  min(a, b) = a - relu(a-b), max(a, b) = a + relu(b-a), and
-    a = relu(a) - relu(-a) give the next wires over the layer output.
-    Returns the layer (W, c) and the next wires (A, beta).
+    Wires are grouped consecutively by ``sizes``; group g reduces by max
+    where ``is_max[g]``, else by min.  Each pair (a, b) takes the rows a-b
+    (min) or b-a (max), a and 0-a; an odd last wire a takes a and 0-a.
+    min(a, b) = a - relu(a-b), max(a, b) = a + relu(b-a), and
+    a = relu(a) - relu(0-a) give the next wires over the layer output.
+    Writing -a as 0 - a keeps zero entries +0.  Returns the layer (W, c)
+    and the next wires (A, beta).
     """
     units = (sizes + 1) // 2
     local = np.arange(units.sum()) - np.repeat(np.cumsum(units) - units, units)
     a = np.repeat(np.cumsum(sizes) - sizes, units) + 2 * local
     pair = local < np.repeat(sizes // 2, units)
+    up = np.repeat(is_max, units)[pair]
     end = np.cumsum(2 + pair)
     p, q, r = end - 2, end - 1, end[pair] - 3
-    lo, hi = (a[pair], a[pair] + 1) if mode == "min" else (a[pair] + 1, a[pair])
+    lo, hi = a[pair] + up, a[pair] + 1 - up
     W = np.empty((int(end[-1]), A.shape[1]))
     c = np.empty(int(end[-1]))
-    W[p], W[q], W[r] = A[a], -A[a], A[lo] - A[hi]
-    c[p], c[q], c[r] = beta[a], -beta[a], beta[lo] - beta[hi]
+    W[p], W[q], W[r] = A[a], 0.0 - A[a], A[lo] - A[hi]
+    c[p], c[q], c[r] = beta[a], 0.0 - beta[a], beta[lo] - beta[hi]
     k = np.arange(a.size)
     nxt = np.zeros((a.size, W.shape[0]))
     nxt[k, p], nxt[k, q] = 1.0, -1.0
-    nxt[k[pair], r] = -1.0 if mode == "min" else 1.0
+    nxt[k[pair], r] = np.where(up, 1.0, -1.0)
     return (W, c), nxt, np.zeros(a.size)
-
-
-def _stack(blocks: list[np.ndarray], shared_input: bool) -> np.ndarray:
-    """Rows of every output over one shared input, or block-diagonal."""
-    if shared_input:
-        return np.concatenate(blocks)
-    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)))
-    r = c = 0
-    for B in blocks:
-        out[r:r + B.shape[0], c:c + B.shape[1]] = B
-        r, c = r + B.shape[0], c + B.shape[1]
-    return out
 
 
 def expand_relu_layers(net: TllNetwork) -> ReluNetwork:
     """Materialize dense ReLU layers for the whole network.
 
-    Scalar outputs are expanded independently along their tree plans,
-    padded to a common depth with carry levels (one group of size 1), and
-    stacked block-diagonally (the parallel composition of the scalar
+    Each layer is one level of every output's tree plan at once, over the
+    wires of all outputs stacked output after output; an output whose tree
+    is finished carries its wire as one group of size 1.  So the first
+    layer reads the shared input, and later layers and the readout come
+    out block-diagonal (the parallel composition of the scalar
     realizations).  Intended for inspection and export of small networks;
     sizes grow with sum of selector set sizes.
     """
     plans = [_tree_plan([len(s) for s in lat.selectors]) for lat in net.outputs]
-    depth = max(len(plan) for plan in plans)
-    pad = (np.ones(1, dtype=np.int64), "max")
-    per_out = []
-    for lat, plan in zip(net.outputs, plans):
-        members = _members(lat.selectors)
-        A, beta = lat.W[members].astype(float), lat.b[members].astype(float)
-        layers = []
-        for sizes, mode in plan + [pad] * (depth - len(plan)):
-            layer, A, beta = _tree_level(A, beta, sizes, mode)
-            layers.append(layer)
-        per_out.append((layers, A, beta))
-    layers = [
-        (_stack([lyr[k][0] for lyr, _, _ in per_out], k == 0),
-         np.concatenate([lyr[k][1] for lyr, _, _ in per_out]))
-        for k in range(depth)
-    ]
-    out_w = _stack([A for _, A, _ in per_out], depth == 0)
-    out_b = np.concatenate([beta for _, _, beta in per_out])
-    return ReluNetwork(layers, out_w, out_b)
+    rows = [_members(lat.selectors) for lat in net.outputs]
+    A = np.concatenate([lat.W[i].astype(float) for lat, i in zip(net.outputs, rows)])
+    beta = np.concatenate([lat.b[i].astype(float) for lat, i in zip(net.outputs, rows)])
+    carry = (np.ones(1, dtype=np.int64), True)
+    layers = []
+    for k in range(max(map(len, plans))):
+        level = [plan[k] if k < len(plan) else carry for plan in plans]
+        sizes = np.concatenate([g for g, _ in level])
+        is_max = np.repeat([mx for _, mx in level], [g.size for g, _ in level])
+        layer, A, beta = _tree_level(A, beta, sizes, is_max)
+        layers.append(layer)
+    return ReluNetwork(layers, A, beta)
 
 
 # -- serialization -----------------------------------------------------------

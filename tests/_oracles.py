@@ -18,9 +18,9 @@ rescan-every-round greedy with a set-based reverse pass is the reference
 for the cover that keeps only the attaining sets, and the lattice is
 evaluated one selector set at a time as the reference for the
 size-bucketed evaluation.  Two helpers compile one output alone and bound
-the network's Lipschitz constant, and a few small ones locate a
-simplex's vertices, sweep the sampling period and list a transition
-system's successors.
+the network's Lipschitz constant, and a few small ones list a grid's
+offsets, locate a simplex's vertices, sweep the sampling period and list
+a transition system's successors.
 """
 
 import functools
@@ -294,6 +294,12 @@ class MaxMinAffine:
 # per-corner min rule and dict-keyed piece dedup
 # ---------------------------------------------------------------------------
 
+def grid_offsets(grid):
+    """Integer offset vectors of the grid points, 0 .. count-1 per axis in
+    lexicographic order, shape (num_points, n)."""
+    return np.array(list(itertools.product(*map(range, grid.axis_counts))))
+
+
 def brute_force_extra_values(omega, grid):
     """Min-rule values at the non-grid corners, one corner at a time.
 
@@ -302,7 +308,7 @@ def brute_force_extra_values(omega, grid):
     by at most one per coordinate (its closed eta-ball); its value is the
     per-output minimum over them, taken in grid order.
     """
-    offsets = grid.offsets
+    offsets = grid_offsets(grid)
     counts = np.asarray(grid.axis_counts)
     out = {}
     for corner in itertools.product(*(range(-1, c + 1) for c in grid.axis_counts)):
@@ -342,7 +348,7 @@ def dict_piece_bank(interp, output):
 
     grid = interp.grid
     s = nearest_power_of_two(float(np.abs(interp.omega[output]).max()))
-    sample = dict(zip(map(tuple, grid.offsets.tolist()), interp.omega[output]))
+    sample = dict(zip(map(tuple, grid_offsets(grid).tolist()), interp.omega[output]))
     sample.update(zip(map(tuple, extra_corners(grid).tolist()), interp.extra_values[output]))
 
     def key(w, cell):
@@ -544,7 +550,7 @@ def lu_pieces(interp):
     """
     grid = interp.grid
     n = grid.dimension
-    value = {tuple(o): interp.omega[:, i] for i, o in enumerate(grid.offsets.tolist())}
+    value = {tuple(o): interp.omega[:, i] for i, o in enumerate(grid_offsets(grid).tolist())}
     corners = itertools.product(*(range(-1, c + 1) for c in grid.axis_counts))
     value.update(zip([c for c in corners if c not in value], interp.extra_values.T))
     A, rhs = [], []
@@ -673,13 +679,13 @@ def expand_scalar(W, b, selectors, n, pad_to=None):
                 else:
                     r = builder.neuron(wb - wa, bb - ba)
                 p = builder.neuron(wa, ba)
-                q = builder.neuron(-wa, -ba)
+                q = builder.neuron(0.0 - wa, 0.0 - ba)
                 new_g.append(("pair", p, q, r))
                 k += 2
             if k < len(g):
                 wa, ba = g[k]
                 p = builder.neuron(wa, ba)
-                q = builder.neuron(-wa, -ba)
+                q = builder.neuron(0.0 - wa, 0.0 - ba)
                 new_g.append(("carry", p, q, None))
             new_groups.append(new_g)
         Wl, cl = builder.layer()
@@ -708,7 +714,7 @@ def expand_scalar(W, b, selectors, n, pad_to=None):
     while pad_to is not None and len(layers) < pad_to:
         builder = _WireBuilder()
         p = builder.neuron(out_vec, out_bias)
-        q = builder.neuron(-out_vec, -out_bias)
+        q = builder.neuron(0.0 - out_vec, 0.0 - out_bias)
         Wl, cl = builder.layer()
         layers.append((Wl, cl))
         out_vec = np.zeros(Wl.shape[0])

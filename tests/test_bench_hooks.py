@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tllsynth import check_ads, embed_tau_sampled, import_network, linear_1d, perturb
+from tllsynth import (
+    Box,
+    builtin_models,
+    check_ads,
+    embed_tau_sampled,
+    import_network,
+    linear_1d,
+    perturb,
+)
 from tllsynth import cli
 from tllsynth.cli import main
 from tllsynth.serialize import load_json
@@ -74,7 +82,8 @@ def test_dynamics_counters_read_real_results():
 
 def test_bench_readers_agree_with_the_lattice(tmp_path):
     # the benchmark checks its outputs with its own readers of network.json
-    # and relu.json; run them on the README example's files
+    # and relu.json; run them on the README example's files and on the
+    # 2-output pendulum surrogate of sysid, whose later layers are block-diagonal
     workloads = _load_bench("workloads")
     readme = {
         "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 1.0, "tau": 0.1,
@@ -83,21 +92,33 @@ def test_bench_readers_agree_with_the_lattice(tmp_path):
         "m": 1,
         "oracle": {"kind": "builtin", "name": "affine", "W": [[0.5, -0.25]], "b": [0.1]},
     }
-    cfg, out = tmp_path / "config.json", str(tmp_path / "run")
+    cfg, sid, out = tmp_path / "config.json", tmp_path / "sysid.json", str(tmp_path / "run")
     cfg.write_text(json.dumps(readme), encoding="utf-8")
+    sid.write_text(json.dumps({"model": "pendulum", "eta": 0.6875}), encoding="utf-8")
     assert main(["build", "--config", str(cfg), "--out", out]) == 0
     assert main(["compile", f"{out}/interpolant.json", "--out", out]) == 0
-    assert main(["export", f"{out}/network.json", "--expanded", "--out", out]) == 0
-    network = load_json(f"{out}/network.json")
+    assert main(["sysid", "--config", str(sid), "--out", out]) == 0
+    pend = builtin_models()["pendulum"]
     rng = np.random.default_rng(5)
-    axis = np.linspace(0.0, 1.0, 9)
-    X = np.vstack([np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2),
-                   rng.uniform(0.0, 1.0, (200, 2))])
-    want = import_network(network).eval_batch(X)
-    for got in (workloads.eval_lattice_json(network, X),
-                workloads.eval_relu_json(load_json(f"{out}/relu.json"), X)):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-9 * max(1.0, float(np.abs(want).max()))
+    for name, box, m in (("network", Box([0.0, 0.0], [1.0, 1.0]), 1),
+                         ("sysid_network", pend.x_box.product(pend.u_box), 2)):
+        exported = tmp_path / name
+        assert main(["export", f"{out}/{name}.json", "--expanded", "--out", str(exported)]) == 0
+        relu = (exported / "relu.json").read_text(encoding="utf-8")
+        assert "-0x0.0p+0" not in relu
+        network = load_json(f"{out}/{name}.json")
+        axes = [np.linspace(lo, hi, 9) for lo, hi in zip(box.lower, box.upper)]
+        X = np.vstack([np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, box.dimension),
+                       rng.uniform(box.lower, box.upper, (200, box.dimension))])
+        want = import_network(network).eval_batch(X)
+        assert want.shape == (X.shape[0], m)
+        for got in (workloads.eval_lattice_json(network, X),
+                    workloads.eval_relu_json(json.loads(relu), X)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-9 * max(1.0, float(np.abs(want).max()))
+    # the surrogate's expansion: both outputs' trees, one level per layer
+    shapes = load_json(str(tmp_path / "sysid_network" / "export_report.json"))["results"]["shapes"]
+    assert len(shapes) == 10 and sum(w for _, w in shapes[:-1]) == 848
 
 
 @pytest.mark.parametrize("name", ["synth-2d", "interp-4d", "closed-loop"])

@@ -2,12 +2,14 @@
 report determinism, and exit codes."""
 
 import json
+import math
 import os
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +507,37 @@ def test_verify_approx_checks_the_oracle_reply_like_build(tmp_path):
     assert not (out / "verify_approx_report.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_grid_anchor_is_config_error(tmp_path, capsys, value):
+    # no comparison in the covering check fails on NaN, so the grid checks it first
+    out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})
+    interp = str(out / "interpolant.json")
+    obj = load_json(interp)
+    obj["grid"]["anchor"][0] = value
+    dump_json(obj, interp)
+    capsys.readouterr()
+    for cmd in (["compile", interp], ["verify", interp, "--which", "regions"]):
+        for report in out.glob("*_report.json"):
+            report.unlink()
+        assert main(cmd + ["--out", str(out)]) == 2
+        assert "grid anchor must be finite" in capsys.readouterr().err
+        assert not list(out.glob("*_report.json"))
+
+
+def test_verify_approx_with_k_u_zero_admits_any_error(tmp_path):
+    # the field ignores the input, so mu_max is +inf and needs no eta
+    out = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
+    budget = {"k_x": 1.0, "k_u": 0.0, "k_cont": 1.0, "tau": 0.1, "delta": 0.05}
+    vcfg = _write_cfg(tmp_path / "verify.json", {
+        "budget": budget, "oracle": {"kind": "builtin", "name": "zero"}})
+    with pytest.warns(UserWarning, match="k_u = 0"):
+        assert main(["verify", str(out / "interpolant.json"), "--which", "approx",
+                     "--config", vcfg, "--out", str(out)]) == 0
+    rep = _report(out, "verify_approx_report.json")["results"]
+    assert rep["bound"] == math.inf and 0.0 < rep["value"]
+
+
 @pytest.mark.parametrize("where", ["K_cont", "eta"])
 def test_integer_beyond_float_range_in_interpolant_is_schema_error(tmp_path, capsys, where):
     out = _run_affine_chain(
@@ -563,7 +596,7 @@ def test_verify_network_must_match_the_interpolant_dimensions(tmp_path):
 def test_verify_lipschitz_slack_follows_the_bound(tmp_path):
     # a gradient 100x over 3 K_cont, far below 1e-9 in absolute terms
     interp, _, _ = _sinusoid_artifacts(tmp_path, 1e-12)
-    value = lipschitz_audit(interp).value
+    value = lipschitz_audit(interp, bound=math.inf).value
     _, it, _ = _sinusoid_artifacts(tmp_path, 1e-12, k_cont=value / 300.0)
     assert main(["verify", it, "--which", "lipschitz", "--out", str(tmp_path)]) == 1
     assert _report(tmp_path, "verify_lipschitz_report.json")["pass"] is False
@@ -1321,9 +1354,27 @@ def test_sysid_build_and_audit(tmp_path):
     assert rep["pass"] is True
 
 
+@pytest.mark.parametrize("k_u", [0.0, 1.0])
+def test_sysid_deviation_budget_is_the_one_size_reports(tmp_path, k_u):
+    # at k_u = 0 mu_max is +inf, needs no eta, and the bound k_u * mu * ... is 0
+    budget = {"k_x": 1.0, "k_u": k_u, "k_cont": 0.5, "tau": 0.5, "delta": 0.5}
+    box = {"lower": [-1.0], "upper": [1.0]}     # the linear_1d state and input boxes
+    sysid = _write_cfg(tmp_path / "sid.json", {"model": "linear_1d", "eta": 0.5,
+                                               "budget": budget})
+    size = _write_cfg(tmp_path / "size.json", {"budget": budget, "eta": 0.5,
+                                               "domain": box, "input_box": box})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")         # mu_max warns at k_u = 0
+        assert main(["sysid", "--config", sysid, "--out", str(tmp_path)]) == 0
+        assert main(["size", "--config", size, "--out", str(tmp_path)]) == 0
+    got = _report(tmp_path, "sysid_report.json")["results"]["deviation_budget"]
+    assert got == _report(tmp_path, "size_report.json")["results"]["sysid"]["deviation_bound"]
+    assert (float.fromhex(got) == 0.0) == (k_u == 0.0)
+
+
 def test_sysid_bound_violation_writes_a_failing_report(tmp_path, capsys, monkeypatch):
     # the sysid bank never outgrows its size bound, so the bound is made too small
-    monkeypatch.setattr(cli, "sysid_size", lambda n, m, ext, eta: 0)
+    monkeypatch.setattr(tll, "controller_size", lambda n, ext, eta: 0)
     cfg = _write_cfg(tmp_path / "sid.json", {"model": "linear_1d", "eta": 0.5})
     capsys.readouterr()
     assert main(["sysid", "--config", cfg, "--out", str(tmp_path)]) == 1

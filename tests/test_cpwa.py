@@ -1,6 +1,7 @@
 """Sampling, corner extension, and the piecewise-affine interpolant."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from _oracles import (
     brute_force_extra_values,
     closed_form_pieces,
     dict_piece_bank,
+    grid_offsets,
     lu_pieces,
     nearest_power_of_two,
     simplex_world_vertices,
@@ -216,7 +218,7 @@ def test_affine_piece_reproduces_vertices():
     extras = {tuple(c): rng.normal(size=1) for c in extra_corners(grid).tolist()}
     interp = build_interpolant(grid, omega, extra_values=extras)
     value = dict(extras)
-    value.update((tuple(o), omega[:, i]) for i, o in enumerate(grid.offsets.tolist()))
+    value.update((tuple(o), omega[:, i]) for i, o in enumerate(grid_offsets(grid).tolist()))
     for _ in range(20):
         sigma = tuple(rng.permutation(3).tolist())
         cell = tuple(int(v) for v in rng.integers(-1, 2, size=3))
@@ -287,7 +289,7 @@ def test_min_rule_interpolant_is_sandwiched_by_corner_values():
     omega = rng.normal(size=(1, grid.num_points))
     interp = build_interpolant(grid, omega)
     corner_value = {c: v[0] for c, v in by_corner(grid, extend_extra_corners(omega, grid)).items()}
-    corner_value.update((tuple(o), omega[0, i]) for i, o in enumerate(grid.offsets.tolist()))
+    corner_value.update((tuple(o), omega[0, i]) for i, o in enumerate(grid_offsets(grid).tolist()))
     unit = np.array(list(itertools.product((0, 1), repeat=2)))
     pts = rng.uniform(0, 1, size=(400, 2))
     cells, _, _ = locate_batch(pts, grid)
@@ -480,7 +482,7 @@ def test_lipschitz_audit_constant_and_affine():
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.4)
     const = build_interpolant(grid, np.full((1, grid.num_points), 1.0),
                               extra_values=consistent_extras(grid, lambda x: [1.0]))
-    assert lipschitz_audit(const).value == pytest.approx(0.0, abs=1e-12)
+    assert lipschitz_audit(const, bound=math.inf).value == pytest.approx(0.0, abs=1e-12)
 
     fn = lambda x: np.atleast_1d(2.0 * x[..., 0] - 0.5 * x[..., 1])
     affine = build_interpolant(grid, omega_of(grid, fn),
@@ -488,6 +490,14 @@ def test_lipschitz_audit_constant_and_affine():
     report = lipschitz_audit(affine, bound=3.0)
     assert report.value == pytest.approx(2.5, abs=1e-9)
     assert report.bound == 3.0
+
+
+def test_lipschitz_audit_needs_k_cont_or_a_bound():
+    # with neither there is nothing to check the slopes against
+    grid = build_eta_grid(Box([0.0], [1.0]), 0.25)
+    interp = build_interpolant(grid, np.ones((1, grid.num_points)))
+    with pytest.raises(ValueError, match="needs an interpolant with K_cont or an explicit bound"):
+        lipschitz_audit(interp)
 
 
 def test_lipschitz_audit_flags_budget_violation():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import SimplexId, permutation_rank, simplex_world_vertices
+from _oracles import SimplexId, grid_offsets, permutation_rank, simplex_world_vertices
 from tllsynth import (
     Box,
     DimensionTooLarge,
@@ -92,7 +92,7 @@ def test_grid_invariants_on_random_boxes():
             assert axis[0] - eta <= lo[i] + 1e-12
             assert axis[-1] + eta >= hi[i] - 1e-12
         # points reconstruct exactly from anchor + eta * offsets
-        assert np.array_equal(pts, grid.anchor + eta * grid.offsets)
+        assert np.array_equal(pts, grid.anchor + eta * grid_offsets(grid))
 
 
 def test_grid_covering_slack_quarter_eta():
@@ -114,7 +114,7 @@ def test_grid_json_roundtrip_bit_exact():
     back = EtaGrid.from_json(obj)
     assert back.eta == grid.eta
     assert np.array_equal(back.anchor, grid.anchor)
-    assert np.array_equal(back.offsets, grid.offsets)
+    assert np.array_equal(back.points, grid.points)
     assert back.axis_counts == grid.axis_counts
 
 
@@ -137,7 +137,7 @@ def test_grid_json_rejects_tampering():
         EtaGrid.from_json(bad)
     # the older format listed every offset and the dimension instead of the counts
     old = {k: v for k, v in obj.items() if k != "axis_counts"}
-    old.update(dimension=1, offsets=grid.offsets.tolist())
+    old.update(dimension=1, offsets=grid_offsets(grid).tolist())
     with pytest.raises(SchemaError, match="axis_counts"):
         EtaGrid.from_json(old)
 
@@ -180,7 +180,7 @@ def test_hypercube_corners_match_sign_generation():
         grid = build_eta_grid(box, eta)
         signs = list(itertools.product((-1, 1), repeat=grid.dimension))
         cells = {tuple(o if r > 0 else o - 1 for o, r in zip(offset, rho))
-                 for offset in grid.offsets.tolist() for rho in signs}
+                 for offset in grid_offsets(grid).tolist() for rho in signs}
         assert interpolation_hypercubes(grid).tolist() == sorted(map(list, cells))
 
 
@@ -212,7 +212,7 @@ def test_extra_corners_are_exactly_the_non_grid_corners():
     unit = np.array(list(itertools.product((0, 1), repeat=2)))
     all_corners = {tuple(c) for cell in interpolation_hypercubes(grid)
                    for c in (cell + unit).tolist()}
-    expect = all_corners - {tuple(o) for o in grid.offsets.tolist()}
+    expect = all_corners - {tuple(o) for o in grid_offsets(grid).tolist()}
     assert extras.tolist() == sorted(map(list, expect))
     # each extra corner has a grid point within its closed eta-ball
     coords = grid.anchor + grid.eta * extras

@@ -394,13 +394,13 @@ def test_arch_descriptor_reports_sizes():
     interp = _random_interpolant(rng, n=1, eta=0.5, box=Box([0.0], [1.0]))
     net = compile_tll(interp)
     desc = arch_descriptor(net)
-    out = desc.per_output[0]
+    out = desc["per_output"][0]
     assert out["N"] == net.outputs[0].size
     assert out["M"] == len(net.outputs[0].selectors)
     assert out["N"] <= 4
-    assert desc.bound_n == 4
-    assert desc.shape_convention == "pairwise-tree-v1"
-    assert desc.implementation_defined is True
+    assert desc["bound_n"] == 4
+    assert desc["shape_convention"] == "pairwise-tree-v1"
+    assert desc["implementation_defined"] is True
     assert out["layers"][0][0] == 1
     assert out["layers"][-1][1] == 1
 
@@ -438,7 +438,7 @@ def test_expansion_shapes_follow_descriptor_for_single_output():
     net = compile_tll(_random_interpolant(rng, n=2, eta=0.45))
     desc = arch_descriptor(net)
     relu = expand_relu_layers(net)
-    assert relu.shapes() == desc.per_output[0]["layers"]
+    assert relu.shapes() == desc["per_output"][0]["layers"]
 
 
 def test_expansion_handles_multiple_outputs():
@@ -491,7 +491,7 @@ def test_descriptor_widths_match_reference_schedule():
     nets.append(compile_tll(_random_interpolant(rng, n=2, eta=0.3, m=2)))
     for net in nets:
         desc = arch_descriptor(net, bound_n=12 if "bound_n" not in net.provenance else None)
-        for lat, out in zip(net.outputs, desc.per_output):
+        for lat, out in zip(net.outputs, desc["per_output"]):
             widths = schedule_widths([len(s) for s in lat.selectors])
             assert out["layers"] == [[a, b] for a, b in zip([net.n] + widths, widths + [1])]
             assert out["neurons"] == sum(widths)
