@@ -555,8 +555,8 @@ def _verify_approx(args, cfg, interp) -> tuple[dict, bool]:
     passed = value <= mu
     return {
         "metric": "sup-norm approximation error",
-        "value": value,
-        "bound": mu,
+        "value": float_to_hex(value),
+        "bound": float_to_hex(mu),   # +inf at k_u = 0, which JSON cannot hold
         "pass": passed,
         "probe_spec": probes.spec,
         "seed": probes.seed,

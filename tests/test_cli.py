@@ -451,7 +451,7 @@ def test_constant_chain_approximates_exactly(tmp_path):
                  "approx", "--config", vcfg, "--out", str(tmp_path)]) == 0
     rep = _report(tmp_path, "verify_approx_report.json")
     assert rep["pass"] is True
-    assert rep["results"]["value"] <= 1e-9
+    assert float.fromhex(rep["results"]["value"]) <= 1e-9
 
 
 def _assert_audit_error_report(out, name, capsys, which=None):
@@ -478,7 +478,7 @@ def test_verify_failures_exit_one(tmp_path, capsys):
     assert main(["verify", interp, "--which", "approx",
                  "--config", mism, "--out", str(out)]) == 1
     rep = _report(out, "verify_approx_report.json")
-    assert rep["pass"] is False and rep["results"]["value"] > 1e-3
+    assert rep["pass"] is False and float.fromhex(rep["results"]["value"]) > 1e-3
     # gradient dual norm 0.75 exceeds 3 K_cont = 0.5
     tight = _write_cfg(tmp_path / "tight.json", dict(
         _affine_build_cfg({"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B}),
@@ -534,8 +534,13 @@ def test_verify_approx_with_k_u_zero_admits_any_error(tmp_path):
     with pytest.warns(UserWarning, match="k_u = 0"):
         assert main(["verify", str(out / "interpolant.json"), "--which", "approx",
                      "--config", vcfg, "--out", str(out)]) == 0
-    rep = _report(out, "verify_approx_report.json")["results"]
-    assert rep["bound"] == math.inf and 0.0 < rep["value"]
+
+    def refuse(name):
+        raise AssertionError(f"report holds {name}, which is not JSON")
+
+    text = (out / "verify_approx_report.json").read_text(encoding="utf-8")
+    rep = json.loads(text, parse_constant=refuse)["results"]
+    assert float.fromhex(rep["bound"]) == math.inf and 0.0 < float.fromhex(rep["value"])
 
 
 @pytest.mark.parametrize("where", ["K_cont", "eta"])
@@ -548,6 +553,26 @@ def test_integer_beyond_float_range_in_interpolant_is_schema_error(tmp_path, cap
     dump_json(obj, interp)
     assert main(["verify", interp, "--which", "lipschitz", "--out", str(out)]) == 2
     assert "too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, text", [("K_cont", "0.5"), ("bank", "10"), ("eta", "1e3")])
+def test_decimal_string_in_an_artifact_is_schema_error(tmp_path, capsys, where, text):
+    # float.fromhex would read each as hex (0x0.5 = 0.3125, 0x10 = 16, 0x1e3 = 483)
+    out = _run_affine_chain(
+        tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
+    name = "network.json" if where == "bank" else "interpolant.json"
+    obj = load_json(str(out / name))
+    if where == "bank":
+        obj["outputs"][0]["bank"][0]["w"][0] = text
+    else:
+        (obj if where == "K_cont" else obj["grid"])[where] = text
+    dump_json(obj, str(out / name))
+    bad = tmp_path / "bad"
+    argv = (["export", str(out / name)] if where == "bank" else
+            ["verify", str(out / name), "--which", "lipschitz"])
+    assert main(argv + ["--out", str(bad)]) == 2
+    assert repr(text) in capsys.readouterr().err
+    assert not list(bad.glob("*_report.json"))
 
 
 def _sinusoid_artifacts(tmp_path, scale, k_cont=None):

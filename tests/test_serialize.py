@@ -1,6 +1,9 @@
 """The one JSON writer and the hex-float array path."""
 
 import json
+import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -23,16 +26,44 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.225073858507201
            float("inf"), float("-inf"), float("nan")]
 
 
-def test_vec_to_hex_is_float_hex_element_by_element():
+def _shortest(x: float) -> str:
+    """The spelling rule: ``float.hex()`` without the fraction's trailing
+    zeros, and without the point when no digit is left."""
+    return re.sub(r"\.?0+p", "p", x.hex())
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_hex_is_the_shortest_exact_literal():
     rng = np.random.default_rng(15)
-    x = np.concatenate([SPECIAL, rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)])
-    want = [float(v).hex() for v in x]
+    finite = rng.integers(0, 2 ** 64, 10_000, dtype=np.uint64, endpoint=False).view(float)
+    dyadic = rng.integers(-2 ** 20, 2 ** 20, 1_000) / 2.0 ** rng.integers(-40, 40, 1_000)
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1.7976931348623157e308],
+                        SPECIAL, finite[np.isfinite(finite)], dyadic])
+    want = [_shortest(v) for v in x.tolist()]
+    assert want[:7] == ["0x0p+0", "-0x0p+0", "0x1p+0", "-0x1p+0", "0x1p-1",
+                        "0x0.0000000000001p-1022", "0x1.fffffffffffffp+1023"]
+    assert [_shortest(v) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+    assert [serialize.float_to_hex(v) for v in x] == want
     assert vec_to_hex(x) == want
-    assert vec_to_hex(x.reshape(8, 8)) == want          # flattened
-    assert rows_to_hex(x.reshape(8, 8)) == [want[i:i + 8] for i in range(0, 64, 8)]
-    assert vec_to_hex([1, -2]) == [float.hex(1.0), float.hex(-2.0)]
+    rows = x[:len(x) // 8 * 8].reshape(-1, 8)
+    assert vec_to_hex(rows) == want[:rows.size]            # flattened
+    assert rows_to_hex(rows) == [want[i:i + 8] for i in range(0, rows.size, 8)]
+    for v, s in zip(x.tolist(), want):
+        assert _bits(float.fromhex(s)) == _bits(v)
+    assert vec_to_hex([1, -2]) == ["0x1p+0", "-0x1p+1"]
     assert rows_to_hex(np.empty((2, 0))) == [[], []]
-    assert vec_to_hex(np.array([-0.0]))[0].startswith("-")
+
+
+def test_negative_zero_keeps_its_sign_among_zeros():
+    x = np.zeros(64)
+    x[[0, 37]] = -0.0    # before any 0.0, and after many
+    want = ["-0x0p+0" if i in (0, 37) else "0x0p+0" for i in range(64)]
+    assert vec_to_hex(x) == want
+    assert rows_to_hex(x.reshape(8, 8)) == [want[i:i + 8] for i in range(0, 64, 8)]
+    assert [serialize.float_to_hex(v) for v in x] == want
 
 
 def test_writer_is_one_sorted_compact_line():
@@ -80,3 +111,37 @@ def test_indented_files_of_the_older_layout_load_bitwise(tmp_path, artifacts, na
     assert compact.stat().st_size < indented.stat().st_size
     again = [to_json_text(write(load(load_json(str(path))))) for path in (compact, indented)]
     assert again == [to_json_text(obj)] * 2
+
+
+def _respell(obj, spell):
+    """``obj`` with ``spell(v)`` for every hex string ``v``."""
+    if isinstance(obj, dict):
+        return {k: _respell(v, spell) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_respell(v, spell) for v in obj]
+    if isinstance(obj, str) and (obj.lstrip("-").startswith("0x") or obj in ("inf", "nan")):
+        return spell(float.fromhex(obj))
+    return obj
+
+
+# the arrays each artifact kind decodes to
+_ARRAYS = {
+    "grid": lambda g: [g.anchor, g.domain.lower, g.domain.upper, np.array([g.eta])],
+    "interpolant": lambda i: [i.omega, i.grid.anchor, np.array([i.k_cont])],
+    "network": lambda n: [a for lat in n.outputs for a in (lat.W, lat.b)],
+    "transition-system": lambda t: [t.coords],
+}
+
+
+@pytest.mark.parametrize("name", ["grid", "interpolant", "network", "transition-system"])
+def test_long_form_hex_files_load_bitwise(tmp_path, artifacts, name):
+    # files written as float.hex() spells them, before the shortest form
+    obj, load, write = artifacts[name]
+    short, long = tmp_path / "short.json", tmp_path / "long.json"
+    dump_json(obj, str(short))
+    dump_json(_respell(obj, float.hex), str(long))
+    assert long.stat().st_size > short.stat().st_size
+    loaded = [load(load_json(str(path))) for path in (short, long)]
+    pairs = zip(*(_ARRAYS[name](art) for art in loaded))
+    assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+    assert to_json_text(write(loaded[1])) == to_json_text(obj) == short.read_text("utf-8")
