@@ -6,9 +6,11 @@ every subset of candidate pairs, sizes are recomputed with exact rational
 arithmetic, and synthetic Lipschitz functions are built as explicit
 max-of-min combinations of affine pieces whose gradients are controlled
 by construction.  The linear-scan embedding interns states one list entry
-at a time and the pairwise tree expansion below builds ReLU layers one
-neuron at a time, as the library once did; they are the bitwise references
-for the library's array-based interning and array-built layers.  The
+at a time, the set-based perturbation widens one transition at a time, the
+pair-loop fixpoint refines one pair at a time, and the pairwise tree
+expansion below builds ReLU layers one neuron at a time, as the library
+once did; they are the references for the library's array-based
+interning, perturbation, simulation checks and array-built layers.  The
 per-simplex LU solve is the reference for the closed-form interpolation
 pieces to a tolerance, and that closed form over whole-table arrays is
 their bitwise reference and the continuity certificate's.  The
@@ -227,20 +229,81 @@ def linear_scan_embed(model, controller, samples, tau, step=None, snap_tol=1e-9,
     return FiniteTransitionSystem(np.array(state_list), transitions)
 
 
-def random_transition_system(rng, max_states=4, max_labels=3, dim=2, span=3.0):
-    """Small random system with coordinates, for fixpoint cross-checks."""
+def random_transition_system(rng, max_states=4, max_labels=3, dim=2, span=3.0,
+                             min_states=1, density=0.3):
+    """Random system with coordinates, for fixpoint cross-checks: each
+    (src, label, dst) is a transition with probability ``density``."""
     from tllsynth import FiniteTransitionSystem
 
-    k = int(rng.integers(1, max_states + 1))
+    k = int(rng.integers(min_states, max_states + 1))
     labels = ["a", "b", "c"][: int(rng.integers(1, max_labels + 1))]
     coords = rng.uniform(0.0, span, size=(k, dim))
     transitions = set()
     for src in range(k):
         for lab in labels:
             for dst in range(k):
-                if rng.random() < 0.3:
+                if rng.random() < density:
                     transitions.add((src, lab, dst))
     return FiniteTransitionSystem(coords=coords, transitions=transitions)
+
+
+def _near(coords, x, tol):
+    """Indices of the rows of ``coords`` within ``tol`` of ``x`` (infinity
+    norm), in row order."""
+    return np.flatnonzero(np.abs(coords - x).max(axis=1) <= tol)
+
+
+def set_seed_pairs(ts_a, ts_b, tol):
+    """Left-right state pairs within ``tol`` of each other (infinity norm)."""
+    return {
+        (x, y)
+        for x in range(ts_a.num_states)
+        for y in _near(ts_b.coords, ts_a.coords[x], tol).tolist()
+    }
+
+
+def near_scan_perturb(ts, delta):
+    """Delta-perturbed system built one transition at a time, as the library
+    once did; the reference for its chunked ball rows."""
+    from tllsynth import FiniteTransitionSystem
+
+    new = set(ts.transitions)
+    for (s, u, t) in ts.transitions:
+        new.update((s, u, t2) for t2 in _near(ts.coords, ts.coords[t], delta).tolist())
+    return FiniteTransitionSystem(ts.coords.copy(), new)
+
+
+def pair_loop_greatest(trans_a, num_a, trans_b, num_b, seed_pairs, label_free):
+    """Greatest fixpoint of the transfer condition inside ``seed_pairs``:
+    (x, y) survives while every left move from x has a right response from y
+    (same label unless ``label_free``) into a surviving pair.  One Python
+    pass over the pairs per round, as the library once did; the reference
+    for its array rounds at sizes the subset enumeration cannot reach."""
+    succ_a = {i: [] for i in range(num_a)}
+    for (s, u, t) in trans_a:
+        succ_a[s].append((u, t))
+    succ_b = {}
+    if label_free:
+        for (s, _, t) in trans_b:
+            succ_b.setdefault(s, set()).add(t)
+    else:
+        for (s, u, t) in trans_b:
+            succ_b.setdefault((s, u), set()).add(t)
+    rel = set(seed_pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (x, y) in list(rel):
+            ok = True
+            for (u, x2) in succ_a[x]:
+                resp = succ_b.get(y if label_free else (y, u), ())
+                if not any((x2, y2) in rel for y2 in resp):
+                    ok = False
+                    break
+            if not ok:
+                rel.discard((x, y))
+                changed = True
+    return rel
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Sampled transition systems, perturbation, and simulation checks."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,19 +12,30 @@ from tllsynth import (
     DimensionMismatch,
     FiniteTransitionSystem,
     SchemaError,
+    SpecBudget,
+    build_eta_grid,
+    build_interpolant,
     check_ads,
     check_simulation,
+    compile_tll,
+    compute_sizing,
     embed_tau_sampled,
     linear_1d,
+    pendulum,
     perturb,
     rk4_closed_loop,
+    sample_controller,
+    to_json_text,
 )
 
 from _oracles import (
     brute_force_ads,
     brute_force_simulation,
     linear_scan_embed,
+    near_scan_perturb,
+    pair_loop_greatest,
     random_transition_system,
+    set_seed_pairs,
     successors,
 )
 
@@ -96,6 +109,49 @@ def test_json_schema_violations():
                         [{**edge, "dst": "0"}]):
         with pytest.raises(SchemaError):
             FiniteTransitionSystem.from_json({**obj, "transitions": transitions})
+
+
+def test_arrays_are_sorted_and_transitions_built_from_them():
+    ts = FiniteTransitionSystem(coords=[[0.0], [1.0], [2.0]],
+                                transitions=[(2, "a", 0), (0, "b", 1), (0, "a", 2),
+                                             (0, "a", 1), (2, "a", 0)])
+    assert ts.label_names == ("a", "b")
+    assert ts.src.dtype == ts.lab.dtype == ts.dst.dtype == np.int32
+    assert list(zip(ts.src.tolist(), ts.lab.tolist(), ts.dst.tolist())) == [
+        (0, 0, 1), (0, 0, 2), (0, 1, 1), (2, 0, 0)]
+    assert ts.transitions == {(0, "a", 1), (0, "a", 2), (0, "b", 1), (2, "a", 0)}
+    assert all(type(v) in (int, str) for tr in ts.transitions for v in tr)
+    with pytest.raises(ValueError):
+        ts.src[0] = 1     # the arrays are read-only, so the cached set stays true
+    empty = FiniteTransitionSystem(np.zeros((2, 1)))
+    assert empty.transitions == set() and empty.labels == set()
+    assert empty.relabeled().label_names == ()
+
+
+def test_endpoints_past_int64_are_unknown_states():
+    with pytest.raises(ValueError) as info:
+        _ts([[0.0]], {(0, "a", 0), (0, "a", 2 ** 70), (-(2 ** 65), "b", 0)})
+    assert str(info.value) == ("2 transitions reference unknown states (there are 1), "
+                               f"the smallest ({-(2 ** 65)}, 'b', 0)")
+
+
+def _sorted_set_json(ts):
+    """to_json as written from ``sorted(ts.transitions)``."""
+    obj = ts.to_json()
+    obj["transitions"] = [{"src": s, "label": u, "dst": t}
+                          for (s, u, t) in sorted(ts.transitions)]
+    return obj
+
+
+def test_to_json_writes_the_sorted_transition_set_byte_for_byte():
+    rng = np.random.default_rng(353)
+    systems = [random_transition_system(rng, max_states=12) for _ in range(20)]
+    systems.append(_ts([[0.0], [1.0]], {(1, "b", 0), (0, "B", 1), (0, "a", 1), (0, "b", 0)}))
+    for ts in systems:
+        text = to_json_text(ts.to_json())
+        assert text == to_json_text(_sorted_set_json(ts))
+        back = FiniteTransitionSystem.from_json(ts.to_json())
+        assert to_json_text(back.to_json()) == text
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +305,14 @@ def test_embed_snap_tolerance_controls_merging():
     assert tight.num_states == 2
 
 
+@pytest.mark.parametrize("snap_tol", [math.nan, -1e-9])
+def test_embed_rejects_a_nan_or_negative_snap_tolerance(snap_tol):
+    model = linear_1d(a=-1.0, b=0.0)
+    controller = lambda x: np.zeros_like(x)
+    with pytest.raises(ValueError, match=f"snap_tol must be nonnegative, got {snap_tol}"):
+        embed_tau_sampled(model, controller, np.array([[0.5]]), tau=1.0, snap_tol=snap_tol)
+
+
 # ---------------------------------------------------------------------------
 # perturbation
 # ---------------------------------------------------------------------------
@@ -279,6 +343,20 @@ def test_perturb_rejects_negative_delta():
     ts = _ts([[0.0]], {(0, "a", 0)})
     with pytest.raises(ValueError):
         perturb(ts, -0.1)
+
+
+def test_perturb_rejects_nan_delta():
+    ts = _ts([[0.0]], {(0, "a", 0)})
+    with pytest.raises(ValueError, match="delta must be nonnegative, got nan"):
+        perturb(ts, math.nan)
+
+
+def test_perturb_matches_the_per_transition_scan():
+    rng = np.random.default_rng(349)
+    for _ in range(30):
+        ts = random_transition_system(rng, max_states=40, min_states=20, density=0.05)
+        delta = float(rng.uniform(0.0, 1.5))
+        assert perturb(ts, delta).to_json() == near_scan_perturb(ts, delta).to_json()
 
 
 def test_perturb_is_monotone_in_delta():
@@ -361,6 +439,13 @@ def test_distance_gate_needs_matching_dimensions():
         check_simulation(a, b, max_pair_distance=1.0)
 
 
+@pytest.mark.parametrize("gate", [math.nan, -0.5])
+def test_distance_gate_rejects_nan_and_negative(gate):
+    ts = _ts([[0.0]], {(0, "a", 0)})
+    with pytest.raises(ValueError, match=f"max_pair_distance must be nonnegative, got {gate}"):
+        check_simulation(ts, ts, max_pair_distance=gate)
+
+
 def test_verdict_serializes():
     ts = _ts([[0.0]], {(0, "a", 0)})
     obj = check_simulation(ts, ts).to_json()
@@ -428,6 +513,93 @@ def test_ads_requires_matching_dimensions_and_delta_sign():
         check_ads(a, b, 0.1)
     with pytest.raises(ValueError):
         check_ads(a, a, -0.5)
+
+
+def test_ads_rejects_nan_delta():
+    ts = _ts([[0.0]], {(0, "a", 0)})
+    with pytest.raises(ValueError, match="delta must be nonnegative, got nan"):
+        check_ads(ts, ts, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# the array fixpoint against the pair loop, past the subset enumeration
+# ---------------------------------------------------------------------------
+
+def _pair_loop_verdict(trans_a, num_a, trans_b, num_b, seed, label_free):
+    rel = pair_loop_greatest(trans_a, num_a, trans_b, num_b, seed, label_free)
+    missing = sorted(set(range(num_a)) - {x for (x, _) in rel})
+    return rel, not missing, (missing[0] if missing else None)
+
+
+def _assert_same(verdict, want):
+    assert (verdict.relation.pairs, verdict.holds, verdict.counterexample) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _pendulum_loops(per_axis):
+    """tau-sampled embeddings of a lattice network loop and of its saturating
+    controller's loop on per_axis^2 starts, as the closed-loop benchmark
+    sets them up."""
+    budget = SpecBudget(k_x=1.5, k_u=1.0, k_cont=1.0, tau=0.25, delta=0.8,
+                        exponent_multiplier=3)
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    eta = compute_sizing(budget, box).eta
+    gain = np.array([0.55, 0.45])
+    psi = lambda x: np.clip(-(np.asarray(x) @ gain), -0.6, 0.6)[..., None]
+    grid = build_eta_grid(box, eta)
+    net = compile_tll(build_interpolant(grid, sample_controller(psi, grid, 1), k_cont=1.0))
+    axis = np.linspace(-0.7, 0.7, per_axis)
+    samples = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    kwargs = dict(tau=budget.tau, step=budget.tau / 100.0, snap_tol=eta / 10)
+    ts_up = embed_tau_sampled(pendulum(), lambda x: net.eval_batch(np.atleast_2d(x)),
+                              samples, **kwargs)
+    ts_psi = embed_tau_sampled(pendulum(), psi, samples, extra_states=ts_up.coords, **kwargs)
+    return ts_up, ts_psi
+
+
+@pytest.mark.parametrize("per_axis", [15, 30])
+@pytest.mark.parametrize("delta", [0.8, 0.02])   # 0.02 drops pairs, 0.8 none
+def test_ads_on_pendulum_embeddings_matches_the_pair_loop(per_axis, delta):
+    ts_up, ts_psi = _pendulum_loops(per_axis)
+    right = perturb(ts_psi, delta)
+    assert right.transitions == near_scan_perturb(ts_psi, delta).transitions
+    want = _pair_loop_verdict(ts_up.transitions, ts_up.num_states, right.transitions,
+                              right.num_states, set_seed_pairs(ts_up, right, 0.0), True)
+    _assert_same(check_ads(ts_up, right, 0.0), want)
+    assert want[1] == (delta == 0.8)
+
+
+def test_ads_and_simulation_on_larger_random_systems_match_the_pair_loop():
+    rng = np.random.default_rng(367)
+    for _ in range(12):
+        a, b = (random_transition_system(rng, max_states=60, min_states=20,
+                                         density=float(rng.uniform(0.02, 0.08)))
+                for _ in range(2))
+        want = _pair_loop_verdict(a.transitions, a.num_states, b.transitions,
+                                  b.num_states, set_seed_pairs(a, b, math.inf), False)
+        _assert_same(check_simulation(a, b), want)
+        gate = float(rng.uniform(0.5, 2.0))
+        want = _pair_loop_verdict(a.transitions, a.num_states, b.transitions,
+                                  b.num_states, set_seed_pairs(a, b, gate), False)
+        _assert_same(check_simulation(a, b, max_pair_distance=gate), want)
+        delta = float(rng.uniform(0.0, 1.0))
+        left = near_scan_perturb(a, delta)
+        want = _pair_loop_verdict(left.transitions, left.num_states, b.transitions,
+                                  b.num_states, set_seed_pairs(a, b, delta), True)
+        _assert_same(check_ads(a, b, delta), want)
+
+
+def test_perturb_and_ads_stay_small_in_memory():
+    # the parent's set-based code kept 5.84 MB after perturb alone
+    ts_up, ts_psi = _pendulum_loops(15)
+    tracemalloc.start()
+    try:
+        verdict = check_ads(ts_up, perturb(ts_psi, 0.8), 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak < 3 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
