@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded, DiscontinuityDetected, OracleFailure, SchemaError
+from .errors import BudgetExceeded, DiscontinuityDetected, OracleFailure, OutsideDomain, SchemaError
 from .geometry import (
     EtaGrid,
     braid_simplices,
@@ -33,7 +33,8 @@ from .serialize import float_or_none, hex_or_none, hex_to_vec, require_keys, row
 
 _DEDUP_DECIMALS = 12
 # floats or words held by one chunk's temporaries: the vertex values and
-# coordinates of _vertex_chunks here, and in tll.py the gathered selector
+# coordinates of _vertex_chunks and the points of CpwaInterpolant.eval_batch
+# here, and in tll.py the gathered selector
 # values of TllNetwork.eval_batch, the vertex values of _vertex_relations,
 # the cover rows _scalar_lattice keeps for _prune, the member rows _attains
 # gathers
@@ -126,14 +127,19 @@ def extend_extra_corners(omega: np.ndarray, grid: EtaGrid) -> np.ndarray:
 class CpwaInterpolant:
     """Piecewise-affine interpolant of grid samples on the hypercube union.
 
-    Pieces are indexed by (hypercube cell, sorting permutation); evaluation
-    locates the simplex and applies its affine function.  ``omega`` (m, P)
-    holds the grid values and ``extra_values`` (m, E) the values at the
-    non-grid corners, columns in ``extra_corners(grid)`` order.  With
-    ``extra_values`` None they follow from omega by the eta-ball minimum
-    rule (the guarantee-carrying construction, ``extend_extra_corners``);
-    otherwise the caller's values are kept (e.g. affine-consistent test
-    data).  ``min_rule_extras`` records which.
+    Pieces are indexed by (hypercube cell, sorting permutation).  Each is
+    fixed by the n+1 corner values of its simplex, so only the corner table
+    is held (``corners``, one row per corner of the lattice): pieces are
+    formed where they are read, a cell chunk at a time by the audits and
+    the dedup, one per point by evaluation, which locates the simplex and
+    applies its affine function.  ``omega`` (m, P) holds the grid values
+    and ``extra_values`` (m, E) the values at the non-grid corners, columns
+    in ``extra_corners(grid)`` order.  With ``extra_values`` None they
+    follow from omega by the eta-ball minimum rule (the guarantee-carrying
+    construction, ``extend_extra_corners``); otherwise the caller's values
+    are kept (e.g. affine-consistent test data).  ``min_rule_extras``
+    records which.  Construction forms every piece once and raises
+    ``FloatingPointError`` naming the first one that is not finite.
     """
 
     def __init__(self, grid: EtaGrid, omega: np.ndarray, extra_values: np.ndarray | None = None,
@@ -158,16 +164,31 @@ class CpwaInterpolant:
                              f"got {self.k_cont!r}")
         self.perms = braid_simplices(grid.dimension)
         self.unit = np.stack([simplex_vertices(s) for s in self.perms])  # (n!, n+1, n)
-        self._build_pieces()
+        self.cells = interpolation_hypercubes(grid)
+        dims = self._corner_dims = tuple(c + 2 for c in grid.axis_counts)
+        self.corners = self._corner_table()                                        # (prod dims, m)
+        self._cell_corner = np.ravel_multi_index((self.cells + 1).T, dims)          # (C,)
+        self._unit_lin = np.ravel_multi_index(tuple(np.moveaxis(self.unit, -1, 0)), dims)
+        # the step t at which each permutation's walk adds axis a: (n!, n)
+        self._steps = np.argmax(np.diff(self.unit, axis=1), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, _, _, W, B in self._piece_chunks():
+                bad = ~(np.isfinite(W).all(axis=(2, 3)) & np.isfinite(B).all(axis=2))
+                if bad.any():
+                    c, f = np.argwhere(bad)[0]
+                    raise FloatingPointError(
+                        f"piece at cell {self.cells[lo + c].tolist()}, permutation "
+                        f"{self.perms[f]} is not finite: its corner values are non-finite "
+                        "or too large")
 
-    # -- construction -----------------------------------------------------
+    # -- corner values and pieces -----------------------------------------
 
     def _corner_table(self) -> np.ndarray:
         """Values on the full corner lattice (offsets -1..count per axis),
         shape (prod(count_i + 2), m): grid entries from omega, the rest from
         extra_values.  Both fill their corners in lexicographic order."""
         counts = self.grid.axis_counts
-        table = np.empty(tuple(c + 2 for c in counts) + (self.m,))
+        table = np.empty(self._corner_dims + (self.m,))
         grid_part = tuple(slice(1, c + 1) for c in counts)
         table[grid_part] = self.omega.T.reshape(counts + (self.m,))
         extra = np.ones(table.shape[:-1], dtype=bool)
@@ -183,50 +204,43 @@ class CpwaInterpolant:
         caller may pair with them, and is gathered one vertex column at a
         time: a vertex's corner is cell + unit vertex, so their flat
         indices add."""
-        dims = tuple(c + 2 for c in self.grid.axis_counts)
-        table = self._corner_table()
-        cell_lin = np.ravel_multi_index((self.cells + 1).T, dims)
-        unit_lin = np.ravel_multi_index(tuple(np.moveaxis(self.unit, -1, 0)), dims)  # (n!, n+1)
-        F, V = unit_lin.shape
+        F, V = self._unit_lin.shape
+        C = len(self.cells)
         step = max(1, _CHUNK_VALUES // (F * V * (self.n + self.m)))
-        for lo in range(0, len(cell_lin), step):
-            hi = min(lo + step, len(cell_lin))
+        for lo in range(0, C, step):
+            hi = min(lo + step, C)
+            corner = self._cell_corner[lo:hi, None]
             values = np.empty((hi - lo, F, V, self.m))
             for t in range(V):
-                values[:, :, t] = table[cell_lin[lo:hi, None] + unit_lin[:, t]]
+                values[:, :, t] = self.corners[corner + self._unit_lin[:, t]]
             yield lo, hi, values
 
-    def _build_pieces(self) -> None:
-        """Closed form on Kuhn simplexes: vertex t+1 adds axis a, so that
-        axis's slope is (v_{t+1} - v_t) / eta, written straight into W, and
-        b = v_0 - w.x_0 at the cube's minimal corner x_0."""
-        grid = self.grid
-        self.cells = interpolation_hypercubes(grid)
-        self.cell_dims = tuple(c + 1 for c in grid.axis_counts)
-        added = np.argmax(np.diff(self.unit, axis=1), axis=2)       # (n!, n): axis vertex t+1 adds
-        self.W = np.empty((len(self.cells), len(self.perms), self.m, self.n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi, values in self._vertex_chunks():
-                for f, axes in enumerate(added.tolist()):
-                    for t, a in enumerate(axes):
-                        self.W[lo:hi, f, :, a] = (values[:, f, t + 1] - values[:, f, t]) / grid.eta
-            x0 = grid.anchor + grid.eta * self.cells
-            self.B = np.einsum("cfmn,cn->cfm", self.W, x0)             # (C, n!, m)
-            np.subtract(self._corner_values()[:, None, :], self.B, out=self.B)
-        bad = ~(np.isfinite(self.W).all(axis=(2, 3)) & np.isfinite(self.B).all(axis=2))
-        if bad.any():
-            c, f = np.argwhere(bad)[0]
-            raise FloatingPointError(
-                f"piece at cell {self.cells[c].tolist()}, permutation {self.perms[f]} is not "
-                "finite: its corner values are non-finite or too large")
+    def _slopes(self, values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Piece gradients (c, f, m, n) from vertex values (c, f, n+1, m) of
+        simplexes whose walks add axis a at step ``steps[f, a]``: vertex t+1
+        adds one axis, whose slope is (v_{t+1} - v_t) / eta."""
+        c, F, V, m = values.shape
+        slopes = (np.diff(values, axis=2) / self.grid.eta).reshape(c, F * (V - 1), m)
+        order = (np.arange(F)[:, None] * (V - 1) + steps).ravel()    # (f, a) -> (f, step)
+        return np.ascontiguousarray(
+            np.take(slopes, order, axis=1).reshape(c, F, V - 1, m).swapaxes(2, 3))
 
-    def _corner_values(self) -> np.ndarray:
-        """Values at every cell's minimal corner, vertex 0 of each of its
-        simplexes: shape (C, m)."""
-        dims = tuple(c + 2 for c in self.grid.axis_counts)
-        return self._corner_table()[np.ravel_multi_index((self.cells + 1).T, dims)]
+    def _offsets(self, values: np.ndarray, W: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """b = v_0 - w.x_0 at the minimal corner x_0 of each simplex's cell,
+        (c, f, m), for vertex values (c, f, n+1, m), gradients W (c, f, m, n)
+        and cells (c, n)."""
+        x0 = self.grid.anchor + self.grid.eta * cells
+        return values[:, :, 0] - np.einsum("cfmn,cn->cfm", W, x0)
 
-    # -- shape and lookup -------------------------------------------------
+    def _piece_chunks(self):
+        """Every piece, cell chunk by cell chunk of ``_vertex_chunks``:
+        yields (lo, hi, values, W, B), W (hi - lo, n!, m, n) and B
+        (hi - lo, n!, m).  No more than one chunk of pieces is held."""
+        for lo, hi, values in self._vertex_chunks():
+            W = self._slopes(values, self._steps)
+            yield lo, hi, values, W, self._offsets(values, W, self.cells[lo:hi])
+
+    # -- shape ------------------------------------------------------------
 
     @property
     def n(self) -> int:
@@ -240,20 +254,34 @@ class CpwaInterpolant:
     def num_simplexes(self) -> int:
         return self.cells.shape[0] * len(self.perms)
 
-    def _cell_lin(self, cells: np.ndarray) -> np.ndarray:
-        shifted = np.asarray(cells) + 1
-        return np.ravel_multi_index(tuple(shifted[..., i] for i in range(self.n)), self.cell_dims)
-
     # -- evaluation --------------------------------------------------------
 
+    def _pieces_at(self, cells: np.ndarray, ranks: np.ndarray):
+        """Pieces of the simplexes (cells[k], perms[ranks[k]]), cells (P, n)
+        offsets: W (P, m, n) and B (P, m), formed from their n+1 corner
+        values alone."""
+        corner = np.ravel_multi_index((cells + 1).T, self._corner_dims)
+        values = self.corners[corner[:, None] + self._unit_lin[ranks]]        # (P, n+1, m)
+        # the points ride as the permutation axis of one cell, each with its own steps
+        W = self._slopes(values[None], self._steps[ranks])[0]                  # (P, m, n)
+        return W, self._offsets(values[:, None], W[:, None], cells)[:, 0]
+
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """Values at many points, shape (P, m)."""
+        """Values at many points, shape (P, m).  Each point is located and
+        given its simplex's piece, in chunks of ``_CHUNK_VALUES / ((n+1)(n+m))``
+        points, so that their vertex values and coordinates stay near
+        ``_CHUNK_VALUES`` values, as in ``_vertex_chunks``."""
         X = np.asarray(X, dtype=float)
-        cells, ranks, _ = locate_batch(X, self.grid)
-        lin = self._cell_lin(cells)
-        W = self.W[lin, ranks]                       # (P, m, n)
-        B = self.B[lin, ranks]                       # (P, m)
-        return np.einsum("pmn,pn->pm", W, X) + B
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise OutsideDomain("batch must have shape (P, n)")
+        out = np.empty((len(X), self.m))
+        step = max(1, _CHUNK_VALUES // ((self.n + 1) * (self.n + self.m)))
+        for lo in range(0, len(X), step):
+            x = X[lo:lo + step]
+            cells, ranks, _ = locate_batch(x, self.grid)
+            W, B = self._pieces_at(cells, ranks)
+            out[lo:lo + step] = np.einsum("pmn,pn->pm", W, x) + B
+        return out
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -294,10 +322,15 @@ class CpwaInterpolant:
 
 
 def _hex_rows(rows, what: str) -> np.ndarray:
-    """A JSON list of rows of hex floats as an array (ragged rows: ValueError)."""
+    """A JSON list of equally long rows of hex floats as an array; anything
+    else is a ``SchemaError`` naming the field (and the row lengths)."""
     if not isinstance(rows, list):
         raise SchemaError(f"interpolant {what} must be a list of rows")
-    return np.array([hex_to_vec(row) for row in rows])
+    vecs = [hex_to_vec(row) for row in rows]
+    if len({len(v) for v in vecs}) > 1:
+        raise SchemaError(f"interpolant {what} rows must be equally long, got lengths "
+                          f"{[len(v) for v in vecs]}")
+    return np.array(vecs)
 
 
 def build_interpolant(grid: EtaGrid, omega: np.ndarray, k_cont: float | None = None,
@@ -340,18 +373,22 @@ def _piece_classes(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np
     piece of one output, ascending, and each simplex's class (its index in
     that list), simplexes in (cell, permutation) order.
 
+    The output's gradients (C, n!, n) are collected from ``_piece_chunks``.
     The key rows are sorted and compared one column at a time, so only a
-    few (C * n!,) arrays are held, never the whole key.  A column is the
-    gradient entry, or the corner value plus w_i * (-eta * cell_i) added
-    axis by axis, divided by the value scale, rounded and -0 folded, read
-    as uint64 words.  Stable sorts from the last column to the first order
+    few (C * n!,) arrays are held besides, never the whole key.  A column
+    is the gradient entry, or the corner value plus w_i * (-eta * cell_i)
+    added axis by axis, divided by the value scale, rounded and -0 folded,
+    read as uint64 words.  Stable sorts from the last column to the first order
     the rows lexicographically with equal rows in simplex order, and
     adjacent-row comparisons find the classes: two pieces are one when
     their rounded keys agree byte for byte.
     """
     grid, n = interp.grid, interp.n
-    C, F = interp.W.shape[:2]
-    w = interp.W[:, :, output]                                      # (C, n!, n)
+    C, F = len(interp.cells), len(interp.perms)
+    w = np.empty((C, F, n))
+    for lo, hi, _, W, _ in interp._piece_chunks():
+        w[lo:hi] = W[:, :, output]
+    corner = interp.corners[interp._cell_corner, output]            # v_0 of each cell
     scale = value_scale(interp, output)
 
     def column(i: int) -> np.ndarray:
@@ -359,7 +396,7 @@ def _piece_classes(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np
             col = w[..., i] / scale
         else:
             col = np.empty((C, F))
-            col[...] = interp._corner_values()[:, output, None]
+            col[...] = corner[:, None]
             for a in range(n):
                 col += w[..., a] * (-grid.eta * interp.cells[:, a])[:, None]
             col /= scale
@@ -399,8 +436,13 @@ def piece_bank(interp: CpwaInterpolant, output: int) -> tuple[np.ndarray, np.nda
     origin.
     """
     first, inverse = _piece_classes(interp, output)
-    cell, perm = np.divmod(first, len(interp.perms))
-    return interp.W[cell, perm, output], interp.B[cell, perm, output], inverse
+    F = len(interp.perms)
+    W, b = np.empty((first.size, interp.n)), np.empty(first.size)
+    for lo, hi, _, w, bias in interp._piece_chunks():
+        k = slice(*np.searchsorted(first, (lo * F, hi * F)))      # first is ascending
+        cell, perm = np.divmod(first[k] - lo * F, F)
+        W[k], b[k] = w[cell, perm, output], bias[cell, perm, output]
+    return W, b, inverse
 
 
 def region_count(interp: CpwaInterpolant) -> list[int]:
@@ -422,17 +464,24 @@ def lipschitz_audit(interp: CpwaInterpolant, bound: float | None = None) -> Lips
     The default bound is 3 * k_cont of the interpolant; with neither a
     bound nor k_cont there is nothing to check, which raises ``ValueError``.
     Exceeding ``bound * (1 + REL_TOL)`` raises ``BudgetExceeded`` naming
-    the offending simplex and output.
+    the first worst simplex and output.  Only the slopes are formed, in the
+    cell chunks of ``_vertex_chunks``, and each sum runs in axis order.
     """
     if bound is None:
         if interp.k_cont is None:
             raise ValueError(
                 "lipschitz audit needs an interpolant with K_cont or an explicit bound")
         bound = 3.0 * interp.k_cont
-    dual = np.abs(interp.W).sum(axis=3)          # (C, n!, m)
-    report = LipschitzReport(float(dual.max()), bound)
+    worst, where = -np.inf, None
+    for lo, hi, values in interp._vertex_chunks():
+        dual = np.abs(interp._slopes(values, interp._steps)).sum(axis=3)   # (c, n!, m)
+        k = int(np.argmax(dual))
+        if dual.flat[k] > worst:      # the first maximum over all pieces
+            c, f, j = np.unravel_index(k, dual.shape)
+            worst, where = float(dual.flat[k]), (lo + c, f, j)
+    report = LipschitzReport(worst, bound)
     if report.value > bound * (1.0 + REL_TOL):
-        c, f, j = np.unravel_index(int(np.argmax(dual)), dual.shape)
+        c, f, j = where
         raise BudgetExceeded(
             f"piece gradient dual norm {report.value:.6g} exceeds bound {bound:.6g} at cell "
             f"{tuple(int(v) for v in interp.cells[c])}, permutation {interp.perms[f]}, output {j}"
@@ -444,21 +493,22 @@ def continuity_audit(interp: CpwaInterpolant) -> float:
     """Certify continuity exactly: twice the largest vertex residual, in
     units of each output's ``value_scale``.
 
-    Each stored piece is evaluated at its own n+1 vertices and compared with
-    the corner values there.  Simplexes sharing a face share that face's
-    corners, so at each shared vertex their pieces differ by at most twice
-    the largest residual, and by linearity so they do on the whole face.
+    Each piece, formed from its corner values by ``_piece_chunks``, is
+    evaluated at its own n+1 vertices and compared with the corner values
+    there.  Simplexes sharing a face share that face's corners, so at each
+    shared vertex their pieces differ by at most twice the largest
+    residual, and by linearity so they do on the whole face.
     That relative bound is returned; above ``REL_TOL`` (or NaN) it raises
     ``DiscontinuityDetected`` naming the first worst simplex and output.
-    The residuals are taken in the cell chunks of ``_vertex_chunks``.
+    The residuals are taken in the cell chunks of ``_piece_chunks``.
     """
     grid = interp.grid
     scale = [value_scale(interp, j) for j in range(interp.m)]
     worst, where = -np.inf, None
-    for lo, hi, values in interp._vertex_chunks():
+    for lo, hi, values, W, B in interp._piece_chunks():
         world = grid.anchor + grid.eta * (interp.cells[lo:hi, None, None, :] + interp.unit)
-        resid = np.einsum("cfmn,cftn->cftm", interp.W[lo:hi], world)   # (c, n!, n+1, m)
-        resid += interp.B[lo:hi, :, None, :]
+        resid = np.einsum("cfmn,cftn->cftm", W, world)                  # (c, n!, n+1, m)
+        resid += B[:, :, None, :]
         resid -= values
         np.abs(resid, out=resid)
         resid /= scale

@@ -13,7 +13,7 @@ once did; they are the references for the library's array-based
 interning, perturbation, simulation checks and array-built layers.  The
 per-simplex LU solve is the reference for the closed-form interpolation
 pieces to a tolerance, and that closed form over whole-table arrays is
-their bitwise reference and the continuity certificate's.  The
+their bitwise reference and the continuity and Lipschitz audits'.  The
 per-simplex dominating sets and a set-based covering walk with pruning
 are the references for the compiled selector sets, a
 rescan-every-round greedy with a set-based reverse pass is the reference
@@ -396,7 +396,7 @@ def nearest_power_of_two(x):
     return 2.0 * s if x - s >= 2.0 * s - x else s
 
 
-def dict_piece_bank(interp, output):
+def dict_piece_bank(interp, output, pieces=None):
     """Bank dedup with a dict keyed on rounded, scale-relative coefficients.
 
     With s the power of two nearest to max|omega| of the output, the key is
@@ -405,7 +405,8 @@ def dict_piece_bank(interp, output):
     minimal corner (offset = cell) plus w_i * (-eta * cell_i), added axis by
     axis.  Samples are looked up by corner offset in omega and extra_values.
     Simplexes are visited cell by cell, permutation by permutation, and each
-    new key appends its first piece to the bank.
+    new key appends its first piece to the bank.  The pieces (W, B) are
+    ``closed_form_pieces``' unless given.
     """
     from tllsynth.geometry import extra_corners
 
@@ -422,15 +423,16 @@ def dict_piece_bank(interp, output):
         k += 0.0
         return tuple(k.tolist())
 
+    W, B = closed_form_pieces(interp)[:2] if pieces is None else pieces
     index, bank_w, bank_b, active = {}, [], [], []
-    C, F = interp.W.shape[:2]
+    C, F = W.shape[:2]
     for c in range(C):
         for f in range(F):
-            k = key(interp.W[c, f, output], interp.cells[c].tolist())
+            k = key(W[c, f, output], interp.cells[c].tolist())
             if k not in index:
                 index[k] = len(bank_w)
-                bank_w.append(interp.W[c, f, output].copy())
-                bank_b.append(float(interp.B[c, f, output]))
+                bank_w.append(W[c, f, output].copy())
+                bank_b.append(float(B[c, f, output]))
             active.append(index[k])
     return np.array(bank_w), np.array(bank_b), np.array(active, dtype=np.int64)
 
@@ -454,7 +456,7 @@ def simplex_relations(interp, output):
     from tllsynth.cpwa import REL_TOL, piece_bank, value_scale
 
     grid = interp.grid
-    C, F = interp.W.shape[:2]
+    C, F = len(interp.cells), len(interp.perms)
     W, b, act = piece_bank(interp, output)
     slack = REL_TOL * value_scale(interp, output)
     dominating, below = [], []
@@ -644,7 +646,7 @@ def closed_form_pieces(interp):
     dims = tuple(c + 2 for c in grid.axis_counts)
     lin = (np.ravel_multi_index((interp.cells + 1).T, dims)[:, None, None]
            + np.ravel_multi_index(tuple(np.moveaxis(interp.unit, -1, 0)), dims))
-    values = interp._corner_table()[lin]                            # (C, n!, n+1, m)
+    values = interp.corners[lin]                                    # (C, n!, n+1, m)
     step = np.argmax(np.diff(interp.unit, axis=1), axis=1)          # (n!, n)
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.diff(values, axis=2) / grid.eta
@@ -655,17 +657,21 @@ def closed_form_pieces(interp):
     return W, B, values
 
 
-def whole_table_continuity(interp):
+def whole_table_continuity(interp, pieces=None):
     """Twice the largest vertex residual over the whole piece table at once,
     with the first worst (cell index, permutation index, output), as the
-    library once computed it; the bitwise reference for the chunked audit."""
+    library once computed it; the bitwise reference for the chunked audit.
+    The pieces (W, B) are ``closed_form_pieces``' unless given."""
     from tllsynth.cpwa import value_scale
 
     grid = interp.grid
+    W, B, values = closed_form_pieces(interp)
+    if pieces is not None:
+        W, B = pieces
     world = grid.anchor + grid.eta * (interp.cells[:, None, None, :] + interp.unit)
-    fitted = np.einsum("cfmn,cftn->cftm", interp.W, world) + interp.B[:, :, None, :]
+    fitted = np.einsum("cfmn,cftn->cftm", W, world) + B[:, :, None, :]
     scale = [value_scale(interp, j) for j in range(interp.m)]
-    resid = np.abs(fitted - closed_form_pieces(interp)[2]) / scale
+    resid = np.abs(fitted - values) / scale
     c, f, _, j = np.unravel_index(np.argmax(resid), resid.shape)
     return 2.0 * float(resid.max()), (int(c), int(f), int(j))
 

@@ -303,6 +303,23 @@ def test_interpolant_min_rule_flag_must_match_stored_extra_values(tmp_path, caps
         assert not (tmp_path / "verify_lipschitz_report.json").exists()
 
 
+def test_ragged_interpolant_rows_are_schema_errors(tmp_path, capsys):
+    # the zero interpolant's grid has 4 points and 12 extra corners
+    def ragged_omega(obj):
+        obj["omega"].append(obj["omega"][0][:3])
+
+    @_caller_supplied
+    def ragged_extra_values(obj):
+        obj["extra_values"].insert(0, obj["extra_values"][0][:7])
+
+    for edit, field, lengths in ((ragged_omega, "omega", [4, 3]),
+                                 (ragged_extra_values, "extra_values", [7, 12])):
+        assert _edited_interpolant_exit(tmp_path, edit) == 2
+        assert capsys.readouterr().err == (f"config error: interpolant {field} rows must be "
+                                           f"equally long, got lengths {lengths}\n")
+        assert not (tmp_path / "verify_lipschitz_report.json").exists()
+
+
 def test_min_rule_values_follow_the_edited_omega(tmp_path):
     # min-rule corner values cannot be forged: they are recomputed from omega
     out = _run_affine_chain(tmp_path, {"kind": "builtin", "name": "zero"})

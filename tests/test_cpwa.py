@@ -37,7 +37,9 @@ from tllsynth import (
     sample_controller,
 )
 from tllsynth import cpwa
+from tllsynth.cli import main
 from tllsynth.cpwa import BatchOracle, check_oracle_reply, piece_bank, value_scale
+from tllsynth.serialize import dump_json
 
 
 def consistent_extras(grid, fn):
@@ -186,10 +188,29 @@ def test_extension_all_equal_values():
 # ---------------------------------------------------------------------------
 
 def _piece(interp, simplex):
-    """(w, b) of output 0 on one simplex of a built interpolant."""
-    lin = int(interp._cell_lin(np.array(simplex.cell)))
+    """(w, b) of output 0 on one simplex of a built interpolant, as
+    evaluation forms it."""
     f = interp.perms.index(simplex.sigma)
-    return interp.W[lin, f, 0], float(interp.B[lin, f, 0])
+    W, B = interp._pieces_at(np.array([simplex.cell]), np.array([f]))
+    return W[0, 0], float(B[0, 0])
+
+
+def _piece_table(interp):
+    """The interpolant's pieces (W, B) from ``_piece_chunks``, put together
+    into the whole (C, n!, m, n) and (C, n!, m) table."""
+    chunks = [(W, B) for _, _, _, W, B in interp._piece_chunks()]
+    return tuple(np.concatenate(part) for part in zip(*chunks))
+
+
+def _feed_pieces(monkeypatch, interp, W, B):
+    """Make everything that reads ``interp._piece_chunks`` read the whole
+    tables W, B instead, in the interpolant's own chunks."""
+    chunks = interp._piece_chunks
+
+    def doctored():
+        for lo, hi, values, _, _ in chunks():
+            yield lo, hi, values, W[lo:hi], B[lo:hi]
+    monkeypatch.setattr(interp, "_piece_chunks", doctored)
 
 
 def test_affine_piece_constant():
@@ -242,10 +263,11 @@ def test_closed_form_pieces_match_lu_reference():
             omega = scale * rng.normal(size=(2, grid.num_points))
             interp = build_interpolant(grid, omega)
             W, B = lu_pieces(interp)
+            got_W, got_B = _piece_table(interp)
             value_scale = float(np.abs(omega).max())
             x_scale = float(np.abs(grid.anchor).max()) + eta * (max(grid.axis_counts) + 1)
-            assert np.abs(interp.W - W).max() <= 1e-12 * value_scale / eta
-            assert np.abs(interp.B - B).max() <= 1e-12 * value_scale * (1.0 + x_scale / eta)
+            assert np.abs(got_W - W).max() <= 1e-12 * value_scale / eta
+            assert np.abs(got_B - B).max() <= 1e-12 * value_scale * (1.0 + x_scale / eta)
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +396,22 @@ def test_value_scale_is_the_nearest_power_of_two():
     assert region_count(huge) == [1]
 
 
-def test_piece_bank_key_never_reads_the_offset():
+def test_piece_bank_key_never_reads_the_offset(monkeypatch):
     # pieces whose b differ in the 12th decimal but whose gradients and
     # corner values agree are one piece; the bank keeps the first b
     b = 2.2053876672105
     assert np.round(b, 12) != round(b, 12)
     grid = build_eta_grid(Box([0.0], [1.0]), 0.5)
     interp = build_interpolant(grid, np.zeros((1, grid.num_points)))
-    interp.W[...] = 0.0
-    interp.W[1, 0, 0, 0] = -0.0         # -0 is folded into +0
-    interp.B[...] = round(b, 12)
-    interp.B[0, 0, 0] = b
-    W, bias, active = piece_bank(interp, 0)
+    W, B, _ = closed_form_pieces(interp)
+    W[...] = 0.0
+    W[1, 0, 0, 0] = -0.0                # -0 is folded into +0
+    B[...] = round(b, 12)
+    B[0, 0, 0] = b
+    _feed_pieces(monkeypatch, interp, W, B)
+    bank_W, bias, active = piece_bank(interp, 0)
     assert bias.tolist() == [b] and active.tolist() == [0, 0, 0]
-    assert _same_bank((W, bias, active), dict_piece_bank(interp, 0))
+    assert _same_bank((bank_W, bias, active), dict_piece_bank(interp, 0, (W, B)))
     assert region_count(interp) == [1]
 
 
@@ -429,33 +453,61 @@ def _random_interpolants(rng):
                 yield build_interpolant(grid, omega * scale)
 
 
-@pytest.mark.parametrize("chunk", [1 << 18, 3000])
+@pytest.mark.parametrize("chunk", [1 << 18, 3000, 1])
 def test_pieces_are_bitwise_the_whole_table_closed_form(monkeypatch, chunk):
+    # the chunked pieces, and the ones evaluation forms per point, are the
+    # whole table's to the bit, and so are the values evaluation returns
     monkeypatch.setattr(cpwa, "_CHUNK_VALUES", chunk)   # 3000: several chunks per grid
-    for interp in _random_interpolants(np.random.default_rng(227)):
+    rng = np.random.default_rng(227)
+    for interp in _random_interpolants(rng):
         W, B, _ = closed_form_pieces(interp)
-        assert interp.W.shape == W.shape and interp.W.tobytes() == W.tobytes()
-        assert interp.B.shape == B.shape and interp.B.tobytes() == B.tobytes()
+        got_W, got_B = _piece_table(interp)
+        assert got_W.shape == W.shape and got_W.tobytes() == W.tobytes()
+        assert got_B.shape == B.shape and got_B.tobytes() == B.tobytes()
         assert region_count(interp) == [len(piece_bank(interp, j)[1]) for j in range(interp.m)]
+        X = rng.uniform(interp.grid.domain.lower, interp.grid.domain.upper,
+                        size=(500, interp.n))
+        cells, ranks, _ = locate_batch(X, interp.grid)
+        lin = np.ravel_multi_index((cells + 1).T, tuple(c + 1 for c in interp.grid.axis_counts))
+        point_W, point_B = interp._pieces_at(cells, ranks)
+        assert point_W.tobytes() == W[lin, ranks].tobytes()
+        assert point_B.tobytes() == B[lin, ranks].tobytes()
+        want = np.einsum("pmn,pn->pm", W[lin, ranks], X) + B[lin, ranks]
+        assert interp.eval_batch(X).tobytes() == want.tobytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_dedup_and_continuity_hold_a_small_multiple_of_the_piece_table(monkeypatch):
     # 4-D unit cube at eta 0.25: 625 cells, 15,000 simplexes, 600 kB of
-    # pieces.  The certificate's chunks are cut to 2^14 values (131 kB) so
-    # that a whole-table temporary would show next to the table.
+    # pieces (W and B of 8-byte floats).  The chunks are cut to 2^14 values
+    # (131 kB) so that a whole-table temporary would show.  The dedup may
+    # hold one output's gradients (480 kB); construction, the Lipschitz
+    # audit and evaluation hold no table at all.
     grid = build_eta_grid(Box(np.zeros(4), np.ones(4)), 0.25)
-    interp = build_interpolant(grid, np.sin(3.0 * grid.points).sum(axis=1)[None])
-    assert interp.num_simplexes == 15000
-    table = interp.W.nbytes + interp.B.nbytes
+    omega = np.sin(3.0 * grid.points).sum(axis=1)[None]
     monkeypatch.setattr(cpwa, "_CHUNK_VALUES", 1 << 14)
+    peak = _traced_peak(build_interpolant, grid, omega)
+    interp = build_interpolant(grid, omega, k_cont=10.0)
+    assert interp.num_simplexes == 15000
+    C, F, m, n = len(interp.cells), len(interp.perms), interp.m, interp.n
+    table = C * F * m * (n + 1) * 8
+    assert table == 600000
+    assert peak < table / 2, ("construction", peak / table)
     for audit in (region_count, continuity_audit):
-        tracemalloc.start()
-        try:
-            audit(interp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(audit, interp)
         assert peak < 4 * table, (audit.__name__, peak / table)
+    X = np.random.default_rng(5).uniform(0.0, 1.0, size=(4096, 4))
+    for fn, args in ((lipschitz_audit, (interp,)), (interp.eval_batch, (X,))):
+        peak = _traced_peak(fn, *args)
+        assert peak < table / 2, (fn.__name__, peak / table)
 
 
 def test_min_rule_matches_per_corner_neighbor_minimum():
@@ -509,6 +561,70 @@ def test_lipschitz_audit_flags_budget_violation():
         lipschitz_audit(interp)
 
 
+@pytest.mark.parametrize("chunk", [1, 500, 1 << 18])
+def test_lipschitz_audit_is_bitwise_the_whole_table_max(monkeypatch, chunk):
+    interps = list(_random_interpolants(np.random.default_rng(233)))
+    monkeypatch.setattr(cpwa, "_CHUNK_VALUES", chunk)   # 1: one cell per chunk
+    for interp in interps:
+        want = np.abs(closed_form_pieces(interp)[0]).sum(axis=3).max()
+        got = lipschitz_audit(interp, bound=math.inf).value
+        assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 1 << 18])
+def test_lipschitz_audit_names_the_first_worst_piece_at_any_chunk(monkeypatch, chunk):
+    # one unit spike per output on a zero 3-D interpolant: every piece whose
+    # walk passes a spike mid-way is steepest, 2 / eta, in both outputs and
+    # many cells; the first of them over the whole table is named
+    grid = build_eta_grid(Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 0.3)
+    omega = np.zeros((2, grid.num_points))
+    omega[1, 5] = omega[0, 20] = 1.0
+    interp = build_interpolant(grid, omega, k_cont=1.0)
+    dual = np.abs(closed_form_pieces(interp)[0]).sum(axis=3)        # (C, n!, m)
+    c, f, j = np.unravel_index(np.argmax(dual), dual.shape)
+    tied = np.argwhere(dual == dual.max())
+    assert set(tied[:, 2].tolist()) == {0, 1}
+    monkeypatch.setattr(cpwa, "_CHUNK_VALUES", chunk)
+    step = max(1, chunk // (len(interp.perms) * (interp.n + 1) * (interp.n + interp.m)))
+    if step < len(interp.cells):
+        assert len(set((tied[:, 0] // step).tolist())) > 1   # the tie spans chunks
+    with pytest.raises(BudgetExceeded) as info:
+        lipschitz_audit(interp)
+    assert str(info.value) == (
+        f"piece gradient dual norm {dual.max():.6g} exceeds bound 3 at cell "
+        f"{tuple(interp.cells[c].tolist())}, permutation {interp.perms[f]}, output {j}")
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 1 << 18])
+def test_construction_names_the_first_piece_that_is_not_finite(monkeypatch, tmp_path, capsys,
+                                                               chunk):
+    grid = build_eta_grid(Box(np.zeros(4), np.ones(4)), 0.125)     # interp-4d's grid
+    omega = np.sin(3.0 * grid.points).sum(axis=1)[None]
+    omega[0, [5, 3000]] = float.fromhex("0x1p+1023")                # slopes overflow
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(CpwaInterpolant, "_piece_chunks", lambda self: iter(()))
+        interp = build_interpolant(grid, omega, k_cont=1.0)
+    W, B, _ = closed_form_pieces(interp)
+    bad = ~(np.isfinite(W).all(axis=(2, 3)) & np.isfinite(B).all(axis=2))
+    c, f = np.argwhere(bad)[0]                                      # the whole-table rule
+    assert (interp.cells[c].tolist(), interp.perms[f]) == ([-1, -1, -1, 4], (0, 1, 2, 3))
+    assert len(set(np.argwhere(bad)[:, 0].tolist())) > 1
+    message = ("piece at cell [-1, -1, -1, 4], permutation (0, 1, 2, 3) is not finite: "
+               "its corner values are non-finite or too large")
+    monkeypatch.setattr(cpwa, "_CHUNK_VALUES", chunk)
+    with pytest.raises(FloatingPointError) as info:
+        build_interpolant(grid, omega, k_cont=1.0)
+    assert str(info.value) == message
+    with pytest.raises(FloatingPointError) as info:
+        CpwaInterpolant.from_json(interp.to_json())
+    assert str(info.value) == message
+    path = tmp_path / "interpolant.json"
+    dump_json(interp.to_json(), str(path))
+    assert main(["verify", str(path), "--which", "lipschitz", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
+    assert not (tmp_path / "verify_lipschitz_report.json").exists()
+
+
 def test_continuity_audit_accepts_valid_interpolants():
     rng = np.random.default_rng(61)
     for n, eta in ((1, 0.3), (2, 0.4), (3, 0.5)):
@@ -544,11 +660,13 @@ def test_continuity_audit_names_the_first_worst_simplex_at_any_chunk(monkeypatch
     monkeypatch.setattr(cpwa, "_CHUNK_VALUES", chunk)
     for bad in ([(3, 2, 1), (40, 0, 1)], [(3, 2, 1), (40, 0, 1), (52, 4, 0)]):
         interp = build_interpolant(grid, np.zeros((2, grid.num_points)))
+        W, B, _ = closed_form_pieces(interp)
         for c, f, j in bad:
-            interp.B[c, f, j] = 1.0
+            B[c, f, j] = 1.0
         if len(bad) == 3:
-            interp.B[bad[-1]] = np.nan
-        bound, (c, f, j) = whole_table_continuity(interp)
+            B[bad[-1]] = np.nan
+        _feed_pieces(monkeypatch, interp, W, B)
+        bound, (c, f, j) = whole_table_continuity(interp, (W, B))
         assert (c, f, j) == bad[-1 if len(bad) == 3 else 0]
         with pytest.raises(DiscontinuityDetected) as info:
             continuity_audit(interp)
@@ -557,13 +675,15 @@ def test_continuity_audit_names_the_first_worst_simplex_at_any_chunk(monkeypatch
                     f"output {j}" in str(info.value))
 
 
-def test_continuity_audit_catches_corruption():
+def test_continuity_audit_catches_corruption(monkeypatch):
     rng = np.random.default_rng(71)
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.4)
     omega = rng.normal(size=(1, grid.num_points))
-    for corrupt in ("B", "W"):
+    for corrupt in (1, 0):
         interp = build_interpolant(grid, omega)
-        getattr(interp, corrupt)[2, 0, 0] += 0.5  # tilt or shift one piece off its neighbors
+        pieces = closed_form_pieces(interp)[:2]
+        pieces[corrupt][2, 0, 0] += 0.5   # shift (B) or tilt (W) one piece off its neighbors
+        _feed_pieces(monkeypatch, interp, *pieces)
         with pytest.raises(DiscontinuityDetected):
             continuity_audit(interp)
 
@@ -581,8 +701,9 @@ def test_interpolant_json_roundtrip_bitwise():
     assert "K_cont" in obj
     back = CpwaInterpolant.from_json(obj)
     assert np.array_equal(back.omega, interp.omega)
-    assert np.array_equal(back.W, interp.W)
-    assert np.array_equal(back.B, interp.B)
+    assert np.array_equal(back.corners, interp.corners)
+    for got, want in zip(_piece_table(back), _piece_table(interp)):
+        assert np.array_equal(got, want)
     assert back.k_cont == interp.k_cont
     assert back.min_rule_extras is True
     pts = rng.uniform(0, 1, size=(100, 2))
@@ -609,8 +730,10 @@ def test_interpolant_json_roundtrip_every_dimension():
                 assert ("extra_values" in obj) is not interp.min_rule_extras
                 back = CpwaInterpolant.from_json(obj)
                 assert back.extra_values.shape == (m, len(extras))
-                for name in ("omega", "extra_values", "W", "B"):
+                for name in ("omega", "extra_values", "corners"):
                     assert getattr(back, name).tobytes() == getattr(interp, name).tobytes()
+                for got, want in zip(_piece_table(back), _piece_table(interp)):
+                    assert got.tobytes() == want.tobytes()
                 assert back.min_rule_extras is interp.min_rule_extras
                 assert back.k_cont == interp.k_cont
 
