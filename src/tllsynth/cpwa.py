@@ -32,12 +32,9 @@ from .geometry import (
 from .serialize import float_or_none, hex_or_none, hex_to_vec, require_keys, rows_to_hex
 
 _DEDUP_DECIMALS = 12
-# floats or words held by one chunk's temporaries: the vertex values and
-# coordinates of _vertex_chunks and the points of CpwaInterpolant.eval_batch
-# here, and in tll.py the gathered selector
-# values of TllNetwork.eval_batch, the vertex values of _vertex_relations,
-# the cover rows _scalar_lattice keeps for _prune, the member rows _attains
-# gathers
+# floats held by one chunk's temporaries: the vertex values and coordinates
+# of _vertex_chunks and the points of CpwaInterpolant.eval_batch (tll.py
+# keeps its own, smaller chunk)
 _CHUNK_VALUES = 1 << 18
 REL_TOL = 1e-9  # every value tolerance is REL_TOL times the output's value_scale
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpwa import _CHUNK_VALUES, REL_TOL, CpwaInterpolant, piece_bank, value_scale
+from .cpwa import REL_TOL, CpwaInterpolant, piece_bank, value_scale
 from .errors import (
     BoundViolated,
     DimensionMismatch,
@@ -48,6 +48,12 @@ from .serialize import (
 from .sizing import controller_size
 
 _ALL_BITS = ~np.uint64(0)
+_BYTE_BITS = np.array([bin(k).count("1") for k in range(256)], dtype=np.uint8)   # set bits of each byte
+# floats or words held by one chunk's temporaries (256 KiB): the gathered
+# selector values of TllNetwork.eval_batch, the vertex values of
+# _vertex_relations, the cover rows _scalar_lattice keeps for _prune, the
+# member rows _attains gathers and the row bytes _bit_counts looks up
+_CHUNK_VALUES = 1 << 15
 
 
 @dataclass
@@ -64,8 +70,10 @@ class ScalarLattice:
 
 
 def _members(selectors) -> np.ndarray:
-    """Every selector member, set after set, as one index array."""
-    return np.fromiter(itertools.chain.from_iterable(selectors), dtype=np.intp)
+    """Every selector member, set after set, as one index array, allocated
+    once at its full size."""
+    return np.fromiter(itertools.chain.from_iterable(selectors), dtype=np.intp,
+                       count=sum(map(len, selectors)))
 
 
 def _size_buckets(sizes: np.ndarray, members: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -127,7 +135,12 @@ class TllNetwork:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Values at the rows of ``X`` (P, n), shape (P, m).
 
-        Each selector size takes one gather and one ``min`` over its
+        Per output, the bank values are one (P, N) product ``X @ W.T`` with
+        the bias added in place, so one (P, N) float array is held.  The
+        product is not split by rows: BLAS blocks a product by its row
+        count, and other blockings give other bits, so a row-chunked
+        product would not be bitwise that of the whole batch.  Each
+        selector size then takes one gather and one ``min`` over its
         (rows, M_k, k) values, in chunks of rows that hold at most
         ``_CHUNK_VALUES`` gathered values; the minima are put back in
         selector order before the ``max``, so the result is bitwise that of
@@ -138,7 +151,8 @@ class TllNetwork:
                                     f"got {X.shape}")
         res = np.empty((X.shape[0], self.m))
         for j, (lat, (idxs, column)) in enumerate(zip(self.outputs, self._buckets)):
-            vals = X @ lat.W.T + lat.b
+            vals = X @ lat.W.T
+            vals += lat.b
             step = max(1, _CHUNK_VALUES // max(idx.size for idx in idxs))
             for lo in range(0, X.shape[0], step):
                 rows = vals[lo:lo + step]
@@ -152,35 +166,74 @@ class TllNetwork:
 
 
 def _vertex_relations(interp: CpwaInterpolant, W: np.ndarray, b: np.ndarray,
-                      act: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (S, N) matrices from one evaluation of the bank at every
-    simplex's n+1 vertices: ``dom[s, i]`` when function i is >= the active
-    piece of s less ``slack`` there, ``below[s, i]`` when it is <= the active
-    piece plus ``slack``.  By linearity both are exact on the whole simplex.
-    Simplexes are taken in chunks, so the float temporaries stay near
-    ``_CHUNK_VALUES`` values whatever S is.
+                      act: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed relations from one evaluation of the bank at every simplex's
+    n+1 vertices.  Function i dominates on simplex s when it is >= the
+    active piece of s less ``slack`` there, and lies below when it is <= the
+    active piece plus ``slack``; by linearity both are exact on the whole
+    simplex.  Returns ``below_rows`` and ``dom_rows`` (N, words of S), row i
+    packing the simplexes function i lies below or dominates on, and
+    ``dom_by_simplex`` (S, words of N), row s packing the functions that
+    dominate on s; every padding bit is zero (``_bit_rows``'s layout).
+
+    Simplexes go in chunks of a multiple of 8, so that each chunk packs
+    into whole byte columns of the by-function rows.  A chunk evaluates into
+    one float buffer of at most ``_CHUNK_VALUES`` values, or 8 simplexes
+    (``np.matmul`` with ``out=``, then ``+= b`` in place: the bits of
+    ``@ W.T + b``), and compares into one reused bool buffer.  So no (S, N)
+    boolean is ever formed.
     """
-    grid, F = interp.grid, len(interp.perms)
+    grid, F, n = interp.grid, len(interp.perms), interp.n
     S, N = act.size, b.size
-    dom = np.empty((S, N), dtype=bool)
-    below = np.empty((S, N), dtype=bool)
-    step = max(1, _CHUNK_VALUES // (N * (interp.n + 1)))
+    below_rows, dom_rows, dom_by_simplex = _zero_rows(N, S), _zero_rows(N, S), _zero_rows(S, N)
+    below_bytes, dom_bytes = below_rows.view(np.uint8), dom_rows.view(np.uint8)
+    by_simplex = dom_by_simplex.view(np.uint8)[:, :-(-N // 8)]
+    step = max(8, _CHUNK_VALUES // (N * (n + 1)) // 8 * 8)
+    vals = np.empty((min(step, S), n + 1, N))
+    test = np.empty(vals.shape, dtype=bool)
     for lo in range(0, S, step):
         s = np.arange(lo, min(lo + step, S))
         corners = interp.cells[s // F][:, None, :] + interp.unit[s % F]   # (k, n+1, n)
-        vals = (grid.anchor + grid.eta * corners.astype(float)) @ W.T + b  # (k, n+1, N)
-        own = np.take_along_axis(vals, act[s, None, None], axis=2)
-        dom[s] = (vals >= own - slack).all(axis=1)
-        below[s] = (vals <= own + slack).all(axis=1)
-    return dom, below
+        out, hit = vals[:s.size], test[:s.size]
+        np.matmul(grid.anchor + grid.eta * corners.astype(float), W.T, out=out)
+        out += b
+        own = np.take_along_axis(out, act[s, None, None], axis=2)
+        cols = slice(lo // 8, lo // 8 - (-s.size // 8))
+        np.less_equal(out, own + slack, out=hit)
+        below_bytes[:, cols] = np.packbits(hit.all(axis=1).T, axis=1)
+        np.greater_equal(out, own - slack, out=hit)
+        dom = hit.all(axis=1)                                             # (k, N)
+        dom_bytes[:, cols] = np.packbits(dom.T, axis=1)
+        by_simplex[lo:lo + s.size] = np.packbits(dom, axis=1)
+    return below_rows, dom_rows, dom_by_simplex
+
+
+def _zero_rows(R: int, K: int) -> np.ndarray:
+    """R packed rows of K zero bits, in 64-bit words."""
+    return np.zeros((R, -(-K // 64)), dtype=np.uint64)
 
 
 def _bit_rows(mask: np.ndarray) -> np.ndarray:
-    """Rows of a boolean (R, K) matrix packed into 64-bit words, zero-padded."""
-    R, K = mask.shape
-    packed = np.zeros((R, -(-K // 64) * 8), dtype=np.uint8)
-    packed[:, :-(-K // 8)] = np.packbits(mask, axis=1)
-    return packed.view(np.uint64)
+    """Rows of a boolean (R, K) matrix packed into 64-bit words, zero-padded:
+    ``np.packbits`` order, so bit k of a row is bit 7 - k % 8 of byte k // 8."""
+    packed = _zero_rows(*mask.shape)
+    packed.view(np.uint8)[:, :-(-mask.shape[1] // 8)] = np.packbits(mask, axis=1)
+    return packed
+
+
+def _row_bits(row: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of one packed row, as booleans."""
+    return np.unpackbits(row.view(np.uint8), count=count).view(bool)
+
+
+def _bit_counts(rows: np.ndarray) -> np.ndarray:
+    """Set bits of each packed row, by a byte table over chunks of rows whose
+    words fill ``_CHUNK_VALUES`` (``np.bitwise_count`` needs NumPy 2)."""
+    counts = np.empty(rows.shape[0], dtype=np.intp)
+    step = max(1, _CHUNK_VALUES // rows.shape[1])
+    for lo in range(0, rows.shape[0], step):
+        counts[lo:lo + step] = _BYTE_BITS[rows[lo:lo + step].view(np.uint8)].sum(axis=1)
+    return counts
 
 
 def _prune(walks: list, before: np.ndarray, act: np.ndarray, rows: np.ndarray,
@@ -230,13 +283,16 @@ def _attains(sets: list, dom_rows: np.ndarray, act: np.ndarray) -> np.ndarray:
 
     ``dom_rows`` row i packs the simplexes function i dominates on.  A
     set's row is the AND of its members' rows, masked by the OR of their
-    active rows (the simplexes whose active piece the set holds).  Sets go
-    in chunks whose gathered rows fill ``_CHUNK_VALUES`` words, or one set.
+    active rows (the simplexes whose active piece the set holds); the
+    active rows get their bits straight from ``act``, one per simplex.  Sets
+    go in chunks whose gathered rows fill ``_CHUNK_VALUES`` words, or one set.
     """
     N, words = dom_rows.shape
-    active = _bit_rows(act == np.arange(N)[:, None])     # row i: where i is the active piece
+    active = _zero_rows(N, act.size)                     # row i: where i is the active piece
+    s = np.arange(act.size)
+    np.bitwise_or.at(active.view(np.uint8), (act, s >> 3), (0x80 >> (s & 7)).astype(np.uint8))
     sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    members = _members(sets)
+    members = np.concatenate(sets)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     out = np.empty((len(sets), words), dtype=np.uint64)
@@ -282,7 +338,9 @@ def _cover(sets: list, dom_rows: np.ndarray, act: np.ndarray) -> list:
     A reverse pass then visits the picks from the last one back and drops
     each one the other kept picks make redundant: every simplex it attains
     on is attained by another kept pick.  So every kept set attains on
-    some simplex no other kept set attains on.
+    some simplex no other kept set attains on.  The pass keeps one count
+    per simplex, of the kept picks attaining on it, and unpacks one pick's
+    row at a time.
     """
     attains = _attains(sets, dom_rows, act)
     rows = [int.from_bytes(row.tobytes(), "little") for row in attains]
@@ -299,10 +357,12 @@ def _cover(sets: list, dom_rows: np.ndarray, act: np.ndarray) -> list:
             left &= ~rows[top.t]
         else:
             heapq.heapreplace(heap, _Gain(gain, top.size, top.t))
-    hits = np.unpackbits(attains[picked].view(np.uint8), axis=1, count=act.size).view(bool)
-    counts = hits.sum(axis=0)          # kept picks attaining on each simplex
+    counts = np.zeros(act.size, dtype=np.intp)     # kept picks attaining on each simplex
+    for t in picked:
+        counts += _row_bits(attains[t], act.size)
     kept = []
-    for t, hit in zip(picked[::-1], hits[::-1]):
+    for t in picked[::-1]:
+        hit = _row_bits(attains[t], act.size)
         if counts[hit].min() > 1:
             counts -= hit
         else:
@@ -342,15 +402,11 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     so the max of the kept sets is exact.
     """
     W, b, act = piece_bank(interp, output)
-    dom, below = _vertex_relations(interp, W, b, act, REL_TOL * value_scale(interp, output))
-
-    rows = _bit_rows(below.T)          # row i: the simplexes function i is below on
-    dom_rows = _bit_rows(dom.T)        # row i: the simplexes function i dominates on
+    # row i of rows / dom_rows: the simplexes function i is below / dominates on
+    rows, dom_rows, dom_by_simplex = _vertex_relations(interp, W, b, act,
+                                                       REL_TOL * value_scale(interp, output))
     full = _bit_rows(np.ones((1, act.size), dtype=bool))[0]
-    order = np.argsort(-below.sum(axis=0), kind="stable")
-    dom_in_order = dom[:, order]
-    dom_in_order[np.arange(act.size), np.argsort(order)[act]] = False   # the pin leads each walk
-    del dom, below
+    order = np.argsort(-_bit_counts(rows), kind="stable")
 
     any_word = np.ones(full.size, dtype=bool)
     sets: list = [None] * act.size     # each simplex's set, sorted
@@ -361,7 +417,9 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
                       dtype=np.uint64)
     used = 0
     for s, a in enumerate(act):
-        walk = np.concatenate(([a], order[dom_in_order[s]]))
+        dom = _row_bits(dom_by_simplex[s], b.size)
+        dom[a] = False                 # the pin leads the walk
+        walk = np.concatenate(([a], order[dom[order]]))
         cover = np.bitwise_or.accumulate(np.take(rows, walk, axis=0), axis=0)
         if (cover[-1] != full).any():
             sets[s] = np.sort(walk)
@@ -375,8 +433,10 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
         used += grew.size
         walks.append((s, walk[grew + 1]))
     _prune(walks, before[:used], act, rows, full, sets)
-    candidates = list(dict.fromkeys(tuple(sel.tolist()) for sel in sets))
-    return ScalarLattice(W, b, [list(sel) for sel in _cover(candidates, dom_rows, act)])
+    del before, rows, dom_by_simplex
+    candidates = list({sel.tobytes(): sel for sel in sets}.values())   # distinct, in order
+    del sets
+    return ScalarLattice(W, b, [sel.tolist() for sel in _cover(candidates, dom_rows, act)])
 
 
 def compile_tll(interp: CpwaInterpolant, bound_n: int | None = None) -> TllNetwork:

@@ -40,7 +40,7 @@ from _oracles import (
     schedule_widths,
     simplex_relations,
 )
-from test_cpwa import consistent_extras, omega_of
+from test_cpwa import _traced_peak, consistent_extras, omega_of
 
 
 def _random_interpolant(rng, n=2, eta=0.4, m=1, box=None):
@@ -182,6 +182,13 @@ def test_selectors_are_vertex_certified_or_all_dominating(n, m, eta):
                 assert any(from_simplex(sel, s) for sel in sels)
 
 
+def _bits(rows, count):
+    """Packed rows (``tll._bit_rows``'s layout) unpacked to ``count``
+    columns, and whether every padding bit after them is zero."""
+    bits = np.unpackbits(rows.view(np.uint8), axis=1).view(bool)
+    return bits[:, :count], not bits[:, count:].any()
+
+
 def _uncovered(sets, dom_rows, act):
     """``tll._cover`` that keeps every set: the selectors before the cover."""
     return sets
@@ -197,9 +204,10 @@ def test_selector_that_cannot_cover_keeps_its_dominating_set(monkeypatch):
     relations = tll._vertex_relations
 
     def holed(interp, W, b, act, slack):
-        dom, below = relations(interp, W, b, act, slack)
-        below[0] = np.arange(b.size) == act[0]
-        return dom, below
+        below_rows, dom_rows, dom_by_simplex = relations(interp, W, b, act, slack)
+        below, _ = _bits(below_rows, act.size)      # (N, S): function i below on k
+        below[:, 0] = np.arange(b.size) == act[0]
+        return tll._bit_rows(below), dom_rows, dom_by_simplex
 
     monkeypatch.setattr(tll, "_vertex_relations", holed)
     with monkeypatch.context() as patch:
@@ -309,6 +317,90 @@ def test_selectors_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     for interp, outputs in zip(interps, expected):
         got = compile_tll(interp).outputs
         assert [lat.selectors for lat in got] == [lat.selectors for lat in outputs]
+
+
+def _relation_cases():
+    """Random interpolants whose simplex count S is a multiple of neither 8
+    nor 64: 1-D (S = 84, m = 2), 2-D (S = 162) and 3-D (S = 162, m = 2),
+    with banks of 82 to 157 functions."""
+    rng = np.random.default_rng(227)
+    for n, m, eta in [(1, 2, 0.012), (2, 1, 0.13), (3, 2, 0.5)]:
+        interp = _random_interpolant(rng, n=n, eta=eta, m=m)
+        assert interp.num_simplexes % 8 and interp.num_simplexes > 64
+        yield interp
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, tll._CHUNK_VALUES])
+def test_packed_relations_are_the_per_simplex_sets_at_chunk_and_word_borders(monkeypatch, chunk):
+    # rows end inside a byte and inside a word, and chunks of 8 simplexes
+    # (64 to 192 at the default) end inside words
+    monkeypatch.setattr(tll, "_CHUNK_VALUES", chunk)
+    for interp in _relation_cases():
+        for j in range(interp.m):
+            W, b, act, dominating, below = simplex_relations(interp, j)
+            S, N = act.size, b.size
+            below_rows, dom_rows, dom_by_simplex = tll._vertex_relations(
+                interp, W, b, act, REL_TOL * value_scale(interp, j))
+            assert below_rows.shape == dom_rows.shape == (N, -(-S // 64))
+            assert dom_by_simplex.shape == (S, -(-N // 64))
+            want_dom, want_below = np.zeros((S, N), dtype=bool), np.zeros((S, N), dtype=bool)
+            for s in range(S):
+                want_dom[s, list(dominating[s])] = True
+                want_below[s, list(below[s])] = True
+            for rows, want in ((below_rows, want_below.T), (dom_rows, want_dom.T),
+                               (dom_by_simplex, want_dom)):
+                got, clean = _bits(rows, want.shape[1])
+                assert clean and np.array_equal(got, want)
+            # the walk's order reads the below rows' popcounts
+            assert np.array_equal(tll._bit_counts(below_rows), want_below.sum(axis=0))
+            # the attains rows and the cover, against the set-based references
+            sets = list(irredundant_selectors(interp, j))
+            got, clean = _bits(tll._attains(sets, dom_rows, act), S)
+            assert clean
+            assert [set(np.flatnonzero(row).tolist()) for row in got] == \
+                attaining_simplexes(interp, j, sets)
+            kept = tll._cover(sets, dom_rows, act)
+            assert [list(T) for T in kept] == covered_selectors(interp, j)
+
+
+def test_compile_holds_less_than_one_dense_relation_beyond_its_packed_rows(monkeypatch):
+    # 2-D unit square at eta 0.05: S = 882 simplexes, N = 845 functions.  The
+    # packed relations take about 3 S N / 8 bytes (dom and below by
+    # function, dom by simplex); one dense (S, N) boolean takes S N.  With
+    # chunks cut to 2^12 values the scratch is, from its shapes: one float
+    # and one bool buffer of 8 simplexes' vertex values, the cover rows of
+    # one walk (min(S, N) rows) and the two row gathers of _attains.
+    # Everything else compile holds, selector sets included, must fit in
+    # less than S N, so no dense relation fits beside it.
+    grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.05)
+    x, y = grid.points.T
+    interp = build_interpolant(grid, (np.sin(3.0 * x) * np.cos(2.0 * y)
+                                      + 0.5 * np.sin(5.0 * x * y))[None])
+    monkeypatch.setattr(tll, "_CHUNK_VALUES", 1 << 12)
+    N = compile_tll(interp).outputs[0].size     # first-call work stays out of the peak
+    S, n = interp.num_simplexes, interp.n
+    assert (S, N) == (882, 845)
+    words_S, words_N = -(-S // 64), -(-N // 64)
+    packed = 8 * (2 * N * words_S + S * words_N)
+    scratch = 9 * 8 * (n + 1) * N + 8 * min(S, N) * words_S + 2 * 8 * tll._CHUNK_VALUES
+    peak = _traced_peak(compile_tll, interp)
+    assert peak < packed + scratch + S * N, (peak - packed - scratch) / (S * N)
+
+
+def test_eval_batch_holds_one_bank_value_array(monkeypatch):
+    # P = 2,000 points against N = 400 functions: the (P, N) bank values take
+    # 6.4 MB, and the gather chunk is cut to 2^12 values (32 kB), so a second
+    # (P, N) array, such as a separate ``+ b``, would show
+    rng = np.random.default_rng(229)
+    P, N = 2000, 400
+    sels = [rng.integers(N, size=int(k)).tolist() for k in rng.integers(1, 9, size=300)]
+    net = TllNetwork(2, [ScalarLattice(rng.normal(size=(N, 2)), rng.normal(size=N), sels)])
+    X = rng.uniform(0.0, 1.0, size=(P, 2))
+    monkeypatch.setattr(tll, "_CHUNK_VALUES", 1 << 12)
+    net.eval_batch(X)                            # first-call work stays out of the peak
+    values = 8 * P * N
+    peak = _traced_peak(net.eval_batch, X)
+    assert peak < values + values / 4, peak / values
 
 
 def test_pruned_lattice_equals_the_interpolant_within_the_value_scale():
@@ -699,6 +791,46 @@ def test_import_rejects_boolean_coefficients():
             import_network(bad)
     with pytest.raises(SchemaError):
         import_network({**obj, "provenance": {**obj["provenance"], "eta": True}})
+
+
+def test_import_reads_every_bank_spelling_alike_and_names_the_first_bad_entry():
+    rng = np.random.default_rng(231)
+    net = compile_tll(_random_interpolant(rng, n=2, eta=0.4))
+    obj = export_network(net)
+    lat = net.outputs[0]
+    spellings = (
+        float.hex,                                        # the long float.hex() form
+        lambda x: float.hex(x) if np.signbit(x) else "+" + float.hex(x),
+        float,                                            # JSON numbers
+    )
+    for spell in spellings:
+        for edited in range(2):    # one entry in another spelling, or all of them
+            doc = copy.deepcopy(obj)
+            bank = doc["outputs"][0]["bank"]
+            for k in range(len(bank) if edited else 1):
+                bank[k] = {"w": [spell(x) for x in lat.W[k].tolist()], "b": spell(float(lat.b[k]))}
+            back = import_network(doc).outputs[0]
+            assert _bitwise(back.W, lat.W) and _bitwise(back.b, lat.b)
+    # each fault names itself, and of two faults the earlier entry's is raised
+    faults = [
+        (lambda bank: bank.__setitem__(1, ["0x1p+0"]), "bank entry: expected a JSON object"),
+        (lambda bank: bank[1].pop("b"), "bank entry: missing keys ['b']"),
+        (lambda bank: bank[1].update(w="0x1p+0"), "expected a list of hex floats"),
+        (lambda bank: bank[1]["w"].append("0x1p+0"), "bank weight length 3 != n=2"),
+        (lambda bank: bank[1].update(b="0.5"), "not a hex float '0.5'"),
+        (lambda bank: bank[1]["w"].__setitem__(0, "0x1.zp+0"), "malformed hex float '0x1.zp+0'"),
+        (lambda bank: bank[1].update(b=None), "expected hex float string, got NoneType"),
+    ]
+    for fault, text in faults:
+        for later in (None, 2):
+            doc = copy.deepcopy(obj)
+            bank = doc["outputs"][0]["bank"]
+            fault(bank)
+            if later is not None:
+                bank[later] = {"w": "0x0p+0"}        # a second fault after the first
+            with pytest.raises(SchemaError) as err:
+                import_network(doc)
+            assert str(err.value).startswith(text), (text, str(err.value))
 
 
 def test_network_call_on_one_point_is_a_batch_row():
