@@ -49,11 +49,33 @@ from .sizing import controller_size
 
 _ALL_BITS = ~np.uint64(0)
 _BYTE_BITS = np.array([bin(k).count("1") for k in range(256)], dtype=np.uint8)   # set bits of each byte
-# floats or words held by one chunk's temporaries (256 KiB): the gathered
-# selector values of TllNetwork.eval_batch, the vertex values of
-# _vertex_relations, the cover rows _scalar_lattice keeps for _prune, the
-# member rows _attains gathers and the row bytes _bit_counts looks up
+# floats or words held by one chunk's temporaries (256 KiB): the bank values
+# and the gathered selector values of TllNetwork.eval_batch, the vertex
+# values of _vertex_relations, the cover rows _scalar_lattice keeps for
+# _prune, the member rows _attains gathers and the row bytes _bit_counts
+# looks up
 _CHUNK_VALUES = 1 << 15
+
+
+def _bank_values(X: np.ndarray, WT: np.ndarray, bias: np.ndarray,
+                 out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Bank values of the rows of ``X`` (k, n) into ``out`` (k, N), in one
+    fixed order per element, each step rounded on its own: ``x_0 w_0``,
+    then ``+ x_j w_j`` for j = 1 .. n-1, then ``+ b``, then ``+ 0.0``.  So
+    a row's values have the same bits in any block of rows and under any
+    BLAS, which is never called.  ``WT`` is the (n, N) transposed weights
+    and ``term`` a buffer of ``out``'s shape for one product term.
+
+    ``bias`` is ``b + 0.0``: it holds no -0, so one add of it gives the
+    bits of ``+ b`` then ``+ 0.0``, whose only effect is to turn a -0 sum
+    into +0.  No value is then -0, so a min or max never ties -0 against
+    +0, where the pick would follow the reduction order."""
+    np.multiply(X[:, :1], WT[0], out=out)
+    for j in range(1, WT.shape[0]):
+        np.multiply(X[:, j:j + 1], WT[j], out=term)
+        out += term
+    out += bias
+    return out
 
 
 @dataclass
@@ -103,7 +125,8 @@ class TllNetwork:
     def __init__(self, n: int, outputs: list[ScalarLattice], provenance: dict | None = None):
         if n < 1 or not outputs:
             raise InvariantViolation("network needs n >= 1 and at least one output")
-        self._buckets = []
+        self._buckets = []                   # per output: size buckets into the joint bank
+        offset = widest = 0
         for j, out in enumerate(outputs):
             if out.W.shape != (out.b.shape[0], n) or out.b.ndim != 1:
                 raise InvariantViolation("bank shapes are inconsistent")
@@ -123,7 +146,14 @@ class TllNetwork:
                 raise InvariantViolation("selector index out of bank range") from exc
             if members.min() < 0 or members.max() >= out.size:
                 raise InvariantViolation("selector index out of bank range")
-            self._buckets.append(_size_buckets(sizes, members))
+            idxs, column = _size_buckets(sizes, members)
+            self._buckets.append(([idx + offset for idx in idxs], column))
+            widest = max(widest, max(idx.size for idx in idxs))
+            offset += out.size
+        # every output's bank side by side, as evaluation reads it
+        self._WT = np.ascontiguousarray(np.concatenate([out.W for out in outputs]).T, dtype=float)
+        self._bias = np.concatenate([out.b for out in outputs]).astype(float) + 0.0
+        self._widest = max(widest, offset)    # bank or gather values per row
         self.n = n
         self.outputs = outputs
         self.provenance = dict(provenance or {})
@@ -135,29 +165,31 @@ class TllNetwork:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Values at the rows of ``X`` (P, n), shape (P, m).
 
-        Per output, the bank values are one (P, N) product ``X @ W.T`` with
-        the bias added in place, so one (P, N) float array is held.  The
-        product is not split by rows: BLAS blocks a product by its row
-        count, and other blockings give other bits, so a row-chunked
-        product would not be bitwise that of the whole batch.  Each
-        selector size then takes one gather and one ``min`` over its
-        (rows, M_k, k) values, in chunks of rows that hold at most
-        ``_CHUNK_VALUES`` gathered values; the minima are put back in
-        selector order before the ``max``, so the result is bitwise that of
-        one ``min`` per selector."""
+        Rows go in chunks whose bank values, every output's side by side,
+        and whose gathered values of each selector size fill at most
+        ``_CHUNK_VALUES`` floats, so no (P, N) array is formed.  A chunk's
+        bank values come from ``_bank_values`` into two buffers allocated
+        once per call; then per output, each selector size takes one gather
+        and one ``min`` over its (rows, M_k, k) values, and the minima are
+        put back in selector order before the ``max``.  So a row's value is
+        bitwise that of one ``min`` per selector over its fixed-order bank
+        values, whatever the batch it is in, the chunk bound or the BLAS."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DimensionMismatch(f"network inputs must have shape (P, {self.n}), "
                                     f"got {X.shape}")
-        res = np.empty((X.shape[0], self.m))
-        for j, (lat, (idxs, column)) in enumerate(zip(self.outputs, self._buckets)):
-            vals = X @ lat.W.T
-            vals += lat.b
-            step = max(1, _CHUNK_VALUES // max(idx.size for idx in idxs))
-            for lo in range(0, X.shape[0], step):
-                rows = vals[lo:lo + step]
-                mins = np.concatenate([rows[:, idx].min(axis=2) for idx in idxs], axis=1)
-                res[lo:lo + step, j] = mins[:, column].max(axis=1)
+        P = X.shape[0]
+        res = np.empty((P, self.m))
+        step = max(1, _CHUNK_VALUES // self._widest)
+        vals = np.empty((min(step, P), self._bias.size))
+        term = np.empty(vals.shape)
+        for lo in range(0, P, step):
+            rows = X[lo:lo + step]
+            k = rows.shape[0]
+            out = _bank_values(rows, self._WT, self._bias, vals[:k], term[:k])
+            for j, (idxs, column) in enumerate(self._buckets):
+                mins = np.concatenate([out[:, idx].min(axis=2) for idx in idxs], axis=1)
+                res[lo:lo + k, j] = mins[:, column].max(axis=1)
         return res
 
     def __call__(self, x):
@@ -178,10 +210,10 @@ def _vertex_relations(interp: CpwaInterpolant, W: np.ndarray, b: np.ndarray,
 
     Simplexes go in chunks of a multiple of 8, so that each chunk packs
     into whole byte columns of the by-function rows.  A chunk evaluates into
-    one float buffer of at most ``_CHUNK_VALUES`` values, or 8 simplexes
-    (``np.matmul`` with ``out=``, then ``+= b`` in place: the bits of
-    ``@ W.T + b``), and compares into one reused bool buffer.  So no (S, N)
-    boolean is ever formed.
+    one float buffer of at most ``_CHUNK_VALUES`` values, or 8 simplexes,
+    by ``_bank_values``, so each vertex value has the bits
+    ``TllNetwork.eval_batch`` gives the bank there, and compares into one
+    reused bool buffer.  So no (S, N) boolean is ever formed.
     """
     grid, F, n = interp.grid, len(interp.perms), interp.n
     S, N = act.size, b.size
@@ -189,14 +221,16 @@ def _vertex_relations(interp: CpwaInterpolant, W: np.ndarray, b: np.ndarray,
     below_bytes, dom_bytes = below_rows.view(np.uint8), dom_rows.view(np.uint8)
     by_simplex = dom_by_simplex.view(np.uint8)[:, :-(-N // 8)]
     step = max(8, _CHUNK_VALUES // (N * (n + 1)) // 8 * 8)
+    WT, bias = np.ascontiguousarray(W.T), b + 0.0
     vals = np.empty((min(step, S), n + 1, N))
+    term = np.empty(vals.shape)
     test = np.empty(vals.shape, dtype=bool)
     for lo in range(0, S, step):
         s = np.arange(lo, min(lo + step, S))
         corners = interp.cells[s // F][:, None, :] + interp.unit[s % F]   # (k, n+1, n)
         out, hit = vals[:s.size], test[:s.size]
-        np.matmul(grid.anchor + grid.eta * corners.astype(float), W.T, out=out)
-        out += b
+        _bank_values((grid.anchor + grid.eta * corners.astype(float)).reshape(-1, n), WT, bias,
+                     out.reshape(-1, N), term[:s.size].reshape(-1, N))
         own = np.take_along_axis(out, act[s, None, None], axis=2)
         cols = slice(lo // 8, lo // 8 - (-s.size // 8))
         np.less_equal(out, own + slack, out=hit)

@@ -794,11 +794,19 @@ def expand_scalar(W, b, selectors, n, pad_to=None):
 
 def lattice_values(lattices, X):
     """Max over selector sets of the min over each set's bank values, one
-    ``min`` per set, for (W, b, selectors) lattices; shape (P, len(lattices))."""
+    ``min`` per set, for (W, b, selectors) lattices; shape (P, len(lattices)).
+
+    Bank values are summed in one fixed order, each step rounded on its
+    own: ``x_0 w_0``, ``+ x_j w_j`` for j = 1 .. n-1, ``+ b``, then
+    ``+ 0.0``, which makes every zero +0."""
     X = np.asarray(X, dtype=float)
     res = np.empty((X.shape[0], len(lattices)))
     for j, (W, b, selectors) in enumerate(lattices):
-        vals = X @ W.T + b
+        W = np.asarray(W, dtype=float)
+        vals = X[:, 0, None] * W[None, :, 0]
+        for k in range(1, W.shape[1]):
+            vals = vals + X[:, k, None] * W[None, :, k]
+        vals = vals + b + 0.0
         res[:, j] = np.stack([vals[:, sel].min(axis=1) for sel in selectors], axis=1).max(axis=1)
     return res
 

@@ -1,6 +1,10 @@
 """Max-min lattice compilation, composition, and ReLU expansion."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,6 +683,68 @@ def test_eval_batch_chunk_bound_does_not_change_bits(monkeypatch, chunk):
     for (net, X), before in zip(cases, want):
         got = net.eval_batch(X)
         assert _bitwise(got, before) and _bitwise(got, lattice_values(_lattices(net), X))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_eval_batch_bits_do_not_depend_on_the_batch(monkeypatch, chunk):
+    # the whole batch, each row alone and blocks of 37 rows, at chunk
+    # bounds that cut every call and at the default; no value is -0
+    rng = np.random.default_rng(233)
+    cases = [(net, _inputs(rng, 111, net.n, ints)) for net, ints in _eval_networks(rng)]
+    if chunk is not None:
+        monkeypatch.setattr(tll, "_CHUNK_VALUES", chunk)
+    for net, X in cases:
+        whole = net.eval_batch(X)
+        alone = np.concatenate([net.eval_batch(X[i:i + 1]) for i in range(len(X))])
+        blocks = np.concatenate([net.eval_batch(X[i:i + 37]) for i in range(0, len(X), 37)])
+        assert _bitwise(alone, whole) and _bitwise(blocks, whole)
+        assert not np.signbit(whole[whole == 0.0]).any()
+
+
+def test_eval_batch_peak_does_not_grow_with_the_batch():
+    # N = 400 functions, 300 sets of 1 to 8 members.  Beside the (P, m)
+    # result, a call holds at most six chunk-sized arrays: the bank values
+    # and one product term, one gather, and the minima of the M < N
+    # selectors as a list, side by side and in selector order
+    rng = np.random.default_rng(229)
+    N = 400
+    sels = [rng.integers(N, size=int(k)).tolist() for k in rng.integers(1, 9, size=300)]
+    net = TllNetwork(2, [ScalarLattice(rng.normal(size=(N, 2)), rng.normal(size=N), sels)])
+    for P in (500, 5000):
+        X = rng.uniform(0.0, 1.0, size=(P, 2))
+        net.eval_batch(X)                        # first-call work stays out of the peak
+        bound = 8 * P * net.m + 6 * 8 * tll._CHUNK_VALUES
+        peak = _traced_peak(net.eval_batch, X)
+        assert peak < bound, (P, peak, bound)
+
+
+_BLAS_CHILD = """
+import hashlib
+import numpy as np
+from tllsynth import ScalarLattice, TllNetwork
+rng = np.random.default_rng(239)
+digest = hashlib.sha256()
+for n in (2, 3, 4):
+    sels = [rng.integers(900, size=int(k)).tolist() for k in rng.integers(1, 9, size=200)]
+    net = TllNetwork(n, [ScalarLattice(rng.normal(size=(900, n)), rng.normal(size=900), sels)])
+    digest.update(net.eval_batch(rng.uniform(-1.0, 1.0, size=(5000, n))).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_eval_batch_bits_do_not_depend_on_the_blas_setting():
+    # one child per OpenBLAS setting: one thread, two threads, and one
+    # thread on the Haswell kernels; N = 900 functions, 5,000 rows each
+    src = str(Path(tll.__file__).resolve().parents[1])
+    digests = set()
+    for setting in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                    {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell"}):
+        env = {**os.environ, "PYTHONPATH": src, **setting}
+        proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_eval_batch_rejects_inputs_of_another_shape():
