@@ -279,7 +279,8 @@ def locate_batch(X: np.ndarray, grid: EtaGrid) -> tuple[np.ndarray, np.ndarray, 
     integer lattice coordinates step down), clamped into the union; ranks
     come from the ascending stable argsort, so ties break by ascending
     index.  ``LOCATE_SLACK`` (in lattice units) absorbs float dust at the
-    outer boundary; beyond it the point is outside the union.
+    outer boundary; beyond it, or with a NaN coordinate, the point is
+    outside the union.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != grid.dimension:
@@ -287,8 +288,9 @@ def locate_batch(X: np.ndarray, grid: EtaGrid) -> tuple[np.ndarray, np.ndarray, 
     c = (X - grid.anchor) / grid.eta
     counts = np.asarray(grid.axis_counts)
     lo, hi = -1.0 - LOCATE_SLACK, counts + LOCATE_SLACK
-    if (c < lo).any() or (c > hi).any():
-        bad = np.where((c < lo).any(axis=1) | (c > hi).any(axis=1))[0]
+    inside = (c >= lo) & (c <= hi)
+    if not inside.all():
+        bad = np.flatnonzero(~inside.all(axis=1))
         raise OutsideDomain(f"{bad.size} points leave the hypercube union (first: {X[bad[0]].tolist()})")
     cells = np.floor(c).astype(np.int64)
     cells[c == cells] -= 1  # face points take the lower cell

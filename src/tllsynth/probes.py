@@ -25,9 +25,6 @@ class ProbeSet:
     spec: str                   # human-readable construction recipe
     seed: int | None = None     # present only when random points were added
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
 
 def lattice_probes(box: Box, per_axis: int) -> np.ndarray:
     """Uniform product lattice over the box, endpoints included.

@@ -48,12 +48,10 @@ from .serialize import (
 from .sizing import controller_size
 
 _ALL_BITS = ~np.uint64(0)
-_BYTE_BITS = np.array([bin(k).count("1") for k in range(256)], dtype=np.uint8)   # set bits of each byte
 # floats or words held by one chunk's temporaries (256 KiB): the bank values
 # and the gathered selector values of TllNetwork.eval_batch, the vertex
 # values of _vertex_relations, the cover rows _scalar_lattice keeps for
-# _prune, the member rows _attains gathers and the row bytes _bit_counts
-# looks up
+# _prune and the member rows _attains gathers
 _CHUNK_VALUES = 1 << 15
 
 
@@ -140,6 +138,9 @@ class TllNetwork:
                                 count=len(out.selectors))
             if not sizes.all():
                 raise EmptySelector("selector set is empty")
+            kinds = set(map(type, itertools.chain.from_iterable(out.selectors)))
+            if any(issubclass(k, bool) or not issubclass(k, (int, np.integer)) for k in kinds):
+                raise InvariantViolation("selector entries must be integers, not floats or bools")
             try:
                 members = _members(out.selectors)
             except OverflowError as exc:
@@ -204,22 +205,22 @@ def _vertex_relations(interp: CpwaInterpolant, W: np.ndarray, b: np.ndarray,
     active piece of s less ``slack`` there, and lies below when it is <= the
     active piece plus ``slack``; by linearity both are exact on the whole
     simplex.  Returns ``below_rows`` and ``dom_rows`` (N, words of S), row i
-    packing the simplexes function i lies below or dominates on, and
-    ``dom_by_simplex`` (S, words of N), row s packing the functions that
-    dominate on s; every padding bit is zero (``_bit_rows``'s layout).
+    packing the simplexes function i lies below or dominates on, every
+    padding bit zero (``_bit_rows``'s layout), and ``below_counts`` (N,),
+    the number of simplexes each function lies below on.
 
     Simplexes go in chunks of a multiple of 8, so that each chunk packs
-    into whole byte columns of the by-function rows.  A chunk evaluates into
-    one float buffer of at most ``_CHUNK_VALUES`` values, or 8 simplexes,
-    by ``_bank_values``, so each vertex value has the bits
+    into whole byte columns of the rows.  A chunk evaluates into one float
+    buffer of at most ``_CHUNK_VALUES`` values, or 8 simplexes, by
+    ``_bank_values``, so each vertex value has the bits
     ``TllNetwork.eval_batch`` gives the bank there, and compares into one
     reused bool buffer.  So no (S, N) boolean is ever formed.
     """
     grid, F, n = interp.grid, len(interp.perms), interp.n
     S, N = act.size, b.size
-    below_rows, dom_rows, dom_by_simplex = _zero_rows(N, S), _zero_rows(N, S), _zero_rows(S, N)
+    below_rows, dom_rows = _zero_rows(N, S), _zero_rows(N, S)
     below_bytes, dom_bytes = below_rows.view(np.uint8), dom_rows.view(np.uint8)
-    by_simplex = dom_by_simplex.view(np.uint8)[:, :-(-N // 8)]
+    below_counts = np.zeros(N, dtype=np.intp)
     step = max(8, _CHUNK_VALUES // (N * (n + 1)) // 8 * 8)
     WT, bias = np.ascontiguousarray(W.T), b + 0.0
     vals = np.empty((min(step, S), n + 1, N))
@@ -234,12 +235,12 @@ def _vertex_relations(interp: CpwaInterpolant, W: np.ndarray, b: np.ndarray,
         own = np.take_along_axis(out, act[s, None, None], axis=2)
         cols = slice(lo // 8, lo // 8 - (-s.size // 8))
         np.less_equal(out, own + slack, out=hit)
-        below_bytes[:, cols] = np.packbits(hit.all(axis=1).T, axis=1)
+        below = hit.all(axis=1)                                           # (k, N)
+        below_bytes[:, cols] = np.packbits(below.T, axis=1)
+        below_counts += below.sum(axis=0)
         np.greater_equal(out, own - slack, out=hit)
-        dom = hit.all(axis=1)                                             # (k, N)
-        dom_bytes[:, cols] = np.packbits(dom.T, axis=1)
-        by_simplex[lo:lo + s.size] = np.packbits(dom, axis=1)
-    return below_rows, dom_rows, dom_by_simplex
+        dom_bytes[:, cols] = np.packbits(hit.all(axis=1).T, axis=1)
+    return below_rows, dom_rows, below_counts
 
 
 def _zero_rows(R: int, K: int) -> np.ndarray:
@@ -260,14 +261,9 @@ def _row_bits(row: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(row.view(np.uint8), count=count).view(bool)
 
 
-def _bit_counts(rows: np.ndarray) -> np.ndarray:
-    """Set bits of each packed row, by a byte table over chunks of rows whose
-    words fill ``_CHUNK_VALUES`` (``np.bitwise_count`` needs NumPy 2)."""
-    counts = np.empty(rows.shape[0], dtype=np.intp)
-    step = max(1, _CHUNK_VALUES // rows.shape[1])
-    for lo in range(0, rows.shape[0], step):
-        counts[lo:lo + step] = _BYTE_BITS[rows[lo:lo + step].view(np.uint8)].sum(axis=1)
-    return counts
+def _column_bits(rows: np.ndarray, k: int) -> np.ndarray:
+    """Bit ``k`` of every packed row, as booleans: one strided byte gather."""
+    return (rows.view(np.uint8)[:, k >> 3] & (0x80 >> (k & 7))).astype(bool)
 
 
 def _prune(walks: list, before: np.ndarray, act: np.ndarray, rows: np.ndarray,
@@ -412,10 +408,12 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     dominate it on s (>= at the n+1 vertices less REL_TOL * ``value_scale``,
     rounding noise).  Every candidate holds for every simplex k a member <=
     k's active piece on k (vertex check with the same slack), so its min is
-    at or below the interpolant everywhere.  To build it, the members are
-    walked in one global order, functions below on more simplexes first,
-    and a member is kept only when it is below on a simplex no earlier
-    member covers.
+    at or below the interpolant everywhere.  Both relations are held once,
+    packed by function (``_vertex_relations``); s's dominating functions
+    are bit s of every ``dom`` row.  To build the set, they are walked in
+    one global order, functions below on more simplexes first, and a
+    member is kept only when it is below on a simplex no earlier member
+    covers.
     ``_prune`` then walks the kept members back and drops each one the
     others make redundant, in chunks of walks whose cover rows fill
     ``_CHUNK_VALUES`` words.  The set's own active piece, its pin, always
@@ -437,10 +435,10 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
     """
     W, b, act = piece_bank(interp, output)
     # row i of rows / dom_rows: the simplexes function i is below / dominates on
-    rows, dom_rows, dom_by_simplex = _vertex_relations(interp, W, b, act,
-                                                       REL_TOL * value_scale(interp, output))
+    rows, dom_rows, below_counts = _vertex_relations(interp, W, b, act,
+                                                     REL_TOL * value_scale(interp, output))
     full = _bit_rows(np.ones((1, act.size), dtype=bool))[0]
-    order = np.argsort(-_bit_counts(rows), kind="stable")
+    order = np.argsort(-below_counts, kind="stable")
 
     any_word = np.ones(full.size, dtype=bool)
     sets: list = [None] * act.size     # each simplex's set, sorted
@@ -451,7 +449,7 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
                       dtype=np.uint64)
     used = 0
     for s, a in enumerate(act):
-        dom = _row_bits(dom_by_simplex[s], b.size)
+        dom = _column_bits(dom_rows, s)
         dom[a] = False                 # the pin leads the walk
         walk = np.concatenate(([a], order[dom[order]]))
         cover = np.bitwise_or.accumulate(np.take(rows, walk, axis=0), axis=0)
@@ -467,7 +465,7 @@ def _scalar_lattice(interp: CpwaInterpolant, output: int) -> ScalarLattice:
         used += grew.size
         walks.append((s, walk[grew + 1]))
     _prune(walks, before[:used], act, rows, full, sets)
-    del before, rows, dom_by_simplex
+    del before, rows
     candidates = list({sel.tobytes(): sel for sel in sets}.values())   # distinct, in order
     del sets
     return ScalarLattice(W, b, [sel.tolist() for sel in _cover(candidates, dom_rows, act)])

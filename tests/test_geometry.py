@@ -329,6 +329,8 @@ def test_locate_outside_union_raises():
         locate_batch(np.array([[3.0]]), grid)
     with pytest.raises(OutsideDomain):
         locate_batch(np.array([[0.5], [-2.0]]), grid)
+    with pytest.raises(OutsideDomain, match="nan"):
+        locate_batch(np.array([[0.5], [np.nan]]), grid)
 
 
 def test_located_simplex_contains_its_point():

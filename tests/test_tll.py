@@ -208,10 +208,10 @@ def test_selector_that_cannot_cover_keeps_its_dominating_set(monkeypatch):
     relations = tll._vertex_relations
 
     def holed(interp, W, b, act, slack):
-        below_rows, dom_rows, dom_by_simplex = relations(interp, W, b, act, slack)
+        below_rows, dom_rows, _ = relations(interp, W, b, act, slack)
         below, _ = _bits(below_rows, act.size)      # (N, S): function i below on k
         below[:, 0] = np.arange(b.size) == act[0]
-        return tll._bit_rows(below), dom_rows, dom_by_simplex
+        return tll._bit_rows(below), dom_rows, below.sum(axis=1)
 
     monkeypatch.setattr(tll, "_vertex_relations", holed)
     with monkeypatch.context() as patch:
@@ -343,20 +343,18 @@ def test_packed_relations_are_the_per_simplex_sets_at_chunk_and_word_borders(mon
         for j in range(interp.m):
             W, b, act, dominating, below = simplex_relations(interp, j)
             S, N = act.size, b.size
-            below_rows, dom_rows, dom_by_simplex = tll._vertex_relations(
+            below_rows, dom_rows, below_counts = tll._vertex_relations(
                 interp, W, b, act, REL_TOL * value_scale(interp, j))
             assert below_rows.shape == dom_rows.shape == (N, -(-S // 64))
-            assert dom_by_simplex.shape == (S, -(-N // 64))
             want_dom, want_below = np.zeros((S, N), dtype=bool), np.zeros((S, N), dtype=bool)
             for s in range(S):
                 want_dom[s, list(dominating[s])] = True
                 want_below[s, list(below[s])] = True
-            for rows, want in ((below_rows, want_below.T), (dom_rows, want_dom.T),
-                               (dom_by_simplex, want_dom)):
+            for rows, want in ((below_rows, want_below.T), (dom_rows, want_dom.T)):
                 got, clean = _bits(rows, want.shape[1])
                 assert clean and np.array_equal(got, want)
-            # the walk's order reads the below rows' popcounts
-            assert np.array_equal(tll._bit_counts(below_rows), want_below.sum(axis=0))
+            # the walk's order reads how many simplexes each function is below on
+            assert np.array_equal(below_counts, want_below.sum(axis=0))
             # the attains rows and the cover, against the set-based references
             sets = list(irredundant_selectors(interp, j))
             got, clean = _bits(tll._attains(sets, dom_rows, act), S)
@@ -369,13 +367,14 @@ def test_packed_relations_are_the_per_simplex_sets_at_chunk_and_word_borders(mon
 
 def test_compile_holds_less_than_one_dense_relation_beyond_its_packed_rows(monkeypatch):
     # 2-D unit square at eta 0.05: S = 882 simplexes, N = 845 functions.  The
-    # packed relations take about 3 S N / 8 bytes (dom and below by
-    # function, dom by simplex); one dense (S, N) boolean takes S N.  With
-    # chunks cut to 2^12 values the scratch is, from its shapes: one float
-    # and one bool buffer of 8 simplexes' vertex values, the cover rows of
-    # one walk (min(S, N) rows) and the two row gathers of _attains.
-    # Everything else compile holds, selector sets included, must fit in
-    # less than S N, so no dense relation fits beside it.
+    # packed relations take about S N / 4 bytes (dom and below, by
+    # function); one dense (S, N) boolean takes S N.  With chunks cut to
+    # 2^12 values the scratch is, from its shapes: one float and one bool
+    # buffer of 8 simplexes' vertex values, the cover rows of one walk
+    # (min(S, N) rows) and the two row gathers of _attains.  Everything
+    # else compile holds, selector sets and the float buffer of one product
+    # term (8 simplexes' vertex values) included, must fit in less than
+    # S N, so no dense relation fits beside it.
     grid = build_eta_grid(Box([0.0, 0.0], [1.0, 1.0]), 0.05)
     x, y = grid.points.T
     interp = build_interpolant(grid, (np.sin(3.0 * x) * np.cos(2.0 * y)
@@ -384,8 +383,8 @@ def test_compile_holds_less_than_one_dense_relation_beyond_its_packed_rows(monke
     N = compile_tll(interp).outputs[0].size     # first-call work stays out of the peak
     S, n = interp.num_simplexes, interp.n
     assert (S, N) == (882, 845)
-    words_S, words_N = -(-S // 64), -(-N // 64)
-    packed = 8 * (2 * N * words_S + S * words_N)
+    words_S = -(-S // 64)
+    packed = 8 * 2 * N * words_S
     scratch = 9 * 8 * (n + 1) * N + 8 * min(S, N) * words_S + 2 * 8 * tll._CHUNK_VALUES
     peak = _traced_peak(compile_tll, interp)
     assert peak < packed + scratch + S * N, (peak - packed - scratch) / (S * N)
@@ -763,7 +762,12 @@ def test_eval_batch_rejects_inputs_of_another_shape():
     ([[0], [-1]], InvariantViolation),
     ([[0, 1], [2]], InvariantViolation),
     ([[2 ** 70]], InvariantViolation),
-], ids=["empty-set", "index-minus-one", "index-N", "index-beyond-int64"])
+    ([[0.7, 1]], InvariantViolation),
+    ([[0, np.float64(1.0)]], InvariantViolation),
+    ([[True, 1]], InvariantViolation),
+    ([[np.bool_(False)]], InvariantViolation),
+], ids=["empty-set", "index-minus-one", "index-N", "index-beyond-int64", "float-index",
+        "numpy-float-index", "bool-index", "numpy-bool-index"])
 def test_constructor_rejects_bad_lattice(selectors, error):
     W = np.array([[1.0], [0.5]])
     with pytest.raises(error):
@@ -779,6 +783,9 @@ def test_network_constructor_validation():
         TllNetwork(1, [ScalarLattice(W, b, [[0], [2]])])  # index out of range
     with pytest.raises(InvariantViolation):
         TllNetwork(0, [ScalarLattice(W, b, [[0]])])
+    # NumPy integers are indices like Python ints
+    net = TllNetwork(1, [ScalarLattice(W, b, [[np.int32(0)], list(np.arange(2))])])
+    assert net.outputs[0].selectors[1] == [0, 1]
 
 
 def test_export_import_roundtrip_bitwise():
