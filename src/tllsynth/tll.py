@@ -62,15 +62,16 @@ def _bank_values(X: np.ndarray, WT: np.ndarray, bias: np.ndarray,
     then ``+ x_j w_j`` for j = 1 .. n-1, then ``+ b``, then ``+ 0.0``.  So
     a row's values have the same bits in any block of rows and under any
     BLAS, which is never called.  ``WT`` is the (n, N) transposed weights
-    and ``term`` a buffer of ``out``'s shape for one product term.
+    and ``term`` a buffer of ``out``'s shape for one product term, an
+    ``np.einsum`` outer product (a broadcast multiply's bits, but faster).
 
     ``bias`` is ``b + 0.0``: it holds no -0, so one add of it gives the
     bits of ``+ b`` then ``+ 0.0``, whose only effect is to turn a -0 sum
     into +0.  No value is then -0, so a min or max never ties -0 against
     +0, where the pick would follow the reduction order."""
-    np.multiply(X[:, :1], WT[0], out=out)
+    np.einsum("i,j->ij", X[:, 0], WT[0], out=out)
     for j in range(1, WT.shape[0]):
-        np.multiply(X[:, j:j + 1], WT[j], out=term)
+        np.einsum("i,j->ij", X[:, j], WT[j], out=term)
         out += term
     out += bias
     return out
@@ -132,7 +133,7 @@ class TllNetwork:
             if not finite.all():
                 raise FloatingPointError(f"output {j}: bank row {int(np.argmin(finite))} "
                                          "holds a non-finite coefficient")
-            if out.size < 1 or not out.selectors:
+            if out.size < 1 or not len(out.selectors):
                 raise InvariantViolation("bank and selector list must be nonempty")
             sizes = np.fromiter(map(len, out.selectors), dtype=np.intp,
                                 count=len(out.selectors))
@@ -510,26 +511,33 @@ def parallel_compose(nets: list[TllNetwork]) -> TllNetwork:
 
 
 # the name of the layer shapes below, in descriptors and expanded exports
-SHAPE_CONVENTION = "pairwise-tree-v1"
+SHAPE_CONVENTION = "pairwise-tree-v2"
 
 
-def _tree_plan(set_sizes) -> list[tuple[np.ndarray, bool]]:
-    """ReLU levels of the pairwise tree for one output: (group sizes, max?).
+def _tree_plan(set_sizes) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The pairwise tree of one output: its set order and its ReLU levels,
+    each as (group sizes, max flag per group).
 
-    Min levels reduce every selector set pairwise until each holds one
-    wire; max levels then reduce the per-set wires as one group.  A level
-    spends 3 neurons per pair and 2 per carried odd wire.
+    Sets go deepest min tree first (ceil(log2 s) levels for a set of s,
+    stable).  A level holds one min group per set still reducing, then one
+    max group: the wire of every set whose min is finished (a singleton
+    from level 0), then the partial maxes.  The sets that finish on a level
+    are the deepest-first order's last min groups, so their wires already
+    stand just before the max group's.  The tree ends when no set reduces
+    and the max group holds one wire.  A level spends 3 neurons per pair
+    and 2 per odd wire of a group.
     """
-    plan = []
     sizes = np.asarray(set_sizes, dtype=np.int64)
-    while (sizes > 1).any():
-        plan.append((sizes, False))
-        sizes = (sizes + 1) // 2
-    sizes = np.array([sizes.size])
-    while sizes[0] > 1:
-        plan.append((sizes, True))
-        sizes = (sizes + 1) // 2
-    return plan
+    order = np.argsort(-np.frexp(sizes - 1)[1], kind="stable")
+    sizes, wires, plan = sizes[order], 0, []
+    while True:
+        live = np.count_nonzero(sizes > 1)
+        sizes, wires = sizes[:live], wires + sizes.size - live
+        if not live and wires == 1:
+            return order, plan
+        groups = np.append(sizes, wires) if wires else sizes
+        plan.append((groups, np.arange(groups.size) >= live))
+        sizes, wires = (sizes + 1) // 2, (wires + 1) // 2
 
 
 def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> dict:
@@ -537,8 +545,9 @@ def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> dict:
     output; enforce the size bound.
 
     Layer shapes follow this package's pairwise min/max tree expansion
-    (``SHAPE_CONVENTION``: 3 neurons per binary gadget, 2 per carried wire)
-    and are implementation defined, not canonical.
+    (``SHAPE_CONVENTION``: ``_tree_plan``'s levels, where finished set
+    minima join the max tree at once; 3 neurons per binary gadget, 2 per
+    carried wire) and are implementation defined, not canonical.
     """
     if bound_n is None:
         bound_n = net.provenance.get("bound_n")
@@ -551,7 +560,7 @@ def arch_descriptor(net: TllNetwork, bound_n: int | None = None) -> dict:
                 f"output {j}: bank size {lat.size} exceeds constructive bound {bound_n}"
             )
         widths = [int((3 * (sizes // 2) + 2 * (sizes % 2)).sum())
-                  for sizes, _ in _tree_plan([len(s) for s in lat.selectors])]
+                  for sizes, _ in _tree_plan([len(s) for s in lat.selectors])[1]]
         dims = [net.n] + widths + [1]
         layers = [[dims[i], dims[i + 1]] for i in range(len(dims) - 1)]
         per_output.append({
@@ -577,8 +586,11 @@ class ReluNetwork:
     """Dense ReLU layers realizing a lattice network exactly.
 
     ``layers`` maps z -> relu(W z + c) in order, then the affine readout
-    produces the outputs.  Produced by ``expand_relu_layers``; evaluation
-    matches the lattice evaluation to float roundoff.
+    produces the outputs.  Produced by ``expand_relu_layers``, one layer per
+    level of the outputs' tree plans (``_tree_plan``); only the first layer
+    holds bank coefficients, and every later layer and the readout hold
+    entries in {-1, 0, 1} and zero biases.  Evaluation matches the lattice
+    evaluation to float roundoff.
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
@@ -633,23 +645,26 @@ def expand_relu_layers(net: TllNetwork) -> ReluNetwork:
     """Materialize dense ReLU layers for the whole network.
 
     Each layer is one level of every output's tree plan at once, over the
-    wires of all outputs stacked output after output; an output whose tree
-    is finished carries its wire as one group of size 1.  So the first
+    wires of all outputs stacked output after output, each output's set
+    members gathered in its plan's set order; an output whose tree is
+    finished carries its wire as one max group of size 1.  So the first
     layer reads the shared input, and later layers and the readout come
     out block-diagonal (the parallel composition of the scalar
     realizations).  Intended for inspection and export of small networks;
     sizes grow with sum of selector set sizes.
     """
-    plans = [_tree_plan([len(s) for s in lat.selectors]) for lat in net.outputs]
-    rows = [_members(lat.selectors) for lat in net.outputs]
+    trees = [_tree_plan([len(s) for s in lat.selectors]) for lat in net.outputs]
+    rows = [_members([lat.selectors[t] for t in order])
+            for lat, (order, _) in zip(net.outputs, trees)]
+    plans = [plan for _, plan in trees]
     A = np.concatenate([lat.W[i].astype(float) for lat, i in zip(net.outputs, rows)])
     beta = np.concatenate([lat.b[i].astype(float) for lat, i in zip(net.outputs, rows)])
-    carry = (np.ones(1, dtype=np.int64), True)
+    carry = (np.ones(1, dtype=np.int64), np.ones(1, dtype=bool))
     layers = []
     for k in range(max(map(len, plans))):
         level = [plan[k] if k < len(plan) else carry for plan in plans]
         sizes = np.concatenate([g for g, _ in level])
-        is_max = np.repeat([mx for _, mx in level], [g.size for g, _ in level])
+        is_max = np.concatenate([mx for _, mx in level])
         layer, A, beta = _tree_level(A, beta, sizes, is_max)
         layers.append(layer)
     return ReluNetwork(layers, A, beta)

@@ -680,34 +680,55 @@ def whole_table_continuity(interp, pieces=None):
 # neuron-by-neuron pairwise tree expansion of a lattice
 # ---------------------------------------------------------------------------
 
-def schedule_widths(set_sizes):
-    """ReLU layer widths of the pairwise min-then-max tree, group by group.
+def _gadget_width(wires):
+    """Neurons of one group's level: 3 per pair, 2 per odd wire."""
+    pairs, odd = divmod(wires, 2)
+    return 3 * pairs + 2 * odd
 
-    Min stage: every selector set reduces pairwise (3 neurons per pair, 2
-    per carried wire) until each holds one wire; max stage reduces the
-    per-set wires the same way.
-    """
+
+def schedule_widths_v1(set_sizes):
+    """ReLU layer widths of the first pairwise tree, min stage then max
+    stage: every selector set reduces pairwise, a finished set carrying its
+    wire at 2 neurons per level, until each holds one wire; only then does
+    the max stage reduce the per-set wires.  Kept as the bound the
+    early-merge tree must meet level by level."""
     widths = []
     sizes = list(set_sizes)
     while any(s > 1 for s in sizes):
-        width = 0
-        nxt = []
-        for s in sizes:
-            if s == 1:
-                width += 2
-                nxt.append(1)
-            else:
-                pairs, odd = divmod(s, 2)
-                width += 3 * pairs + 2 * odd
-                nxt.append(pairs + odd)
-        widths.append(width)
-        sizes = nxt
+        widths.append(sum(_gadget_width(s) for s in sizes))
+        sizes = [(s + 1) // 2 for s in sizes]
     m = len(sizes)
     while m > 1:
-        pairs, odd = divmod(m, 2)
-        widths.append(3 * pairs + 2 * odd)
-        m = pairs + odd
+        widths.append(_gadget_width(m))
+        m = (m + 1) // 2
     return widths
+
+
+def tree_order(set_sizes):
+    """Set indices, deepest min tree first (ceil(log2 s) halvings for a
+    set of s), ties in index order."""
+    return sorted(range(len(set_sizes)), key=lambda t: -(set_sizes[t] - 1).bit_length())
+
+
+def schedule_widths(set_sizes):
+    """ReLU layer widths of the early-merge pairwise tree, level by level.
+
+    Each level reduces every set of more than one wire by min, and one max
+    pool: the sets finished so far (one wire each, singletons from the
+    start) and the partial maxes.  The tree ends when no set reduces and
+    the pool holds one wire.
+    """
+    widths = []
+    sizes = [set_sizes[t] for t in tree_order(set_sizes)]
+    pool = 0
+    while True:
+        pool += sum(1 for s in sizes if s == 1)
+        sizes = [s for s in sizes if s > 1]
+        if not sizes and pool == 1:
+            return widths
+        widths.append(sum(_gadget_width(s) for s in sizes) + _gadget_width(pool))
+        sizes = [(s + 1) // 2 for s in sizes]
+        pool = (pool + 1) // 2
 
 
 class _WireBuilder:
@@ -730,15 +751,19 @@ def expand_scalar(W, b, selectors, n, pad_to=None):
 
     Wires are (vector over the current layer, bias) pairs; min(a, b) is
     a - relu(a - b) and max(a, b) is a + relu(b - a), with a carried through
-    as relu(a) - relu(-a).  Depth padding carries the output wire.
+    as relu(a) - relu(-a).  Sets go in ``tree_order``.  Each level first
+    moves every set left with one wire, in set order, to the front of the
+    max pool, then reduces the other sets by min, one after another, and
+    the pool by max, in one layer.  Depth padding carries the output wire.
     """
-    groups = [[(W[i].astype(float), float(b[i])) for i in sel] for sel in selectors]
+    groups = [[(W[i].astype(float), float(b[i])) for i in selectors[t]]
+              for t in tree_order([len(s) for s in selectors])]
     layers = []
 
-    def reduce_level(groups, mode):
+    def reduce_level(groups, modes):
         builder = _WireBuilder()
         new_groups = []
-        for g in groups:
+        for g, mode in zip(groups, modes):
             new_g = []
             k = 0
             while k + 1 < len(g):
@@ -749,13 +774,13 @@ def expand_scalar(W, b, selectors, n, pad_to=None):
                     r = builder.neuron(wb - wa, bb - ba)
                 p = builder.neuron(wa, ba)
                 q = builder.neuron(0.0 - wa, 0.0 - ba)
-                new_g.append(("pair", p, q, r))
+                new_g.append(("pair", p, q, r, mode))
                 k += 2
             if k < len(g):
                 wa, ba = g[k]
                 p = builder.neuron(wa, ba)
                 q = builder.neuron(0.0 - wa, 0.0 - ba)
-                new_g.append(("carry", p, q, None))
+                new_g.append(("carry", p, q, None, mode))
             new_groups.append(new_g)
         Wl, cl = builder.layer()
         layers.append((Wl, cl))
@@ -763,7 +788,7 @@ def expand_scalar(W, b, selectors, n, pad_to=None):
         resolved = []
         for g in new_groups:
             rg = []
-            for kind, p, q, r in g:
+            for kind, p, q, r, mode in g:
                 vec = np.zeros(width)
                 vec[p] = 1.0
                 vec[q] = -1.0
@@ -773,13 +798,15 @@ def expand_scalar(W, b, selectors, n, pad_to=None):
             resolved.append(rg)
         return resolved
 
-    while any(len(g) > 1 for g in groups):
-        groups = reduce_level(groups, "min")
-    wires = [g[0] for g in groups]
-    while len(wires) > 1:
-        groups = reduce_level([wires], "max")
-        wires = groups[0]
-    out_vec, out_bias = wires[0]
+    pool = []
+    while True:
+        pool = [g[0] for g in groups if len(g) == 1] + pool
+        groups = [g for g in groups if len(g) > 1]
+        if not groups and len(pool) == 1:
+            break
+        resolved = reduce_level(groups + [pool], ["min"] * len(groups) + ["max"])
+        groups, pool = resolved[:-1], resolved[-1]
+    out_vec, out_bias = pool[0]
     while pad_to is not None and len(layers) < pad_to:
         builder = _WireBuilder()
         p = builder.neuron(out_vec, out_bias)

@@ -2,6 +2,7 @@
 in ``bench/spans.py``; every one of them must still resolve, and the counts
 it reads off their results must still read."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -26,6 +27,8 @@ from tllsynth.cli import main
 from tllsynth.serialize import load_json
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+# sha256 of every output of each workload's seed-7 --tiny op (_digests)
+DIGESTS = Path(__file__).resolve().parent / "digests.json"
 
 
 def _load_bench(stem):
@@ -127,13 +130,37 @@ def test_bench_readers_agree_with_the_lattice(tmp_path):
             assert np.abs(got - want).max() <= 1e-9 * max(1.0, float(np.abs(want).max()))
     # the surrogate's expansion: both outputs' trees, one level per layer
     shapes = load_json(str(tmp_path / "sysid_network" / "export_report.json"))["results"]["shapes"]
-    assert len(shapes) == 10 and sum(w for _, w in shapes[:-1]) == 848
+    assert len(shapes) == 10 and sum(w for _, w in shapes[:-1]) == 778
+
+
+def _content(obj):
+    """``obj`` without its ``timing`` and ``config`` keys, at every depth:
+    the run's clock and the echoed inputs, whose oracle ``argv`` holds the
+    run's absolute paths."""
+    if isinstance(obj, dict):
+        return {k: _content(v) for k, v in obj.items() if k not in ("timing", "config")}
+    if isinstance(obj, list):
+        return [_content(v) for v in obj]
+    return obj
+
+
+def _digests(out):
+    """sha256 of each output file's canonical JSON content, by file name."""
+    digests = {}
+    for path in sorted(out.glob("*.json")):
+        text = json.dumps(_content(load_json(str(path))), sort_keys=True, separators=(",", ":"))
+        digests[path.name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return digests
 
 
 @pytest.mark.parametrize("name", ["synth-2d", "interp-4d", "closed-loop"])
-def test_tiny_workload_op_passes_its_own_checks(tmp_path, name):
+def test_tiny_workload_op_passes_its_own_checks(tmp_path, monkeypatch, name):
     # one --tiny op of each workload, in-process, checked as the benchmark
-    # checks it: a change that breaks the benchmark's chain fails here
+    # checks it: a change that breaks the benchmark's chain fails here.  Its
+    # outputs must also have the content recorded in digests.json; a change
+    # that alters them on purpose records the new digests there
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")      # as bench/run.py sets it for the oracle child
     workloads, spans = _load_bench("workloads"), _load_spans()
     wl = workloads.WORKLOADS[name](7, True)
     wl.inp = tmp_path / "inputs"
@@ -142,3 +169,6 @@ def test_tiny_workload_op_passes_its_own_checks(tmp_path, name):
     rec = wl.op(cli, out, spans.NullTracer())
     assert rec["failures"] == []
     assert wl.check(out, rec) == []
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+    got = _digests(out)
+    assert got == want, f"{name} outputs changed: {json.dumps(got, indent=1)}"

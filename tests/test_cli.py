@@ -1234,7 +1234,7 @@ def test_export_canonical_and_expanded(tmp_path):
     assert rep["results"]["neurons"] >= 1
     relu = load_json(str(out / "relu.json"))
     assert relu["kind"] == "relu-layers"
-    assert relu["shape_convention"] == "pairwise-tree-v1"
+    assert relu["shape_convention"] == "pairwise-tree-v2"
     assert len(relu["layers"]) >= 1
 
 

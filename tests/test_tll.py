@@ -42,6 +42,7 @@ from _oracles import (
     lattice_values,
     max_dual_norm,
     schedule_widths,
+    schedule_widths_v1,
     simplex_relations,
 )
 from test_cpwa import _traced_peak, consistent_extras, omega_of
@@ -494,7 +495,7 @@ def test_arch_descriptor_reports_sizes():
     assert out["M"] == len(net.outputs[0].selectors)
     assert out["N"] <= 4
     assert desc["bound_n"] == 4
-    assert desc["shape_convention"] == "pairwise-tree-v1"
+    assert desc["shape_convention"] == "pairwise-tree-v2"
     assert desc["implementation_defined"] is True
     assert out["layers"][0][0] == 1
     assert out["layers"][-1][1] == 1
@@ -591,6 +592,33 @@ def test_descriptor_widths_match_reference_schedule():
             assert out["layers"] == [[a, b] for a, b in zip([net.n] + widths, widths + [1])]
             assert out["neurons"] == sum(widths)
             assert out["selector_mass"] == sum(map(len, lat.selectors))
+
+
+def _plan_widths(set_sizes):
+    """Layer widths the descriptor gives a lattice with these set sizes."""
+    lat = ScalarLattice(np.zeros((1, 1)), np.zeros(1), [[0] * k for k in set_sizes])
+    desc = arch_descriptor(TllNetwork(1, [lat]), bound_n=1)
+    return [w for _, w in desc["per_output"][0]["layers"][:-1]]
+
+
+def test_early_merge_tree_is_never_wider_or_deeper_than_the_first_tree():
+    rng = np.random.default_rng(191)
+    cases = [rng.integers(1, hi, size=int(rng.integers(1, 60))).tolist()
+             for hi in (2, 3, 9, 40, 300) for _ in range(40)]
+    cases += [[1], [2], [1, 1], [5, 1, 1, 1], [1, 64], [64, 1, 1, 2, 3, 33]]
+    for sizes in cases:
+        v1, v2 = schedule_widths_v1(sizes), _plan_widths(sizes)
+        assert v2 == schedule_widths(sizes)
+        assert len(v2) <= len(v1)
+        assert all(a <= b for a, b in zip(v2, v1)), (sizes, v2, v1)
+    for k in (1, 2, 3, 7, 8, 9, 100):
+        for M in (1, 2, 3, 17):
+            assert _plan_widths([k] * M) == schedule_widths_v1([k] * M)
+    # the two singletons of [9, 1, 1] pair at level 0 and their max is then
+    # carried once, where the first tree carries both until the 9 finishes
+    assert _plan_widths([9, 1, 1]) == [3 * 4 + 2 + 3, 3 * 2 + 2 + 2, 3 + 2 + 2, 3 + 2, 3]
+    assert schedule_widths_v1([9, 1, 1]) == [3 * 4 + 2 + 4, 3 * 2 + 2 + 4, 3 + 2 + 4, 3 + 4,
+                                             3 + 2, 3]
 
 
 def test_expansion_matches_reference_bitwise():
@@ -766,8 +794,13 @@ def test_eval_batch_rejects_inputs_of_another_shape():
     ([[0, np.float64(1.0)]], InvariantViolation),
     ([[True, 1]], InvariantViolation),
     ([[np.bool_(False)]], InvariantViolation),
+    (np.array([[0.0, 1.0]]), InvariantViolation),
+    (np.array([[False, True]]), InvariantViolation),
+    (np.empty((0, 2), dtype=np.intp), InvariantViolation),
+    (np.empty((2, 0), dtype=np.intp), EmptySelector),
 ], ids=["empty-set", "index-minus-one", "index-N", "index-beyond-int64", "float-index",
-        "numpy-float-index", "bool-index", "numpy-bool-index"])
+        "numpy-float-index", "bool-index", "numpy-bool-index", "float-array", "bool-array",
+        "no-set-array", "empty-set-array"])
 def test_constructor_rejects_bad_lattice(selectors, error):
     W = np.array([[1.0], [0.5]])
     with pytest.raises(error):
@@ -786,6 +819,21 @@ def test_network_constructor_validation():
     # NumPy integers are indices like Python ints
     net = TllNetwork(1, [ScalarLattice(W, b, [[np.int32(0)], list(np.arange(2))])])
     assert net.outputs[0].selectors[1] == [0, 1]
+
+
+def test_constructor_reads_numpy_selector_arrays():
+    rng = np.random.default_rng(193)
+    W, b = rng.normal(size=(5, 2)), rng.normal(size=5)
+    sels = [[0, 3], [1, 4], [2, 2]]
+    as_list = TllNetwork(2, [ScalarLattice(W, b, sels)], {"bound_n": 5})
+    as_array = TllNetwork(2, [ScalarLattice(W, b, np.array(sels))], {"bound_n": 5})
+    X = rng.uniform(-2, 2, size=(50, 2))
+    assert as_array.eval_batch(X).tobytes() == as_list.eval_batch(X).tobytes()
+    assert export_network(as_array) == export_network(as_list)
+    assert arch_descriptor(as_array) == arch_descriptor(as_list)
+    for (Wa, ca), (Wl, cl) in zip(expand_relu_layers(as_array).layers,
+                                  expand_relu_layers(as_list).layers):
+        assert Wa.tobytes() == Wl.tobytes() and ca.tobytes() == cl.tobytes()
 
 
 def test_export_import_roundtrip_bitwise():
