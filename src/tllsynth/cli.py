@@ -281,6 +281,8 @@ class _CsvOracle:
 _ORACLE_REPLY_WAIT_S = 60.0
 _ORACLE_EXIT_WAIT_S = 10.0
 _ORACLE_CHUNK_POINTS = 4096
+# rows of a request line one encoder call writes, to bound its token list
+_ORACLE_ENCODE_ROWS = 256
 
 
 class _SubprocessOracle:
@@ -292,7 +294,7 @@ class _SubprocessOracle:
     with its own request's row count, within ``_ORACLE_REPLY_WAIT_S`` of
     that request; a child that misses it is killed.  The child starts on
     the first request and serves every later one: once it has exited, each
-    call is an ``OracleFailure``.
+    call is an ``OracleFailure``.  An empty batch sends no request.
     """
 
     def __init__(self, argv: list[str], m: int):
@@ -300,7 +302,7 @@ class _SubprocessOracle:
             raise ConfigError("subprocess oracle needs a nonempty argv list")
         self.argv, self.m = list(argv), m
         self.proc: subprocess.Popen | None = None
-        self.pending = b""          # bytes read past the last reply line
+        self.pending = bytearray()  # bytes read past the last reply line
 
     def _ensure(self) -> subprocess.Popen:
         """The child, started on first use; one that has exited is an error."""
@@ -311,12 +313,13 @@ class _SubprocessOracle:
             raise OracleFailure(f"subprocess oracle exited with code {self.proc.returncode}")
         return self.proc
 
-    def _exchange(self, proc: subprocess.Popen, request: bytes) -> bytes:
+    def _exchange(self, proc: subprocess.Popen, request: bytes) -> bytearray:
         """Write one request and read one reply line (empty at EOF) within
         the deadline; past it the child is killed and reaped."""
         deadline = time.monotonic() + _ORACLE_REPLY_WAIT_S
         out, inp = proc.stdout.fileno(), proc.stdin.fileno()
-        while b"\n" not in self.pending:
+        end = self.pending.find(b"\n")
+        while end < 0:
             if request:
                 try:
                     request = request[os.write(inp, request):]   # as much as the pipe takes
@@ -334,13 +337,21 @@ class _SubprocessOracle:
                 chunk = os.read(out, 1 << 16)
                 if not chunk:
                     break
+                newline = chunk.find(b"\n")      # only the new bytes can hold it
+                if newline >= 0:
+                    end = len(self.pending) + newline
                 self.pending += chunk
-        line, _, self.pending = self.pending.partition(b"\n")
+        if end < 0:                               # EOF: the rest, if any
+            end = len(self.pending)
+        line, self.pending = self.pending[:end], self.pending[end + 1:]
         return line
 
     def _request(self, proc: subprocess.Popen, points: np.ndarray) -> np.ndarray:
         """One request line for ``points`` and its checked (len(points), m) reply."""
-        request = json.dumps({"points": points.tolist()}).encode() + b"\n"
+        # json.dumps({"points": points.tolist()}), a block of rows at a time
+        rows = ", ".join(json.dumps(points[i:i + _ORACLE_ENCODE_ROWS].tolist())[1:-1]
+                         for i in range(0, len(points), _ORACLE_ENCODE_ROWS))
+        request = f'{{"points": [{rows}]}}\n'.encode()
         try:
             line = self._exchange(proc, request)
         except OSError as exc:
@@ -356,6 +367,8 @@ class _SubprocessOracle:
     def __call__(self, points):
         """Controls at ``points`` (P, n), shape (P, m)."""
         points = np.asarray(points, dtype=float)
+        if not len(points):
+            return np.empty((0, self.m))
         proc = self._ensure()
         return np.concatenate([self._request(proc, points[i:i + _ORACLE_CHUNK_POINTS])
                                for i in range(0, len(points), _ORACLE_CHUNK_POINTS)])

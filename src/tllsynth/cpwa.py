@@ -43,17 +43,19 @@ def check_oracle_reply(reply, points: np.ndarray, m: int) -> np.ndarray:
     """An oracle's reply at ``points`` (P, n) as a finite (P, m) array.
 
     A reply that is not numeric or has another shape raises
-    ``OracleFailure`` naming the first point asked for; one that holds a
-    non-finite row names the first such point.
+    ``OracleFailure`` naming the first point asked for, or saying that no
+    points were asked; one that holds a non-finite row names the first
+    such point.
     """
+    asked = (f"for the points from {points[0].tolist()}" if len(points)
+             else "when no points were asked")
     try:
         values = np.asarray(reply, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise OracleFailure(f"oracle reply for the points from {points[0].tolist()} is not "
-                            f"numeric: {exc}") from exc
+        raise OracleFailure(f"oracle reply {asked} is not numeric: {exc}") from exc
     if values.shape != (len(points), m):
-        raise OracleFailure(f"oracle returned shape {values.shape} for the points from "
-                            f"{points[0].tolist()}, expected ({len(points)}, {m})")
+        raise OracleFailure(f"oracle returned shape {values.shape} {asked}, "
+                            f"expected ({len(points)}, {m})")
     if not np.isfinite(values).all():
         first = np.flatnonzero(~np.isfinite(values).all(axis=1))[0]
         raise OracleFailure(f"oracle returned non-finite values at {points[first].tolist()}")

@@ -82,8 +82,12 @@ def _edge_aware_axes(box: Box, delta: float, per_axis: int) -> list[np.ndarray]:
     for lo, hi in zip(box.lower, box.upper):
         base = np.linspace(lo, hi, max(2, per_axis))
         cand = np.concatenate([base, lo + insets, hi - insets])
-        cand = cand[(cand >= lo) & (cand <= hi)]
-        axes.append(np.unique(cand))
+        # sorted and deduplicated; + 0.0 makes -0.0 a 0.0, so the sort's
+        # order among equal zeros cannot pick the survivor's sign
+        cand = np.sort(cand[(cand >= lo) & (cand <= hi)] + 0.0)
+        keep = np.ones(len(cand), dtype=bool)
+        keep[1:] = cand[1:] != cand[:-1]
+        axes.append(cand[keep])
     return axes
 
 

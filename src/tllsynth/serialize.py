@@ -11,9 +11,13 @@ takes ``inf``, ``-inf``, ``nan`` and what ``float.fromhex`` parses after
 an optional sign and ``0x``, so files of the older ``float.hex()``
 spelling load bitwise the same, and a decimal string is an error.
 Every artifact and report goes through ``to_json_text``: one sorted-key
-JSON line from the C encoder, no whitespace.  Readers ignore whitespace,
-so indented files of the older layout load unchanged; ``python -m
-json.tool`` pretty-prints a file.
+JSON line, no whitespace, byte for byte what ``json.dumps`` with those
+settings writes.  The C encoder turns each call's input into one list of
+string tokens before joining them, several times the size of the text, so
+``to_json_text`` walks the dicts and lists itself and hands the encoder
+runs of items of at most ``_ENCODE_SCALARS`` scalars at a time.  Readers
+ignore whitespace, so indented files of the older layout load unchanged;
+``python -m json.tool`` pretty-prints a file.
 """
 
 from __future__ import annotations
@@ -100,9 +104,74 @@ def dump_json(obj: Any, path: str) -> None:
         fh.write(text)
 
 
+# scalars (and empty containers) one encoder call turns into tokens at most
+_ENCODE_SCALARS = 2048
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _encode_heavy(obj: Any, out: list[str]) -> int:
+    """The scalars and empty containers in ``obj``, counted in one walk over
+    its containers.  Up to ``_ENCODE_SCALARS`` of them nothing is written,
+    and the caller encodes ``obj`` within one call; past it, ``obj``'s JSON
+    text is appended to ``out``: runs of items of at most
+    ``_ENCODE_SCALARS`` from one encoder call each, and each heavier item by
+    the same walk."""
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        return 1
+    flat = _SCALAR_TYPES.issuperset(map(type, obj.values() if is_dict else obj))
+    if flat and len(obj) <= _ENCODE_SCALARS:
+        return max(len(obj), 1)
+    items = sorted(obj.items()) if is_dict else obj     # as sort_keys orders them
+    opening = "{" if is_dict else "["
+    if flat:
+        out.append(opening)
+        out.extend(_run_text(items[i:i + _ENCODE_SCALARS], is_dict, i)
+                   for i in range(0, len(items), _ENCODE_SCALARS))
+    else:
+        start = held = 0            # the run of items not yet written, and its weight
+        for i, item in enumerate(items):
+            value, mark = item[1] if is_dict else item, len(out)
+            weight = 1 if type(value) in _SCALAR_TYPES else _encode_heavy(value, out)
+            if len(out) > mark:     # a heavy value, written after mark: its prefix goes first
+                head = [opening] if opening else []
+                if i > start:
+                    head.append(_run_text(items[start:i], is_dict, start))
+                if i:
+                    head.append(",")
+                if is_dict:
+                    head.append(_ENCODER.encode({item[0]: 0})[1:-2])    # the key and colon
+                out.insert(mark, "".join(head))
+                opening, start, held = "", i + 1, 0
+            elif held + weight > _ENCODE_SCALARS:
+                out.append(opening + _run_text(items[start:i], is_dict, start))
+                opening, start, held = "", i, weight
+            else:
+                held += weight
+        if opening:                 # nothing written: light enough for one call
+            return held
+        if start < len(items):
+            out.append(_run_text(items[start:], is_dict, start))
+    out.append("}" if is_dict else "]")
+    return _ENCODE_SCALARS + 1
+
+
+def _run_text(run: list | tuple, is_dict: bool, start: int) -> str:
+    """The items of ``run`` from one encoder call, with the comma that parts
+    them from earlier items."""
+    text = _ENCODER.encode(dict(run) if is_dict else run)[1:-1]
+    return "," + text if start else text
+
+
 def to_json_text(obj: Any) -> str:
     """One compact JSON line; sorted keys keep identical content byte-identical."""
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+    out: list[str] = []
+    _encode_heavy(obj, out)
+    if not out:
+        return _ENCODER.encode(obj) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json(path: str) -> Any:

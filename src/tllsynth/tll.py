@@ -103,7 +103,7 @@ def _size_buckets(sizes: np.ndarray, members: np.ndarray) -> tuple[list[np.ndarr
     selector, the column of its min when the buckets' minima stand side by
     side in that order."""
     starts = np.cumsum(sizes) - sizes
-    groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes)]
+    groups = [np.flatnonzero(sizes == k) for k in np.flatnonzero(np.bincount(sizes))]
     idxs = [members[starts[g, None] + np.arange(sizes[g[0]])] for g in groups]
     return idxs, np.argsort(np.concatenate(groups))
 

@@ -153,12 +153,10 @@ def _digests(out):
     return digests
 
 
-@pytest.mark.parametrize("name", ["synth-2d", "interp-4d", "closed-loop"])
-def test_tiny_workload_op_passes_its_own_checks(tmp_path, monkeypatch, name):
-    # one --tiny op of each workload, in-process, checked as the benchmark
-    # checks it: a change that breaks the benchmark's chain fails here.  Its
-    # outputs must also have the content recorded in digests.json; a change
-    # that alters them on purpose records the new digests there
+def _tiny_op(tmp_path, monkeypatch, name):
+    """One seed-7 --tiny op of the workload ``name``, in-process, into
+    ``tmp_path / "op"``: the workload, the output directory and the op's
+    record."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")      # as bench/run.py sets it for the oracle child
     workloads, spans = _load_bench("workloads"), _load_spans()
@@ -166,9 +164,32 @@ def test_tiny_workload_op_passes_its_own_checks(tmp_path, monkeypatch, name):
     wl.inp = tmp_path / "inputs"
     wl.write_inputs(wl.inp)
     out = tmp_path / "op"
-    rec = wl.op(cli, out, spans.NullTracer())
+    return wl, out, wl.op(cli, out, spans.NullTracer())
+
+
+@pytest.mark.parametrize("name", ["synth-2d", "interp-4d", "closed-loop"])
+def test_tiny_workload_op_passes_its_own_checks(tmp_path, monkeypatch, name):
+    # one --tiny op of each workload, in-process, checked as the benchmark
+    # checks it: a change that breaks the benchmark's chain fails here.  Its
+    # outputs must also have the content recorded in digests.json; a change
+    # that alters them on purpose records the new digests there
+    wl, out, rec = _tiny_op(tmp_path, monkeypatch, name)
     assert rec["failures"] == []
     assert wl.check(out, rec) == []
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
     got = _digests(out)
     assert got == want, f"{name} outputs changed: {json.dumps(got, indent=1)}"
+
+
+@pytest.mark.parametrize("name", ["synth-2d", "interp-4d", "closed-loop"])
+def test_tiny_workload_files_are_the_canonical_encoding(tmp_path, monkeypatch, name):
+    # _digests hashes parsed content, so it cannot see the writer's bytes:
+    # every file the op writes must be its own content's canonical encoding
+    _, out, rec = _tiny_op(tmp_path, monkeypatch, name)
+    assert rec["failures"] == []
+    paths = sorted(out.iterdir())
+    assert [path.suffix for path in paths] == [".json"] * len(paths) and len(paths) > 5
+    for path in paths:
+        text = path.read_bytes()
+        canonical = json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True) + "\n"
+        assert text == canonical.encode("utf-8"), path.name

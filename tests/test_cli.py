@@ -794,6 +794,45 @@ def test_subprocess_oracle_that_has_exited_is_not_restarted(tmp_path):
         child.close()
 
 
+def test_subprocess_oracle_empty_batch_starts_no_child(tmp_path):
+    child = cli._SubprocessOracle([sys.executable, "-c", "raise SystemExit(5)"], 3)
+    try:
+        for points in (np.empty((0, 2)), []):
+            reply = child(points)
+            assert reply.shape == (0, 3) and reply.dtype == float
+        assert child.proc is None
+    finally:
+        child.close()
+
+
+def test_subprocess_oracle_request_line_is_the_one_call_encoding(tmp_path):
+    # the child logs each raw line it reads; the writer builds the line from
+    # blocks of rows, byte for byte what one json.dumps call gives
+    log = tmp_path / "lines.log"
+    script = tmp_path / "logger.py"
+    script.write_text(
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        f"    open({str(log)!r}, 'a').write(line)\n"
+        "    pts = json.loads(line)['points']\n"
+        "    sys.stdout.write(json.dumps({'controls': [[p[0]] for p in pts]}) + '\\n')\n"
+        "    sys.stdout.flush()\n"
+    )
+    rng = np.random.default_rng(32)
+    counts = [1, 255, 256, 257, cli._ORACLE_CHUNK_POINTS]
+    batches = [rng.normal(size=(k, 3)) * 10.0 ** rng.integers(-300, 300, size=(k, 3))
+               for k in counts]
+    batches[0][0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    child = cli._SubprocessOracle([sys.executable, str(script)], 1)
+    try:
+        for points in batches:
+            assert child(points).tobytes() == points[:, :1].tobytes()
+    finally:
+        child.close()
+    want = "".join(json.dumps({"points": points.tolist()}) + "\n" for points in batches)
+    assert log.read_text() == want
+
+
 def test_subprocess_oracle_matches_builtin(tmp_path):
     ref = _run_affine_chain(
         tmp_path, {"kind": "builtin", "name": "affine", "W": AFFINE_W, "b": AFFINE_B})
@@ -1514,6 +1553,41 @@ def test_ads_check_nonfinite_delta_is_config_error(tmp_path, delta):
 
 
 # -- process-level entry points ---------------------------------------------------------
+
+
+def test_the_chain_imports_no_module_after_the_cli(tmp_path):
+    # numpy's lazy modules (numpy.ma, which np.unique loads on numpy 2.4;
+    # numpy.random) cost resident memory; a chain run after importing the
+    # CLI must load none of them.  Compared before and after, not by name:
+    # numpy 1.x loads numpy.ma with numpy itself
+    ctrl = _write_cfg(tmp_path / "ctrl.json", {
+        "domain": {"lower": [-1.0], "upper": [1.0]}, "eta": 0.25, "m": 1, "k_cont": 0.5,
+        "oracle": {"kind": "builtin", "name": "affine", "W": [[-0.5]], "b": [0.0]}})
+    audit = _write_cfg(tmp_path / "audit.json", {
+        "model": "linear_1d",
+        "budget": {"k_x": 1.0, "k_u": 1.0, "k_cont": 0.5, "tau": 0.5, "delta": 0.5},
+        "oracle": {"kind": "builtin", "name": "affine", "W": [[-0.5]], "b": [0.0]},
+        "probes": {"per_axis": 3}})
+    out = str(tmp_path / "out")
+    net = f"{out}/network.json"
+    chain = [["build", "--config", ctrl], ["compile", f"{out}/interpolant.json"],
+             ["export", net, "--expanded"],
+             ["audit", "--which", "invariance", "--network", net, "--config", audit]]
+    script = ("import json, sys\n"
+              "from tllsynth import cli\n"
+              "before = set(sys.modules)\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([argv + ["--out", out] for argv in chain])],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, added = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert added == [], f"the chain imported {', '.join(added)}"
 
 
 def test_module_and_console_entry_points(tmp_path):

@@ -153,6 +153,14 @@ def test_oracle_reply_check_names_the_first_bad_point():
             check_oracle_reply(reply, points, 2)
 
 
+def test_oracle_reply_check_on_no_points_says_none_were_asked():
+    points = np.empty((0, 2))
+    assert check_oracle_reply(np.empty((0, 3)), points, 3).shape == (0, 3)
+    for reply in ([], [[1.0, 2.0, 3.0]], [1.0], [["a"]]):
+        with pytest.raises(OracleFailure, match="no points were asked"):
+            check_oracle_reply(reply, points, 3)
+
+
 # ---------------------------------------------------------------------------
 # extra-corner values
 # ---------------------------------------------------------------------------

@@ -71,6 +71,62 @@ def test_writer_is_one_sorted_compact_line():
     assert to_json_text(obj) == '{"a":true,"b":[1,{"c":null,"d":"0x1.8000000000000p+0"}]}\n'
 
 
+def _canonical(obj):
+    """What the writer must give: the C encoder's one call."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def _random_json(rng, depth):
+    """A random nested value: scalars of every JSON kind, -0.0 and the
+    non-finites among them; lists (some as tuples), from empty to far past
+    the encoder budget; dicts with str, int, float, bool or None keys."""
+    budget = serialize._ENCODE_SCALARS
+    scalars = [0, -7, 2 ** 70, -0.0, 0.1, math.inf, -math.inf, math.nan,
+               "", "é\"\n", "0x1.8p-1", True, False, None]
+    kind = rng.integers(6) if depth else 0
+    if kind <= 1:
+        return scalars[rng.integers(len(scalars))]
+    if kind == 2:                            # long: flat, rows, or one long row
+        length = int(rng.choice([0, 1, budget - 1, budget, budget + 1, 3 * budget]))
+        shape = rng.integers(3)
+        if shape == 0:
+            return [scalars[i] for i in rng.integers(len(scalars), size=length)]
+        if shape == 1:
+            return [[0.5, "x", None]] * (length // 3) + [[]]
+        return [[list(range(length))]]       # one-item outer lists around a long one
+    if kind == 3:
+        items = [_random_json(rng, depth - 1) for _ in range(rng.integers(4))]
+        return tuple(items) if rng.integers(2) else items
+    keys = [[f"k{i}" for i in range(9)], list(range(-4, 5)), [i / 4 for i in range(9)],
+            [True, False], [None]][rng.integers(5)]
+    return {k: _random_json(rng, depth - 1) for k in keys[:rng.integers(len(keys) + 1)]}
+
+
+def test_bounded_writer_gives_the_encoders_bytes():
+    rng = np.random.default_rng(32)
+    budget = serialize._ENCODE_SCALARS
+    for _ in range(200):
+        obj = _random_json(rng, 4)
+        assert to_json_text(obj) == _canonical(obj)
+    for obj in ([], {}, [[]], [{}], (), [()], -0.0, "text", None, list(range(5 * budget)),
+                [list(range(5 * budget))], [[list(range(5 * budget))]],
+                {"a": [1] * budget, "b": [2] * budget, "c": 3},
+                {2: [0.5] * budget, 1: None, 3: ([], {}) * budget},
+                {1.5: "x", 0.25: [-0.0] * (2 * budget)},
+                {True: [[1, [2]]] * budget, False: [{}] * budget},
+                [{"k": i, "w": [i, -i]} for i in range(3 * budget)]):
+        assert to_json_text(obj) == _canonical(obj), repr(obj)[:80]
+
+
+def test_bounded_writer_raises_as_the_encoder_does():
+    budget = serialize._ENCODE_SCALARS
+    for obj in ({1: [0] * budget, "a": [0] * budget}, [[0] * budget, {1, 2}]):
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True)
+        with pytest.raises(TypeError):
+            to_json_text(obj)
+
+
 def test_failed_encode_leaves_the_existing_file(tmp_path, monkeypatch):
     path = tmp_path / "network.json"
     dump_json({"old": [1, 2]}, str(path))
@@ -98,6 +154,16 @@ def artifacts():
         "transition-system": (ts.to_json(), FiniteTransitionSystem.from_json,
                               FiniteTransitionSystem.to_json),
     }
+
+
+@pytest.mark.parametrize("name", ["grid", "interpolant", "network", "transition-system"])
+@pytest.mark.parametrize("budget", [2048, 7])
+def test_every_artifact_kind_writes_the_encoders_bytes(artifacts, monkeypatch, name, budget):
+    # at the module's budget and at one that splits every container
+    assert serialize._ENCODE_SCALARS == 2048
+    monkeypatch.setattr(serialize, "_ENCODE_SCALARS", budget)
+    obj = artifacts[name][0]
+    assert to_json_text(obj) == _canonical(obj)
 
 
 @pytest.mark.parametrize("name", ["grid", "interpolant", "network", "transition-system"])
